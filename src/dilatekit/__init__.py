@@ -43,7 +43,6 @@ from .seqops import (
     Componentwise,
     Compose,
     CoordProj0,
-    DilationQuadruple,
     EmbedI,
     GridDown,
     GridRight,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands build a named construction from JSON matrix files, verify its
-defining identities exactly, and print a JSON report to stdout. `run`
-executes the full seeded conformance harness. Exit codes: 0 when every
+The construction subcommands come from the registry in `harness`: each
+reads JSON files, builds its construction, runs the same verifier as the
+seeded suites and prints a JSON report to stdout. `run` executes the full
+seeded conformance harness. Exit codes: 0 when every
 check passed or was inconclusive, 1 when a check failed, 2 on input
 errors.
 """
@@ -10,55 +11,29 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
 
-from .finite import (
-    SCHUR_CLASSES,
-    PreconditionFailed,
-    halmos_build,
-    ndilation_build,
-    ndilation_verify,
-    nonsimilar_pair,
-    schur_build,
-)
-from .finsupp import Domain
+from .finite import PreconditionFailed
 from .harness import (
     ALL_SUITES,
+    COMMANDS,
+    Bounds,
+    Construction,
     GenerationExhausted,
     SuiteConfig,
     instance_rng,
     overall_exit_code,
-    random_fsvec,
-    random_vector,
     run_suites,
 )
-from .intertwine import (
-    HypothesisFailed,
-    NotIntertwining,
-    RangeViolation,
-    certification_report,
-    extract_intertwiner,
-    lift_intertwiner,
-    make_pair,
-    verify_lift,
-)
-from .matrix import Mat, MatrixError, unit_vec
+from .intertwine import HypothesisFailed, NotIntertwining, RangeViolation
+from .matrix import MatrixError
 from .report import Report, reports_to_json
-from .sequence import (
-    NonCommuting,
-    ando_build,
-    ando_verify,
-    schaffer_build,
-    schaffer_verify,
-    standard_build,
-    standard_minimality_check,
-    standard_verify,
-)
-from .seqops import SeqOp
-from .serialize import ParseError, load_matrix, mat_to_json, parse_instance_file
-from .wold import NotInjective, wold_decompose
+from .sequence import NonCommuting
+from .serialize import ParseError, load_matrix, load_operator
+from .wold import NotInjective
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -78,6 +53,8 @@ INPUT_ERRORS = (
     ValueError,
 )
 
+_GROUP_HELP = {"intertwine": "lift or extract an intertwiner"}
+
 
 def _default_seed() -> int:
     raw = os.environ.get("DILATEKIT_SEED")
@@ -89,14 +66,6 @@ def _default_seed() -> int:
         raise ParseError(f"DILATEKIT_SEED must be an integer, got {raw!r}") from None
 
 
-def _probes_for(seed: int, dim: int, domain: Domain, count: int = 10):
-    rng = instance_rng(SuiteConfig(seed=seed), f"cli_{domain.value}", 0)
-    vec_probes = [unit_vec(dim, i) for i in range(dim)]
-    vec_probes += [random_vector(rng, dim, 9) for _ in range(count)]
-    seq_probes = [random_fsvec(rng, domain, dim, 9) for _ in range(count)]
-    return vec_probes, seq_probes
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilatekit",
@@ -105,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the seeded conformance suites")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--trials", type=int, default=200)
     run.add_argument("--dim-max", type=int, default=4)
@@ -118,68 +88,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--json", dest="json_path", default=None, help="also write the report here")
 
-    halmos = sub.add_parser("halmos", help="two-block dilation with closed-form inverse")
-    halmos.add_argument("--T", required=True)
-
-    schur = sub.add_parser("schur", help="Schur-complement dilation families")
-    schur.add_argument("--class", dest="class_tag", required=True, choices=SCHUR_CLASSES)
-    for name in ("T", "B", "C", "D"):
-        schur.add_argument(f"--{name}", required=True)
-
-    nonsim = sub.add_parser("nonsimilar", help="trace-witnessed non-similar dilation pair")
-    nonsim.add_argument("--T", required=True)
-
-    ndil = sub.add_parser("ndilate", help="N-step block dilation")
-    ndil.add_argument("--T", required=True)
-    ndil.add_argument("--N", type=int, required=True)
-    ndil.add_argument("--kmax", type=int, default=None)
-
-    schaffer = sub.add_parser("schaffer", help="two-sided invertible dilation")
-    schaffer.add_argument("--T", required=True)
-    schaffer.add_argument("--nmax", type=int, default=12)
-
-    standard = sub.add_parser("standard", help="standard minimal injective dilation")
-    standard.add_argument("--T", required=True)
-    standard.add_argument("--nmax", type=int, default=12)
-    standard.add_argument("--minimality", action="store_true")
-
-    ando = sub.add_parser("ando", help="two-parameter grid dilation of a commuting pair")
-    ando.add_argument("--T", required=True)
-    ando.add_argument("--S", required=True)
-    ando.add_argument("--nmax", type=int, default=8)
-    ando.add_argument("--mmax", type=int, default=8)
-
-    wold = sub.add_parser("wold", help="eventual-image decomposition")
-    wold.add_argument("--T", required=True)
-    wold.add_argument("--mode", choices=("strict", "extended"), default="extended")
-
-    inter = sub.add_parser("intertwine", help="lift or extract an intertwiner")
-    inter_sub = inter.add_subparsers(dest="intertwine_command", required=True)
-
-    lift = inter_sub.add_parser("lift", help="lift S to the dilation spaces and verify")
-    lift.add_argument("--T1", required=True)
-    lift.add_argument("--T2", required=True)
-    lift.add_argument("--S", required=True)
-    lift.add_argument("--nmax", type=int, default=12)
-
-    extract = inter_sub.add_parser("extract", help="recover S from an operator descriptor")
-    extract.add_argument("--R", required=True, help="operator descriptor JSON file")
-    extract.add_argument("--T1", required=True)
-    extract.add_argument("--T2", required=True)
-    extract.add_argument("--certbound", type=int, default=12)
-
+    groups: dict = {}
+    for c in COMMANDS:
+        *group, name = (c.command or c.name).split()
+        parent = sub
+        if group:
+            if group[0] not in groups:
+                group_parser = sub.add_parser(group[0], help=_GROUP_HELP[group[0]])
+                groups[group[0]] = group_parser.add_subparsers(
+                    dest=f"{group[0]}_command", required=True
+                )
+            parent = groups[group[0]]
+        cmd = parent.add_parser(name, help=c.help)
+        cmd.set_defaults(handler=functools.partial(_cmd_construction, c))
+        for operand in c.operators:
+            cmd.add_argument(f"--{operand}", required=True, help="operator descriptor JSON file")
+        for operand in c.files:
+            cmd.add_argument(f"--{operand}", required=True)
+        for flag, kwargs in c.options + c.bounds:
+            cmd.add_argument(flag, **kwargs)
     return parser
 
 
-def _emit(report_json: str, json_path: Optional[str] = None) -> None:
+def _finish(reports: list[Report], json_path: Optional[str] = None) -> int:
+    report_json = reports_to_json(reports, indent=2)
     print(report_json)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(report_json + "\n")
-
-
-def _finish(reports: list[Report], json_path: Optional[str] = None) -> int:
-    _emit(reports_to_json(reports, indent=2), json_path)
     return overall_exit_code(reports)
 
 
@@ -202,150 +138,22 @@ def _cmd_run(args) -> int:
     return _finish(reports, args.json_path)
 
 
-def _cmd_halmos(args) -> int:
-    T = load_matrix(args.T)
-    hd = halmos_build(T)
-    rep = Report(
-        suite="halmos",
-        data={"U": mat_to_json(hd.U), "U_inv": mat_to_json(hd.U_inv)},
-    )
-    eye = Mat.identity(hd.U.rows)
-    rep.add("U * U_inv = U_inv * U = I", hd.U * hd.U_inv == eye and hd.U_inv * hd.U == eye,
-            witness={"U": mat_to_json(hd.U)})
-    rep.add("closed form equals the dense-inverse oracle", hd.U_inv == hd.U.inverse(),
-            witness={"U": mat_to_json(hd.U)})
-    return _finish([rep])
-
-
-def _cmd_schur(args) -> int:
-    fam = schur_build(
-        args.class_tag,
-        load_matrix(args.T),
-        load_matrix(args.B),
-        load_matrix(args.C),
-        load_matrix(args.D),
-    )
-    rep = Report(
-        suite="schur",
-        config={"class": fam.class_tag},
-        data={
-            "U": mat_to_json(fam.U),
-            "U_inv": mat_to_json(fam.U_inv),
-            "schur_complement": mat_to_json(fam.schur),
-        },
-    )
-    eye = Mat.identity(fam.U.rows)
-    rep.add("U * U_inv = U_inv * U = I", fam.U * fam.U_inv == eye and fam.U_inv * fam.U == eye,
-            witness={"U": mat_to_json(fam.U)})
-    rep.add("closed form equals the dense-inverse oracle", fam.U_inv == fam.U.inverse(),
-            witness={"U": mat_to_json(fam.U)})
-    return _finish([rep])
-
-
-def _cmd_nonsimilar(args) -> int:
-    pair = nonsimilar_pair(load_matrix(args.T))
-    rep = Report(
-        suite="nonsimilar",
-        data={
-            "A1": mat_to_json(pair.A1),
-            "A2": mat_to_json(pair.A2),
-            "verdict": pair.verdict,
-            "trace_a1": str(pair.trace_a1),
-            "trace_a2": str(pair.trace_a2),
-        },
-    )
-    if pair.verdict == "not_similar":
-        rep.add("traces differ, so the dilations are not similar", True)
-    else:
-        rep.add_inconclusive(
-            "trace comparison cannot separate the pair",
-            detail="both dilations have equal trace",
-        )
-    return _finish([rep])
-
-
-def _cmd_ndilate(args) -> int:
-    T = load_matrix(args.T)
-    nd = ndilation_build(T, args.N)
-    k_max = args.kmax if args.kmax is not None else args.N + 1
-    rng = instance_rng(SuiteConfig(), "cli_ndilate", 0)
-    probes = [unit_vec(T.rows, i) for i in range(T.rows)]
-    probes += [random_vector(rng, T.rows, 9) for _ in range(5)]
-    rep = ndilation_verify(nd, probes, k_max=k_max)
-    rep.data["U"] = mat_to_json(nd.U)
-    rep.data["U_inv"] = mat_to_json(nd.U_inv)
-    return _finish([rep])
-
-
-def _cmd_schaffer(args) -> int:
-    T = load_matrix(args.T)
-    sd = schaffer_build(T)
-    vec_probes, seq_probes = _probes_for(_default_seed(), T.rows, Domain.BIINT)
-    rep = schaffer_verify(sd, vec_probes, args.nmax, seq_probes=seq_probes)
-    return _finish([rep])
-
-
-def _cmd_standard(args) -> int:
-    T = load_matrix(args.T)
-    sd = standard_build(T)
-    vec_probes, seq_probes = _probes_for(_default_seed(), T.rows, Domain.UNINAT)
-    reports = [standard_verify(sd, vec_probes, args.nmax, seq_probes=seq_probes)]
-    if args.minimality:
-        reports.append(standard_minimality_check(sd, args.nmax))
-    return _finish(reports)
-
-
-def _cmd_ando(args) -> int:
-    T, S = load_matrix(args.T), load_matrix(args.S)
-    av = ando_build(T, S)
-    vec_probes, seq_probes = _probes_for(_default_seed(), T.rows, Domain.GRID, count=5)
-    rep = ando_verify(av, vec_probes, args.nmax, args.mmax, seq_probes=seq_probes)
-    return _finish([rep])
-
-
-def _cmd_wold(args) -> int:
-    w = wold_decompose(load_matrix(args.T), args.mode)
-    return _finish([w.certificates])
-
-
-def _cmd_intertwine(args) -> int:
-    if args.intertwine_command == "lift":
-        pair = make_pair(load_matrix(args.T1), load_matrix(args.T2), load_matrix(args.S))
-        R = lift_intertwiner(pair)
-        rng = instance_rng(SuiteConfig(), "cli_intertwine", 0)
-        probes = [random_fsvec(rng, Domain.UNINAT, pair.T2.rows, 9) for _ in range(10)]
-        rep = verify_lift(R, pair, probes, n_max=args.nmax)
-        return _finish([rep])
-
-    R = parse_instance_file(args.R)
-    if not isinstance(R, SeqOp):
-        raise ParseError("--R must be an operator descriptor")
-    pair_t1, pair_t2 = load_matrix(args.T1), load_matrix(args.T2)
-    dil1, dil2 = standard_build(pair_t1), standard_build(pair_t2)
-    S = extract_intertwiner(R, dil1, dil2, cert_bound=args.certbound)
-    pair = make_pair(pair_t1, pair_t2, S)
-    return _finish([certification_report(pair, S, args.certbound)])
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "halmos": _cmd_halmos,
-    "schur": _cmd_schur,
-    "nonsimilar": _cmd_nonsimilar,
-    "ndilate": _cmd_ndilate,
-    "schaffer": _cmd_schaffer,
-    "standard": _cmd_standard,
-    "ando": _cmd_ando,
-    "wold": _cmd_wold,
-    "intertwine": _cmd_intertwine,
-}
+def _cmd_construction(c: Construction, args) -> int:
+    """Read the files, draw probes from the seed, then build and verify."""
+    rng = instance_rng(SuiteConfig(seed=_default_seed()), f"cli_{c.name}", 0)
+    inst = {name: load_operator(getattr(args, name)) for name in c.operators}
+    inst.update((name, load_matrix(getattr(args, name))) for name in c.files)
+    inst.update((kwargs["dest"], getattr(args, kwargs["dest"])) for _, kwargs in c.options)
+    inst.update(c.probes(rng, inst))
+    bounds = Bounds(**{kwargs["dest"]: getattr(args, kwargs["dest"]) for _, kwargs in c.bounds})
+    return _finish(c.verify(c.build(inst), inst, bounds))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .matrix import Mat, NonSquareMatrix, SingularMatrix, Vec, vec
+from .matrix import Mat, NonSquareMatrix, SingularMatrix, Vec, require_square, vec
 from .report import Report
 from .serialize import vec_to_json
 
@@ -31,12 +31,6 @@ class PreconditionFailed(ValueError):
     def __init__(self, which: str):
         super().__init__(f"precondition failed: {which} is not invertible")
         self.which = which
-
-
-def _require_square(T: Mat, name: str = "T") -> Mat:
-    if not T.is_square():
-        raise NonSquareMatrix(f"{name} must be square, got {T.rows}x{T.cols}")
-    return T
 
 
 def _assert_inverse(U: Mat, U_inv: Mat, label: str) -> None:
@@ -59,7 +53,7 @@ class HalmosDilation:
 
 
 def halmos_build(T: Mat) -> HalmosDilation:
-    _require_square(T)
+    require_square(T)
     d = T.rows
     eye = Mat.identity(d)
     zero = Mat.zeros(d, d)
@@ -104,9 +98,9 @@ def schur_build(class_tag: str, T: Mat, B: Mat, C: Mat, D: Mat) -> SchurFamily:
     """
     if class_tag not in SCHUR_CLASSES:
         raise ValueError(f"unknown class {class_tag!r}, expected one of {SCHUR_CLASSES}")
-    d = _require_square(T).rows
+    d = require_square(T).rows
     for name, block in (("B", B), ("C", C), ("D", D)):
-        _require_square(block, name)
+        require_square(block, name)
         if block.rows != d:
             raise NonSquareMatrix(f"{name} must be {d}x{d} to match T")
 
@@ -172,6 +166,7 @@ class NonSimilarPair:
     comparison decides nothing, hence the inconclusive verdict.
     """
 
+    T: Mat
     A1: Mat
     A2: Mat
     A1_inv: Mat
@@ -182,7 +177,7 @@ class NonSimilarPair:
 
 
 def nonsimilar_pair(T: Mat) -> NonSimilarPair:
-    _require_square(T)
+    require_square(T)
     d = T.rows
     eye = Mat.identity(d)
     A1 = Mat.block([[T, T - eye], [T + eye, T]])
@@ -194,7 +189,7 @@ def nonsimilar_pair(T: Mat) -> NonSimilarPair:
     t1, t2 = A1.trace(), A2.trace()
     verdict = NOT_SIMILAR if t1 != t2 else INCONCLUSIVE_VERDICT
     return NonSimilarPair(
-        A1=A1, A2=A2, A1_inv=A1_inv, A2_inv=A2_inv, verdict=verdict, trace_a1=t1, trace_a2=t2
+        T=T, A1=A1, A2=A2, A1_inv=A1_inv, A2_inv=A2_inv, verdict=verdict, trace_a1=t1, trace_a2=t2
     )
 
 
@@ -239,7 +234,7 @@ def ndilation_build(T: Mat, N: int) -> NDilation:
     the block superdiagonal, an identity in the bottom-left corner, and -T
     next to it.
     """
-    _require_square(T)
+    require_square(T)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     d = T.rows

@@ -15,10 +15,10 @@ intertwining relation re-checked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .finsupp import Domain, FsVec
-from .matrix import Mat, NonSquareMatrix, unit_vec, vec
+from .matrix import Mat, NonSquareMatrix, require_square, unit_vec, vec
 from .report import Report
 from .seqops import Componentwise, SeqOp
 from .sequence import StandardDilation, standard_build
@@ -58,9 +58,8 @@ class IntertwinePair:
 
 
 def make_pair(T1: Mat, T2: Mat, S: Mat) -> IntertwinePair:
-    for name, m in (("T1", T1), ("T2", T2)):
-        if not m.is_square():
-            raise NonSquareMatrix(f"{name} must be square")
+    require_square(T1, "T1")
+    require_square(T2, "T2")
     if S.rows != T1.rows or S.cols != T2.rows:
         raise NonSquareMatrix(
             f"S must be {T1.rows}x{T2.rows} to map the second space into the first, "
@@ -77,6 +76,47 @@ def lift_intertwiner(pair: IntertwinePair) -> SeqOp:
     return Componentwise(pair.S)
 
 
+def lift_relations(R: SeqOp, dil1: StandardDilation, dil2: StandardDilation):
+    """The relations U1 R = R U2 and R P2 = P1 R, each as (label, relation,
+    lhs, rhs) with lhs and rhs maps on the second dilation space."""
+    return (
+        (
+            "forward shifts intertwine",
+            "U1 R = R U2",
+            lambda x: dil1.U.apply(R.apply(x)),
+            lambda x: R.apply(dil2.U.apply(x)),
+        ),
+        (
+            "projections intertwine",
+            "R P2 = P1 R",
+            lambda x: R.apply(dil2.P.apply(x)),
+            lambda x: dil1.P.apply(R.apply(x)),
+        ),
+    )
+
+
+def relation_witness(lhs, rhs, probes: Sequence[FsVec]) -> Optional[dict]:
+    """The first probe on which lhs and rhs differ, as a JSON witness."""
+    for x in probes:
+        left, right = lhs(x), rhs(x)
+        if left != right:
+            return {
+                "probe": fsvec_to_json(x),
+                "lhs": fsvec_to_json(left),
+                "rhs": fsvec_to_json(right),
+            }
+    return None
+
+
+def _basis_probes(dim: int, n_max: int) -> list[FsVec]:
+    """Basis elements supported at indices 0..n_max."""
+    return [
+        FsVec.single(Domain.UNINAT, dim, n, unit_vec(dim, i))
+        for n in range(n_max + 1)
+        for i in range(dim)
+    ]
+
+
 def verify_lift(
     R: SeqOp,
     pair: IntertwinePair,
@@ -89,50 +129,23 @@ def verify_lift(
     addition to the supplied probes.
     """
     d2 = pair.T2.rows
-    basis_probes = [
-        FsVec.single(Domain.UNINAT, d2, n, unit_vec(d2, i))
-        for n in range(n_max + 1)
-        for i in range(d2)
-    ]
-    all_probes = list(probes) + basis_probes
+    all_probes = list(probes) + _basis_probes(d2, n_max)
 
-    dil1, dil2 = pair.dil1, pair.dil2
     report = Report(
         suite="intertwine_verify",
         config={"n_max": n_max, "probes": len(all_probes)},
     )
-
-    for name, lhs, rhs in (
-        (
-            "forward shifts intertwine: U1 R = R U2",
-            lambda x: dil1.U.apply(R.apply(x)),
-            lambda x: R.apply(dil2.U.apply(x)),
-        ),
-        (
-            "projections intertwine: R P2 = P1 R",
-            lambda x: R.apply(dil2.P.apply(x)),
-            lambda x: dil1.P.apply(R.apply(x)),
-        ),
-    ):
-        witness = None
-        for x in all_probes:
-            left, right = lhs(x), rhs(x)
-            if left != right:
-                witness = {
-                    "probe": fsvec_to_json(x),
-                    "lhs": fsvec_to_json(left),
-                    "rhs": fsvec_to_json(right),
-                }
-                break
-        report.add(name, witness is None, bound=n_max, witness=witness)
+    for label, relation, lhs, rhs in lift_relations(R, pair.dil1, pair.dil2):
+        witness = relation_witness(lhs, rhs, all_probes)
+        report.add(f"{label}: {relation}", witness is None, bound=n_max, witness=witness)
 
     witness = None
     vec_probes = [unit_vec(d2, i) for i in range(d2)] + [
         x.coeff(0) for x in probes if not x.is_zero()
     ]
     for v in vec_probes:
-        left = R.apply(dil2.I.apply(v))
-        right = dil1.I.apply(pair.S.apply(v))
+        left = R.apply(pair.dil2.I.apply(v))
+        right = pair.dil1.I.apply(pair.S.apply(v))
         if left != right:
             witness = {
                 "vector": vec_to_json(vec(v)),
@@ -166,31 +179,11 @@ def extract_intertwiner(
         raise ValueError(f"cert_bound must be >= 1, got {cert_bound}")
     d1, d2 = dil1.dim, dil2.dim
 
-    for n in range(cert_bound + 1):
-        for i in range(d2):
-            probe = FsVec.single(Domain.UNINAT, d2, n, unit_vec(d2, i))
-            left = dil1.U.apply(R.apply(probe))
-            right = R.apply(dil2.U.apply(probe))
-            if left != right:
-                raise HypothesisFailed(
-                    "U1 R = R U2",
-                    {
-                        "probe": fsvec_to_json(probe),
-                        "lhs": fsvec_to_json(left),
-                        "rhs": fsvec_to_json(right),
-                    },
-                )
-            left = R.apply(dil2.P.apply(probe))
-            right = dil1.P.apply(R.apply(probe))
-            if left != right:
-                raise HypothesisFailed(
-                    "R P2 = P1 R",
-                    {
-                        "probe": fsvec_to_json(probe),
-                        "lhs": fsvec_to_json(left),
-                        "rhs": fsvec_to_json(right),
-                    },
-                )
+    basis = _basis_probes(d2, cert_bound)
+    for _, relation, lhs, rhs in lift_relations(R, dil1, dil2):
+        witness = relation_witness(lhs, rhs, basis)
+        if witness is not None:
+            raise HypothesisFailed(relation, witness)
 
     columns = []
     for i in range(d2):
@@ -213,21 +206,28 @@ def extract_intertwiner(
     return S
 
 
-def certification_report(pair: IntertwinePair, S_extracted: Mat, cert_bound: int) -> Report:
-    """Small report wrapper for CLI output of a successful extraction."""
-    report = Report(
-        suite="intertwine_extract",
-        config={"cert_bound": cert_bound},
-        data={"S": mat_to_json(S_extracted)},
-    )
-    report.add(
-        "extraction: relations certified on basis elements up to the bound",
-        True,
-        bound=cert_bound,
-    )
+def certification_report(
+    R: SeqOp, dil1: StandardDilation, dil2: StandardDilation, cert_bound: int
+) -> Report:
+    """Extract the intertwiner from R and report the outcome.
+
+    A relation that fails bounded certification is a failed check carrying
+    the relation and its witness (probe, lhs, rhs).
+    """
+    report = Report(suite="intertwine_extract", config={"cert_bound": cert_bound})
+    certified = "extraction: relations certified on basis elements up to the bound"
+    try:
+        S = extract_intertwiner(R, dil1, dil2, cert_bound=cert_bound)
+    except HypothesisFailed as exc:
+        witness = {"relation": exc.relation, **exc.witness}
+        report.add(certified, False, bound=cert_bound, witness=witness)
+        return report
+    report.data["S"] = mat_to_json(S)
+    report.add(certified, True, bound=cert_bound)
+    defect = dil1.T * S - S * dil2.T
     report.add(
         "extracted map intertwines: T1 S = S T2",
-        (pair.T1 * S_extracted - S_extracted * pair.T2).is_zero(),
-        witness={"defect": mat_to_json(pair.T1 * S_extracted - S_extracted * pair.T2)},
+        defect.is_zero(),
+        witness={"defect": mat_to_json(defect)},
     )
     return report

@@ -323,6 +323,12 @@ class Mat:
         return basis
 
 
+def require_square(T: Mat, name: str = "T") -> Mat:
+    if not T.is_square():
+        raise NonSquareMatrix(f"{name} must be square, got {T.rows}x{T.cols}")
+    return T
+
+
 def rref_image_kernel(a: Mat) -> tuple[list[Vec], list[Vec]]:
     """Exact bases of the image and kernel; dims sum to a.cols."""
     return a.column_space_basis(), a.kernel_basis()

@@ -21,11 +21,19 @@ maps between one-sided spaces with finitely many nonzero blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .finsupp import Domain, DomainMismatch, FsVec, Index
 from .matrix import Mat, Scalar, Vec, vec, vec_add, zero_vec
 from .report import Report
+
+
+class OperandError(ValueError):
+    """An operator was constructed from a bad argument; `field` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class SeqOp:
@@ -87,56 +95,47 @@ class CoordProj0(SeqOp):
 
 
 @dataclass(frozen=True)
-class ShiftRight(SeqOp):
+class _Shift(SeqOp):
+    """Moves every coordinate of a family one index along, by `_step`."""
+
+    dim: int
+
+    def apply(self, x: FsVec) -> FsVec:
+        self._check_input(x, self.dim, self.domain)
+        return FsVec(self.domain, self.dim, [(self._step(k), v) for k, v in x.items()])
+
+
+class ShiftRight(_Shift):
     """One-sided shift (x_0, x_1, ...) -> (0, x_0, x_1, ...)."""
 
-    dim: int
     domain = Domain.UNINAT
-
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.UNINAT)
-        return FsVec(Domain.UNINAT, self.dim, [(k + 1, v) for k, v in x.items()])
+    _step = staticmethod(lambda k: k + 1)
 
 
-@dataclass(frozen=True)
-class ShiftBilat(SeqOp):
+class ShiftBilat(_Shift):
     """Two-sided shift moving every coordinate up by one index."""
 
-    dim: int
     domain = Domain.BIINT
-
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.BIINT)
-        return FsVec(Domain.BIINT, self.dim, [(k + 1, v) for k, v in x.items()])
+    _step = staticmethod(lambda k: k + 1)
 
 
-@dataclass(frozen=True)
-class GridDown(SeqOp):
+class GridDown(_Shift):
     """Grid shift (n, m) -> (n+1, m): a zero row appears at the top."""
 
-    dim: int
     domain = Domain.GRID
-
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.GRID)
-        return FsVec(Domain.GRID, self.dim, [((n + 1, m), v) for (n, m), v in x.items()])
+    _step = staticmethod(lambda k: (k[0] + 1, k[1]))
 
 
-@dataclass(frozen=True)
-class GridRight(SeqOp):
+class GridRight(_Shift):
     """Grid shift (n, m) -> (n, m+1): a zero column appears at the left."""
 
-    dim: int
     domain = Domain.GRID
-
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.GRID)
-        return FsVec(Domain.GRID, self.dim, [((n, m + 1), v) for (n, m), v in x.items()])
+    _step = staticmethod(lambda k: (k[0], k[1] + 1))
 
 
 def _square(T: Mat, name: str) -> Mat:
     if not T.is_square():
-        raise ValueError(f"{name} must be square, got {T.rows}x{T.cols}")
+        raise OperandError(name, f"{name} must be square, got {T.rows}x{T.cols}")
     return T
 
 
@@ -251,8 +250,8 @@ class ProjAndo(SeqOp):
         _square(self.T, "T")
         _square(self.S, "S")
         if self.T.rows != self.S.rows:
-            raise ValueError(
-                f"operators act on different spaces: {self.T.rows} vs {self.S.rows}"
+            raise OperandError(
+                "S", f"operators act on different spaces: {self.T.rows} vs {self.S.rows}"
             )
         object.__setattr__(self, "_t_powers", _PowerCache(self.T))
         object.__setattr__(self, "_s_powers", _PowerCache(self.S))
@@ -282,10 +281,11 @@ class BlockDense(SeqOp):
     domain = Domain.UNINAT
 
     def __post_init__(self):
-        _square(self.matrix, "block matrix")
+        _square(self.matrix, "matrix")
         if self.matrix.rows % self.dim:
-            raise ValueError(
-                f"matrix size {self.matrix.rows} is not a multiple of block dim {self.dim}"
+            raise OperandError(
+                "matrix",
+                f"matrix size {self.matrix.rows} is not a multiple of block dim {self.dim}",
             )
 
     @property
@@ -345,10 +345,10 @@ class ColumnBlocks(SeqOp):
         cleaned: dict[tuple[int, int], Mat] = {}
         for (r, c), b in blocks.items():
             if r < 0 or c < 0:
-                raise ValueError(f"negative block position ({r}, {c})")
+                raise OperandError("blocks", f"negative block position ({r}, {c})")
             if b.rows != dim_out or b.cols != dim_in:
-                raise ValueError(
-                    f"block ({r},{c}) is {b.rows}x{b.cols}, expected {dim_out}x{dim_in}"
+                raise OperandError(
+                    "blocks", f"block ({r},{c}) is {b.rows}x{b.cols}, expected {dim_out}x{dim_in}"
                 )
             if not b.is_zero():
                 cleaned[(r, c)] = b
@@ -390,26 +390,10 @@ class PowerOp(SeqOp):
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"power must be nonnegative, got {self.n}")
+            raise OperandError("n", f"power must be nonnegative, got {self.n}")
 
     def apply(self, x):
         return self.base.power_apply(self.n, x)
-
-
-@dataclass(frozen=True)
-class DilationQuadruple:
-    """A dilation package: space descriptor, embedding, forward map, projection.
-
-    ``second`` holds the second commuting forward map in the two-parameter
-    variant and is None otherwise.
-    """
-
-    domain: Domain
-    dim: int
-    embed: SeqOp
-    forward: SeqOp
-    proj: SeqOp
-    second: Optional[SeqOp] = None
 
 
 def check_inverse_pair(a: SeqOp, b: SeqOp, probes: Sequence[FsVec]) -> Report:

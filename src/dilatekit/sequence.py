@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .finsupp import Domain, FsVec
-from .matrix import Mat, NonSquareMatrix, Vec, unit_vec, vec
+from .matrix import Mat, NonSquareMatrix, Vec, require_square, unit_vec, vec
 from .report import Report
 from .seqops import (
     CoordProj0,
-    DilationQuadruple,
     EmbedI,
     GridDown,
     GridRight,
@@ -45,12 +44,6 @@ class NonCommuting(ValueError):
         self.defect = defect
 
 
-def _require_square(T: Mat, name: str = "T") -> Mat:
-    if not T.is_square():
-        raise NonSquareMatrix(f"{name} must be square, got {T.rows}x{T.cols}")
-    return T
-
-
 def _probe_vecs(probes: Sequence[Sequence], dim: int) -> list[Vec]:
     out = []
     for p in probes:
@@ -59,6 +52,29 @@ def _probe_vecs(probes: Sequence[Sequence], dim: int) -> list[Vec]:
             raise NonSquareMatrix(f"probe has length {len(v)}, expected {dim}")
         out.append(v)
     return out
+
+
+def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Optional[dict]:
+    """The first (n, x), in that order, with P U^n I x != I T^n x for
+    first_n <= n <= n_max, as a JSON witness."""
+    t_power = Mat.identity(dil.dim)
+    images = [dil.I.apply(x) for x in vecs]
+    for n in range(n_max + 1):
+        if n > 0:
+            t_power = dil.T * t_power
+            images = [dil.U.apply(image) for image in images]
+        if n < first_n:
+            continue
+        for x, image in zip(vecs, images):
+            projected, expected = dil.P.apply(image), dil.I.apply(t_power.apply(x))
+            if projected != expected:
+                return {
+                    "n": n,
+                    "probe": vec_to_json(x),
+                    "projected": fsvec_to_json(projected),
+                    "expected": fsvec_to_json(expected),
+                }
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +97,7 @@ class SchafferDilation:
 
 
 def schaffer_build(T: Mat) -> SchafferDilation:
-    _require_square(T)
+    require_square(T)
     d = T.rows
     return SchafferDilation(
         T=T,
@@ -119,21 +135,7 @@ def schaffer_verify(
         check.name = f"inverse pair: {check.name}"
         report.checks.append(check)
 
-    witness = None
-    t_power = Mat.identity(sd.dim)
-    images = [sd.I.apply(x) for x in vecs]
-    for n in range(1, n_max + 1):
-        t_power = sd.T * t_power
-        for i, x in enumerate(vecs):
-            images[i] = sd.U.apply(images[i])
-            expected = sd.I.apply(t_power.apply(x))
-            if witness is None and sd.P.apply(images[i]) != expected:
-                witness = {
-                    "n": n,
-                    "probe": vec_to_json(x),
-                    "projected": fsvec_to_json(sd.P.apply(images[i])),
-                    "expected": fsvec_to_json(expected),
-                }
+    witness = _compression_witness(sd, vecs, 1, n_max)
     report.add(
         "compression: coordinate 0 of U^n(I x) equals T^n x (1 <= n <= bound)",
         witness is None,
@@ -157,36 +159,19 @@ class StandardDilation:
     """
 
     T: Mat
-    quadruple: DilationQuadruple
+    I: SeqOp
+    U: SeqOp
+    P: SeqOp
 
     @property
     def dim(self) -> int:
         return self.T.rows
 
-    @property
-    def I(self) -> SeqOp:
-        return self.quadruple.embed
-
-    @property
-    def U(self) -> SeqOp:
-        return self.quadruple.forward
-
-    @property
-    def P(self) -> SeqOp:
-        return self.quadruple.proj
-
 
 def standard_build(T: Mat) -> StandardDilation:
-    _require_square(T)
+    require_square(T)
     d = T.rows
-    quadruple = DilationQuadruple(
-        domain=Domain.UNINAT,
-        dim=d,
-        embed=EmbedI(d, Domain.UNINAT),
-        forward=ShiftRight(d),
-        proj=ProjStd(T),
-    )
-    return StandardDilation(T=T, quadruple=quadruple)
+    return StandardDilation(T=T, I=EmbedI(d, Domain.UNINAT), U=ShiftRight(d), P=ProjStd(T))
 
 
 def standard_verify(
@@ -264,23 +249,7 @@ def standard_verify(
         witness=witness,
     )
 
-    witness = None
-    t_power = Mat.identity(sd.dim)
-    images = [sd.I.apply(x) for x in vecs]
-    for n in range(0, n_max + 1):
-        if n > 0:
-            t_power = sd.T * t_power
-            for i in range(len(vecs)):
-                images[i] = sd.U.apply(images[i])
-        for i, x in enumerate(vecs):
-            expected = sd.I.apply(t_power.apply(x))
-            if witness is None and sd.P.apply(images[i]) != expected:
-                witness = {
-                    "n": n,
-                    "probe": vec_to_json(x),
-                    "projected": fsvec_to_json(sd.P.apply(images[i])),
-                    "expected": fsvec_to_json(expected),
-                }
+    witness = _compression_witness(sd, vecs, 0, n_max)
     report.add(
         "dilation equation I T^n x = P U^n I x (0 <= n <= bound)",
         witness is None,
@@ -351,21 +320,10 @@ class AndoVariant:
     def dim(self) -> int:
         return self.T.rows
 
-    @property
-    def quadruple(self) -> DilationQuadruple:
-        return DilationQuadruple(
-            domain=Domain.GRID,
-            dim=self.dim,
-            embed=self.I,
-            forward=self.U,
-            proj=self.P,
-            second=self.V,
-        )
-
 
 def ando_build(T: Mat, S: Mat) -> AndoVariant:
-    _require_square(T)
-    _require_square(S, "S")
+    require_square(T)
+    require_square(S, "S")
     if T.rows != S.rows:
         raise NonSquareMatrix(f"T and S act on different spaces: {T.rows} vs {S.rows}")
     if T * S != S * T:
@@ -379,20 +337,6 @@ def ando_build(T: Mat, S: Mat) -> AndoVariant:
         V=GridRight(d),
         P=ProjAndo(T, S),
     )
-
-
-def prepend_zero_row(x: FsVec) -> FsVec:
-    """Re-index a grid element so a zero row appears at the top."""
-    if x.domain is not Domain.GRID:
-        raise ValueError("prepend_zero_row expects a grid element")
-    return FsVec(Domain.GRID, x.dim, [((n + 1, m), v) for (n, m), v in x.items()])
-
-
-def prepend_zero_column(x: FsVec) -> FsVec:
-    """Re-index a grid element so a zero column appears at the left."""
-    if x.domain is not Domain.GRID:
-        raise ValueError("prepend_zero_column expects a grid element")
-    return FsVec(Domain.GRID, x.dim, [((n, m + 1), v) for (n, m), v in x.items()])
 
 
 def ando_verify(
@@ -427,22 +371,29 @@ def ando_verify(
     for _ in range(m_max):
         s_powers.append(av.S * s_powers[-1])
 
-    witness = None
+    # One pass over the cells (n, m) per probe; the single-parameter
+    # compressions are the cells with m = 0 < n and with n = 0 < m.
+    witness = u_witness = v_witness = None
     for x in vecs:
-        embedded = av.I.apply(x)
-        row_shifted = embedded
+        row_shifted = av.I.apply(x)
         for n in range(0, n_max + 1):
             cell = row_shifted
             for m in range(0, m_max + 1):
+                projected = av.P.apply(cell)
                 expected = av.I.apply(t_powers[n].apply(s_powers[m].apply(x)))
-                if witness is None and av.P.apply(cell) != expected:
-                    witness = {
-                        "n": n,
-                        "m": m,
-                        "probe": vec_to_json(x),
-                        "projected": fsvec_to_json(av.P.apply(cell)),
-                        "expected": fsvec_to_json(expected),
-                    }
+                if projected != expected:
+                    if witness is None:
+                        witness = {
+                            "n": n,
+                            "m": m,
+                            "probe": vec_to_json(x),
+                            "projected": fsvec_to_json(projected),
+                            "expected": fsvec_to_json(expected),
+                        }
+                    if u_witness is None and m == 0 < n:
+                        u_witness = {"n": n, "probe": vec_to_json(x)}
+                    if v_witness is None and n == 0 < m:
+                        v_witness = {"m": m, "probe": vec_to_json(x)}
                 cell = av.V.apply(cell)
             row_shifted = av.U.apply(row_shifted)
     report.add(
@@ -451,42 +402,25 @@ def ando_verify(
         bound=max(n_max, m_max),
         witness=witness,
     )
-
-    witness = None
-    for x in vecs:
-        image = av.I.apply(x)
-        for n in range(1, n_max + 1):
-            image = av.U.apply(image)
-            expected = av.I.apply(t_powers[n].apply(x))
-            if witness is None and av.P.apply(image) != expected:
-                witness = {"n": n, "probe": vec_to_json(x)}
     report.add(
         "single-parameter compression P U^n I x = I T^n x",
-        witness is None,
+        u_witness is None,
         bound=n_max,
-        witness=witness,
+        witness=u_witness,
     )
-
-    witness = None
-    for x in vecs:
-        image = av.I.apply(x)
-        for m in range(1, m_max + 1):
-            image = av.V.apply(image)
-            expected = av.I.apply(s_powers[m].apply(x))
-            if witness is None and av.P.apply(image) != expected:
-                witness = {"m": m, "probe": vec_to_json(x)}
     report.add(
         "single-parameter compression P V^m I x = I S^m x",
-        witness is None,
+        v_witness is None,
         bound=m_max,
-        witness=witness,
+        witness=v_witness,
     )
 
     witness = None
+    prepend_zero_row, prepend_zero_column = GridDown(av.dim), GridRight(av.dim)
     for x in seq_probes:
         down = av.U.apply(x)
         right = av.V.apply(x)
-        if prepend_zero_column(down) != prepend_zero_row(right):
+        if prepend_zero_column.apply(down) != prepend_zero_row.apply(right):
             witness = {"probe": fsvec_to_json(x), "identity": "prepend"}
             break
         if av.V.apply(down) != av.U.apply(right):

@@ -14,8 +14,9 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, IO, Union
+from typing import IO, Any, Callable, NamedTuple, Union
 
+from . import seqops as so
 from .finsupp import Domain, FsVec
 from .matrix import Mat, Vec
 
@@ -149,138 +150,123 @@ def fsvec_from_json(value: Any, where: str = "$") -> FsVec:
 
 
 # ----------------------------------------------------------------------
-# operator descriptors (definitions live in seqops; imported lazily to
-# keep serialize importable from seqops without a cycle)
+# operator descriptors: one table maps each wire kind to its class and its
+# fields; a field's wire key is the constructor argument of the same name
+
+MAX_POWER = 1000  # largest n accepted for kind "power"
+MAX_DEPTH = 64  # deepest nesting of operators inside operators
+
+
+class _Field(NamedTuple):
+    read: Callable[[Any, str, int], Any]  # (JSON value, path, depth) -> value
+    write: Callable[[Any], Any]
+    default: Any = None  # JSON value used when the key is absent
+
+
+def _read_dim(value: Any, where: str, depth: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ParseError(f"bad dimension {value!r}", where)
+    return value
+
+
+def _read_domain(value: Any, where: str, depth: int) -> Domain:
+    if value not in _DOMAIN_TAGS:
+        raise ParseError(f"unknown domain {value!r}", where)
+    return _DOMAIN_TAGS[value]
+
+
+def _read_power(value: Any, where: str, depth: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ParseError(f"bad power {value!r}", where)
+    if value > MAX_POWER:
+        raise ParseError(f"power {value} exceeds the cap of {MAX_POWER}", where)
+    return value
+
+
+def _read_factors(value: Any, where: str, depth: int) -> tuple:
+    if not isinstance(value, list):
+        raise ParseError("factors must be an array", where)
+    return tuple(seqop_from_json(f, f"{where}[{i}]", depth + 1) for i, f in enumerate(value))
+
+
+def _read_blocks(value: Any, where: str, depth: int) -> dict:
+    if not isinstance(value, list):
+        raise ParseError("blocks must be an array", where)
+    blocks = {}
+    for i, entry in enumerate(value):
+        loc = f"{where}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError("block entries must be objects", loc)
+        r, c = entry.get("row"), entry.get("col")
+        for label, k in (("row", r), ("col", c)):
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+                raise ParseError(f"bad {label} {k!r}", f"{loc}.{label}")
+        blocks[(r, c)] = mat_from_json(entry.get("block"), f"{loc}.block")
+    return blocks
+
+
+def _write_blocks(blocks: dict) -> list:
+    return [{"row": r, "col": c, "block": mat_to_json(b)} for (r, c), b in sorted(blocks.items())]
+
+
+_DIM = _Field(_read_dim, lambda d: d)
+_MAT = _Field(lambda value, where, depth: mat_from_json(value, where), mat_to_json)
+_OP = _Field(
+    lambda value, where, depth: seqop_from_json(value, where, depth + 1),
+    lambda op: seqop_to_json(op),
+)
+_OPS = _Field(_read_factors, lambda ops: [seqop_to_json(f) for f in ops])
+_FIELDS_DIM = (("dim", _DIM),)
+_FIELDS_DIM_DOMAIN = (("dim", _DIM), ("domain", _Field(_read_domain, lambda d: d.value, "uninat")))
+
+_KINDS = {
+    "embed": (so.EmbedI, _FIELDS_DIM_DOMAIN),
+    "coord_proj0": (so.CoordProj0, _FIELDS_DIM_DOMAIN),
+    "shift_right": (so.ShiftRight, _FIELDS_DIM),
+    "shift_bilat": (so.ShiftBilat, _FIELDS_DIM),
+    "grid_down": (so.GridDown, _FIELDS_DIM),
+    "grid_right": (so.GridRight, _FIELDS_DIM),
+    "schaffer_u": (so.SchafferU, (("T", _MAT),)),
+    "schaffer_v_inv": (so.SchafferVInv, (("T", _MAT),)),
+    "proj_std": (so.ProjStd, (("T", _MAT),)),
+    "proj_ando": (so.ProjAndo, (("T", _MAT), ("S", _MAT))),
+    "block_dense": (so.BlockDense, (("dim", _DIM), ("matrix", _MAT))),
+    "componentwise": (so.Componentwise, (("S", _MAT),)),
+    "column_blocks": (
+        so.ColumnBlocks,
+        (("dim_in", _DIM), ("dim_out", _DIM), ("blocks", _Field(_read_blocks, _write_blocks))),
+    ),
+    "compose": (so.Compose, (("factors", _OPS),)),
+    "power": (so.PowerOp, (("base", _OP), ("n", _Field(_read_power, lambda n: n)))),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 
 def seqop_to_json(op) -> dict:
-    from . import seqops as so
-
-    if isinstance(op, so.EmbedI):
-        return {"kind": "embed", "dim": op.dim, "domain": op.domain.value}
-    if isinstance(op, so.CoordProj0):
-        return {"kind": "coord_proj0", "dim": op.dim, "domain": op.domain.value}
-    if isinstance(op, so.ShiftRight):
-        return {"kind": "shift_right", "dim": op.dim}
-    if isinstance(op, so.ShiftBilat):
-        return {"kind": "shift_bilat", "dim": op.dim}
-    if isinstance(op, so.GridDown):
-        return {"kind": "grid_down", "dim": op.dim}
-    if isinstance(op, so.GridRight):
-        return {"kind": "grid_right", "dim": op.dim}
-    if isinstance(op, so.SchafferU):
-        return {"kind": "schaffer_u", "T": mat_to_json(op.T)}
-    if isinstance(op, so.SchafferVInv):
-        return {"kind": "schaffer_v_inv", "T": mat_to_json(op.T)}
-    if isinstance(op, so.ProjStd):
-        return {"kind": "proj_std", "T": mat_to_json(op.T)}
-    if isinstance(op, so.ProjAndo):
-        return {"kind": "proj_ando", "T": mat_to_json(op.T), "S": mat_to_json(op.S)}
-    if isinstance(op, so.BlockDense):
-        return {"kind": "block_dense", "dim": op.dim, "matrix": mat_to_json(op.matrix)}
-    if isinstance(op, so.Componentwise):
-        return {"kind": "componentwise", "S": mat_to_json(op.S)}
-    if isinstance(op, so.ColumnBlocks):
-        return {
-            "kind": "column_blocks",
-            "dim_in": op.dim_in,
-            "dim_out": op.dim_out,
-            "blocks": [
-                {"row": r, "col": c, "block": mat_to_json(b)}
-                for (r, c), b in sorted(op.blocks.items())
-            ],
-        }
-    if isinstance(op, so.Compose):
-        return {"kind": "compose", "factors": [seqop_to_json(f) for f in op.factors]}
-    if isinstance(op, so.PowerOp):
-        return {"kind": "power", "base": seqop_to_json(op.base), "n": op.n}
-    raise TypeError(f"cannot serialize operator {op!r}")
+    kind = _KIND_OF.get(type(op))
+    if kind is None:
+        raise TypeError(f"cannot serialize operator {op!r}")
+    _, fields = _KINDS[kind]
+    return {"kind": kind, **{key: field.write(getattr(op, key)) for key, field in fields}}
 
 
-def seqop_from_json(value: Any, where: str = "$"):
-    from . import seqops as so
-
+def seqop_from_json(value: Any, where: str = "$", depth: int = 0):
     if not isinstance(value, dict):
         raise ParseError(f"expected an object, got {type(value).__name__}", where)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"operators nested more than {MAX_DEPTH} deep", where)
     kind = value.get("kind")
-
-    def need_dim() -> int:
-        d = value.get("dim")
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ParseError(f"bad dim {d!r}", f"{where}.dim")
-        return d
-
-    def need_mat(key: str) -> Mat:
-        if key not in value:
-            raise ParseError(f"missing {key!r}", where)
-        return mat_from_json(value[key], f"{where}.{key}")
-
-    def need_domain() -> Domain:
-        tag = value.get("domain", "uninat")
-        if tag not in _DOMAIN_TAGS:
-            raise ParseError(f"unknown domain {tag!r}", f"{where}.domain")
-        return _DOMAIN_TAGS[tag]
-
-    if kind == "embed":
-        return so.EmbedI(need_dim(), need_domain())
-    if kind == "coord_proj0":
-        return so.CoordProj0(need_dim(), need_domain())
-    if kind == "shift_right":
-        return so.ShiftRight(need_dim())
-    if kind == "shift_bilat":
-        return so.ShiftBilat(need_dim())
-    if kind == "grid_down":
-        return so.GridDown(need_dim())
-    if kind == "grid_right":
-        return so.GridRight(need_dim())
-    if kind == "schaffer_u":
-        return so.SchafferU(need_mat("T"))
-    if kind == "schaffer_v_inv":
-        return so.SchafferVInv(need_mat("T"))
-    if kind == "proj_std":
-        return so.ProjStd(need_mat("T"))
-    if kind == "proj_ando":
-        return so.ProjAndo(need_mat("T"), need_mat("S"))
-    if kind == "block_dense":
-        return so.BlockDense(need_mat("matrix"), need_dim())
-    if kind == "componentwise":
-        return so.Componentwise(need_mat("S"))
-    if kind == "column_blocks":
-        raw = value.get("blocks")
-        if not isinstance(raw, list):
-            raise ParseError("blocks must be an array", f"{where}.blocks")
-        blocks = {}
-        for i, entry in enumerate(raw):
-            loc = f"{where}.blocks[{i}]"
-            if not isinstance(entry, dict):
-                raise ParseError("block entries must be objects", loc)
-            r, c = entry.get("row"), entry.get("col")
-            for label, k in (("row", r), ("col", c)):
-                if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                    raise ParseError(f"bad {label} {k!r}", f"{loc}.{label}")
-            blocks[(r, c)] = mat_from_json(entry.get("block"), f"{loc}.block")
-        dim_in = value.get("dim_in")
-        dim_out = value.get("dim_out")
-        for label, d in (("dim_in", dim_in), ("dim_out", dim_out)):
-            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-                raise ParseError(f"bad {label} {d!r}", f"{where}.{label}")
-        try:
-            return so.ColumnBlocks(blocks, dim_in=dim_in, dim_out=dim_out)
-        except ValueError as exc:
-            raise ParseError(str(exc), f"{where}.blocks") from exc
-    if kind == "compose":
-        raw = value.get("factors")
-        if not isinstance(raw, list):
-            raise ParseError("factors must be an array", f"{where}.factors")
-        return so.Compose(
-            tuple(seqop_from_json(f, f"{where}.factors[{i}]") for i, f in enumerate(raw))
-        )
-    if kind == "power":
-        n = value.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ParseError(f"bad power {n!r}", f"{where}.n")
-        return so.PowerOp(seqop_from_json(value.get("base"), f"{where}.base"), n)
-    raise ParseError(f"unknown operator kind {kind!r}", f"{where}.kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ParseError(f"unknown operator kind {kind!r}", f"{where}.kind")
+    cls, fields = _KINDS[kind]
+    args = {
+        key: field.read(value.get(key, field.default), f"{where}.{key}", depth)
+        for key, field in fields
+    }
+    try:
+        return cls(**args)
+    except so.OperandError as exc:
+        raise ParseError(str(exc), f"{where}.{exc.field}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +284,8 @@ def _load_json(source: Source) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "$") from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", "$") from None
 
 
 def parse_instance_file(source: Source):
@@ -321,4 +309,11 @@ def load_matrix(source: Source) -> Mat:
     value = parse_instance_file(source)
     if not isinstance(value, Mat):
         raise ParseError(f"expected a matrix, got {type(value).__name__}", "$")
+    return value
+
+
+def load_operator(source: Source) -> so.SeqOp:
+    value = parse_instance_file(source)
+    if not isinstance(value, so.SeqOp):
+        raise ParseError(f"expected an operator descriptor, got {type(value).__name__}", "$")
     return value

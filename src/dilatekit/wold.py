@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import Mat, NonSquareMatrix, Vec, in_span, span_rank, unit_vec
+from .matrix import Mat, Vec, in_span, require_square, span_rank, unit_vec
 from .report import Report
 from .serialize import vec_to_json
 
@@ -49,9 +49,7 @@ def eventual_image(T: Mat) -> tuple[list[Vec], int]:
     Returns the canonical basis of im(T^k) for the minimal k with
     dim im(T^k) = dim im(T^{k+1}); k is at most the space dimension.
     """
-    if not T.is_square():
-        raise NonSquareMatrix("eventual image requires a square matrix")
-    d = T.rows
+    d = require_square(T).rows
     basis = [unit_vec(d, i) for i in range(d)]  # im(T^0) = whole space
     index = 0
     while True:
@@ -71,8 +69,7 @@ def wold_decompose(T: Mat, mode: str = EXTENDED) -> WoldDecomposition:
     """Split the space into the eventual image and a deterministic complement."""
     if mode not in (STRICT, EXTENDED):
         raise ValueError(f"unknown mode {mode!r}")
-    if not T.is_square():
-        raise NonSquareMatrix("decomposition requires a square matrix")
+    require_square(T)
     if mode == STRICT:
         kernel = T.kernel_basis()
         if kernel:
@@ -126,9 +123,7 @@ def verify_wold(w: WoldDecomposition) -> Report:
     report.add(
         "direct sum: combined basis spans the space",
         rank == d,
-        witness=None
-        if rank == d
-        else {"rank": rank, "dim": d, "basis": [vec_to_json(v) for v in combined]},
+        witness={"rank": rank, "dim": d, "basis": [vec_to_json(v) for v in combined]},
     )
 
     invariance_witness = None
@@ -147,9 +142,7 @@ def verify_wold(w: WoldDecomposition) -> Report:
     report.add(
         "bijectivity: T restricted to the bijective part has full rank into it",
         bijective,
-        witness=None
-        if bijective
-        else {"images": [vec_to_json(v) for v in images], "expected_rank": len(w.Vb_basis)},
+        witness={"images": [vec_to_json(v) for v in images], "expected_rank": len(w.Vb_basis)},
     )
 
     ev_basis, _ = eventual_image(w.T)
@@ -160,9 +153,7 @@ def verify_wold(w: WoldDecomposition) -> Report:
     report.add(
         "bijective part equals the eventual image",
         agrees,
-        witness=None
-        if agrees
-        else {
+        witness={
             "claimed": [vec_to_json(v) for v in w.Vb_basis],
             "eventual_image": [vec_to_json(v) for v in ev_basis],
         },
@@ -173,9 +164,7 @@ def verify_wold(w: WoldDecomposition) -> Report:
     report.add(
         "shift certificate: complement meets the eventual image only in zero",
         disjoint,
-        witness=None
-        if disjoint
-        else {"joint_rank": joint, "expected": len(w.Vs_basis) + len(ev_basis)},
+        witness={"joint_rank": joint, "expected": len(w.Vs_basis) + len(ev_basis)},
     )
 
     return report

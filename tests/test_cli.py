@@ -1,7 +1,8 @@
 import json
 
 from dilatekit import Mat
-from dilatekit.cli import EXIT_INPUT, EXIT_PASS, main
+from dilatekit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
+from dilatekit.harness import SuiteConfig, run_suites
 from dilatekit.seqops import Componentwise
 from dilatekit.serialize import seqop_to_json
 
@@ -167,12 +168,59 @@ def test_intertwine_extract_rejects_corrupted(capsys, tmp_path):
         ],
     }
     r_file = write(tmp_path, "r.json", bad)
-    code, _, err = run_cli(
+    code, out, _ = run_cli(
         capsys,
         ["intertwine", "extract", "--R", r_file, "--T1", t_file, "--T2", t_file],
     )
+    assert code == EXIT_FAIL
+    check = json.loads(out)[0]["checks"][0]
+    assert check["status"] == "fail"
+    witness = check["witness"]
+    assert witness["relation"] == "R P2 = P1 R"
+    assert set(witness) == {"relation", "probe", "lhs", "rhs"}
+    assert witness["lhs"] != witness["rhs"]
+
+
+def test_file_subcommands_share_the_suite_check_names(capsys, tmp_path):
+    t_file = write(tmp_path, "t.json", [[2, 1], [0, 3]])
+    b_file = write(tmp_path, "b.json", [[1, 0], [0, 1]])
+    cases = [
+        ("halmos", ["halmos", "--T", t_file]),
+        ("schur", ["schur", "--class", "i", "--T", t_file, "--B", b_file, "--C", b_file,
+                   "--D", t_file]),
+    ]
+    for suite, argv in cases:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == EXIT_PASS
+        cli_names = [c["name"] for c in json.loads(out)[0]["checks"]]
+        config = SuiteConfig(trials=4, dim_max=2, suites=(suite,))
+        suite_names = [c.name for c in run_suites(config)[0].checks]
+        assert set(cli_names) <= set(suite_names), (cli_names, suite_names)
+
+
+def test_file_subcommands_honour_seed_env(capsys, tmp_path, monkeypatch):
+    t_file = write(tmp_path, "t.json", [[2]])
+    monkeypatch.setenv("DILATEKIT_SEED", "not-a-number")
+    code, _, err = run_cli(capsys, ["ndilate", "--T", t_file, "--N", "2"])
     assert code == EXIT_INPUT
-    assert "hypothesis" in err
+    assert "DILATEKIT_SEED" in err
+
+
+def test_operator_input_errors_exit_two(capsys, tmp_path):
+    t_file = write(tmp_path, "t.json", [[2]])
+    base = '{"kind": "componentwise", "S": [[1]]}'
+    huge_power = '{"kind": "power", "n": 100000000, "base": %s}' % base
+    deep = '{"kind": "compose", "factors": [' * 900 + base + "]}" * 900
+    for name, text, where in (("power", huge_power, "$.n:"), ("deep", deep, "$: JSON nested")):
+        r_file = tmp_path / f"{name}.json"
+        r_file.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            ["intertwine", "extract", "--R", str(r_file), "--T1", t_file, "--T2", t_file],
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {where}")
 
 
 def test_missing_file_is_input_error(capsys):

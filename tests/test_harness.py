@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
-from dilatekit import Mat
+from dilatekit import Mat, harness
 from dilatekit.harness import (
     ALL_SUITES,
+    CONSTRUCTIONS,
     GenerationExhausted,
     SuiteConfig,
     generate_instance,
@@ -107,6 +109,37 @@ def test_run_suites_all_pass_small():
     for rep in reports:
         assert rep.passed, rep.failed_checks()
     assert overall_exit_code(reports) == 0
+
+
+def test_small_config_report_is_pinned():
+    # sha256 of the indented report of all nine suites at a small config;
+    # a change here means the report is no longer byte-identical
+    config = SuiteConfig(trials=4, dim_max=3, n_max=6, m_max=4)
+    text = reports_to_json(run_suites(config), indent=2)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "58deeda15bf4b69448919b117bc9c7d1628acac676fd97a2e414d75209acb610"
+
+
+def test_registry_lists_every_suite_in_canonical_order():
+    assert tuple(CONSTRUCTIONS) == ALL_SUITES
+
+
+def test_schur_suite_builds_each_family_once(monkeypatch):
+    calls = {"all": 0, "built": 0}
+    schur_build = harness.schur_build
+
+    def counting(*args):
+        calls["all"] += 1
+        family = schur_build(*args)
+        calls["built"] += 1
+        return family
+
+    monkeypatch.setattr(harness, "schur_build", counting)
+    reports = run_suites(SuiteConfig(trials=20, suites=("schur",)))
+    assert reports[0].passed
+    assert calls["built"] == 20
+    # one drawn candidate fails its precondition and is drawn again
+    assert calls["all"] == 21
 
 
 def test_reports_byte_identical_across_runs():

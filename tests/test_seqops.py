@@ -185,6 +185,8 @@ def test_domain_mismatch_rejected():
         ShiftRight(1).apply(FsVec.single(Domain.BIINT, 1, 0, (1,)))
     with pytest.raises(DomainMismatch):
         ProjStd(Mat([[1]])).apply(FsVec.single(Domain.UNINAT, 2, 0, (1, 1)))
+    with pytest.raises(DomainMismatch):
+        GridDown(1).apply(FsVec.single(Domain.UNINAT, 1, 0, (1,)))
 
 
 # ----------------------------------------------------------------------

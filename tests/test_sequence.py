@@ -11,15 +11,13 @@ from dilatekit.sequence import (
     SchafferDilation,
     ando_build,
     ando_verify,
-    prepend_zero_column,
-    prepend_zero_row,
     schaffer_build,
     schaffer_verify,
     standard_build,
     standard_minimality_check,
     standard_verify,
 )
-from dilatekit.seqops import SchafferU
+from dilatekit.seqops import GridDown, GridRight, SchafferU
 
 from strategies import matrices
 
@@ -210,14 +208,10 @@ def test_prepend_identities_on_single_cell():
     av = ando_build(Mat([[2]]), Mat([[3]]))
     x = FsVec.single(Domain.GRID, 1, (0, 0), (1,))
     down, right = av.U.apply(x), av.V.apply(x)
-    assert prepend_zero_column(down) == prepend_zero_row(right)
-    assert prepend_zero_column(down) == FsVec.single(Domain.GRID, 1, (1, 1), (1,))
+    prepend_zero_row, prepend_zero_column = GridDown(1), GridRight(1)
+    assert prepend_zero_column.apply(down) == prepend_zero_row.apply(right)
+    assert prepend_zero_column.apply(down) == FsVec.single(Domain.GRID, 1, (1, 1), (1,))
     assert av.V.apply(down) == av.U.apply(right)
-
-
-def test_prepend_helpers_reject_non_grid():
-    with pytest.raises(ValueError):
-        prepend_zero_row(FsVec.single(Domain.UNINAT, 1, 0, (1,)))
 
 
 def test_ando_verify_scalar_exponentials():

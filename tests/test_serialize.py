@@ -23,6 +23,8 @@ from dilatekit.seqops import (
     ShiftRight,
 )
 from dilatekit.serialize import (
+    MAX_DEPTH,
+    MAX_POWER,
     DenominatorZero,
     ParseError,
     fsvec_from_json,
@@ -181,3 +183,46 @@ def test_load_matrix_type_check(tmp_path):
     f.write_text(json.dumps(seqop_to_json(ShiftRight(1))))
     with pytest.raises(ParseError):
         load_matrix(f)
+
+
+def test_seqop_constructor_errors_carry_the_field_path():
+    cases = [
+        ({"kind": "schaffer_u", "T": [[1, 2]]}, "$.T"),
+        ({"kind": "block_dense", "dim": 2, "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "$.matrix"),
+        ({"kind": "proj_ando", "T": [[1]], "S": [[1, 0], [0, 1]]}, "$.S"),
+        (
+            {"kind": "column_blocks", "dim_in": 1, "dim_out": 1,
+             "blocks": [{"row": 0, "col": 0, "block": [[1, 2]]}]},
+            "$.blocks",
+        ),
+        ({"kind": "compose", "factors": [{"kind": "proj_std", "T": [[1, 2]]}]}, "$.factors[0].T"),
+    ]
+    for doc, where in cases:
+        with pytest.raises(ParseError) as exc:
+            seqop_from_json(doc)
+        assert exc.value.where == where
+
+
+def test_seqop_power_is_capped():
+    base = {"kind": "shift_right", "dim": 1}
+    assert seqop_from_json({"kind": "power", "base": base, "n": MAX_POWER}).n == MAX_POWER
+    with pytest.raises(ParseError) as exc:
+        seqop_from_json({"kind": "power", "base": base, "n": MAX_POWER + 1})
+    assert exc.value.where == "$.n"
+
+
+def test_seqop_nesting_is_capped():
+    doc = {"kind": "shift_right", "dim": 1}
+    for _ in range(MAX_DEPTH + 1):
+        doc = {"kind": "power", "base": doc, "n": 1}
+    with pytest.raises(ParseError) as exc:
+        seqop_from_json(doc)
+    assert exc.value.where == "$" + ".base" * (MAX_DEPTH + 1)
+    seqop_from_json(doc["base"])
+
+
+def test_json_too_deep_for_the_parser_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_instance_file(io.StringIO("[" * 100000 + "]" * 100000))
+    assert exc.value.where == "$"
