@@ -221,8 +221,10 @@ class Construction:
     exact values. Preconditions are guaranteed by construction (commuting
     pairs, exact intertwiners) or by bounded resampling (invertible blocks,
     nonzero trace), never by rejection at verification time. `probes(rng,
-    instance)` draws the probes the verifier needs; the CLI calls it on
-    instances read from files. `build(instance)` returns the construction
+    instance)` draws the probes the verifier needs: `generate` calls it,
+    except that the suite loop draws them from a stream of their own when
+    `probe_stream` names one, and the CLI calls it on instances read from
+    files. `build(instance)` returns the construction
     and `verify(built, instance, bounds)` its reports: the one place where
     the construction's identities are checked. `finish` adds the suite's
     checks on fixed instances, given the data of each trial's first report.
@@ -245,6 +247,7 @@ class Construction:
     operators: tuple[str, ...] = ()
     options: tuple[tuple[str, dict], ...] = ()
     bounds: tuple[tuple[str, dict], ...] = ()
+    probe_stream: Optional[str] = None
 
     def generate(self, rng: random.Random, config: SuiteConfig, counter: int) -> dict:
         dim = rng.randint(1, config.dim_max)
@@ -403,14 +406,13 @@ class _NDilation(Construction):
     name = "ndilation"
     command = "ndilate"
     help = "N-step block dilation"
+    probe_stream = "ndilation_probes"
     options = (("--N", {"dest": "N", "type": int, "required": True}),)
     bounds = (("--kmax", {"dest": "k_max", "type": int, "default": None}),)
 
     def generate(self, rng, config, counter):
         dim = rng.randint(1, min(4, config.dim_max))
-        inst = {"T": random_matrix(rng, dim, config.entry_bound), "N": rng.randint(1, 4)}
-        inst.update(self.probes(instance_rng(config, "ndilation_probes", counter), inst))
-        return inst
+        return {"T": random_matrix(rng, dim, config.entry_bound), "N": rng.randint(1, 4)}
 
     def probes(self, rng, inst):
         return {"probes": [random_vector(rng, inst["T"].rows, 9) for _ in range(5)]}
@@ -561,28 +563,26 @@ class _Intertwine(Construction):
     help = "lift S to the dilation spaces and verify"
     files = ("T1", "T2", "S")
     bounds = (_nmax(12),)
+    probe_stream = "intertwine_probes"
 
     def generate(self, rng, config, counter):
         bound = config.entry_bound
         if counter % 2 == 0:
             dim = rng.randint(1, config.dim_max)
             T = random_matrix(rng, dim, bound)
-            inst = {"T1": T, "T2": T, "S": polynomial_in(rng, T)}
-        else:
-            a = rng.randint(1, max(1, config.dim_max - 1))
-            A = random_matrix(rng, a, bound)
-            B1 = random_matrix(rng, rng.randint(1, 2), bound)
-            B2 = random_matrix(rng, rng.randint(1, 2), bound)
-            core = polynomial_in(rng, A)
-            S = Mat.block(
-                [
-                    [core, Mat.zeros(a, B2.rows)],
-                    [Mat.zeros(B1.rows, a), Mat.zeros(B1.rows, B2.rows)],
-                ]
-            )
-            inst = {"T1": block_diag(A, B1), "T2": block_diag(A, B2), "S": S}
-        inst.update(self.probes(instance_rng(config, "intertwine_probes", counter), inst))
-        return inst
+            return {"T1": T, "T2": T, "S": polynomial_in(rng, T)}
+        a = rng.randint(1, max(1, config.dim_max - 1))
+        A = random_matrix(rng, a, bound)
+        B1 = random_matrix(rng, rng.randint(1, 2), bound)
+        B2 = random_matrix(rng, rng.randint(1, 2), bound)
+        core = polynomial_in(rng, A)
+        S = Mat.block(
+            [
+                [core, Mat.zeros(a, B2.rows)],
+                [Mat.zeros(B1.rows, a), Mat.zeros(B1.rows, B2.rows)],
+            ]
+        )
+        return {"T1": block_diag(A, B1), "T2": block_diag(A, B2), "S": S}
 
     def probes(self, rng, inst):
         return {"probes": [random_fsvec(rng, Domain.UNINAT, inst["T2"].rows, 9) for _ in range(5)]}
@@ -761,6 +761,8 @@ def _run_suite(config: SuiteConfig, c: Construction) -> Report:
     trial_data = []
     for t in range(config.trials):
         inst = generate_instance(config, c.name, t)
+        if c.probe_stream is not None:
+            inst.update(c.probes(instance_rng(config, c.probe_stream, t), inst))
         with _wrap_errors(c.name, t, inst):
             reports = c.verify(c.build(inst), inst, bounds)
         provenance = _instance_json(c.name, t, inst)
