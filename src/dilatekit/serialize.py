@@ -116,10 +116,7 @@ def fsvec_to_json(x: FsVec) -> dict:
 def fsvec_from_json(value: Any, where: str = "$") -> FsVec:
     if not isinstance(value, dict):
         raise ParseError(f"expected an object, got {type(value).__name__}", where)
-    tag = value.get("domain")
-    if tag not in _DOMAIN_TAGS:
-        raise ParseError(f"unknown domain {tag!r}", f"{where}.domain")
-    domain = _DOMAIN_TAGS[tag]
+    domain = _read_domain(value.get("domain"), f"{where}.domain")
     dim = value.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"bad dimension {dim!r}", f"{where}.dim")
@@ -169,8 +166,8 @@ def _read_dim(value: Any, where: str, depth: int) -> int:
     return value
 
 
-def _read_domain(value: Any, where: str, depth: int) -> Domain:
-    if value not in _DOMAIN_TAGS:
+def _read_domain(value: Any, where: str, depth: int = 0) -> Domain:
+    if not isinstance(value, str) or value not in _DOMAIN_TAGS:
         raise ParseError(f"unknown domain {value!r}", where)
     return _DOMAIN_TAGS[value]
 

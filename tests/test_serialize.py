@@ -107,6 +107,12 @@ def test_fsvec_bad_domain():
     with pytest.raises(ParseError) as exc:
         fsvec_from_json({"domain": "triint", "dim": 1, "support": []})
     assert ".domain" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        fsvec_from_json({"domain": [], "dim": 1})
+    assert exc.value.where == "$.domain"
+    with pytest.raises(ParseError) as exc:
+        seqop_from_json({"kind": "embed", "dim": 1, "domain": []})
+    assert exc.value.where == "$.domain"
 
 
 def test_seqop_round_trip():
