@@ -11,9 +11,11 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
+import time
 from typing import Optional, Sequence
 
 from .finite import PreconditionFailed
@@ -131,10 +133,16 @@ def _cmd_run(args) -> int:
         entry_bound=args.entry_bound,
         suites=suites,
     )
-    reports = run_suites(config)
-    for rep in reports:
+    reports = []
+    for kind in ALL_SUITES:
+        if kind not in config.suites:
+            continue
+        start = time.perf_counter()
+        reports += run_suites(dataclasses.replace(config, suites=(kind,)))
+        elapsed = time.perf_counter() - start
+        rep = reports[-1]
         status = "pass" if rep.passed else "FAIL"
-        print(f"{rep.suite}: {status} ({len(rep.checks)} checks)", file=sys.stderr)
+        print(f"{rep.suite}: {status} ({len(rep.checks)} checks, {elapsed:.2f} s)", file=sys.stderr)
     return _finish(reports, args.json_path)
 
 
@@ -149,9 +157,14 @@ def _cmd_construction(c: Construction, args) -> int:
     return _finish(c.verify(c.build(inst), inst, bounds))
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except INPUT_ERRORS as exc:

@@ -212,22 +212,24 @@ def certification_report(
     """Extract the intertwiner from R and report the outcome.
 
     A relation that fails bounded certification is a failed check carrying
-    the relation and its witness (probe, lhs, rhs).
+    the relation and its witness (probe, lhs, rhs). An extracted map that
+    does not intertwine, which `extract_intertwiner` itself detects, is a
+    failed check carrying the defect T1 S - S T2.
     """
     report = Report(suite="intertwine_extract", config={"cert_bound": cert_bound})
     certified = "extraction: relations certified on basis elements up to the bound"
+    intertwines = "extracted map intertwines: T1 S = S T2"
     try:
         S = extract_intertwiner(R, dil1, dil2, cert_bound=cert_bound)
     except HypothesisFailed as exc:
         witness = {"relation": exc.relation, **exc.witness}
         report.add(certified, False, bound=cert_bound, witness=witness)
         return report
+    except NotIntertwining as exc:
+        report.add(certified, True, bound=cert_bound)
+        report.add(intertwines, False, witness={"defect": mat_to_json(exc.defect)})
+        return report
     report.data["S"] = mat_to_json(S)
     report.add(certified, True, bound=cert_bound)
-    defect = dil1.T * S - S * dil2.T
-    report.add(
-        "extracted map intertwines: T1 S = S T2",
-        defect.is_zero(),
-        witness={"defect": mat_to_json(defect)},
-    )
+    report.add(intertwines, True)
     return report

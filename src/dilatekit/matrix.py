@@ -1,14 +1,23 @@
 """Dense matrices over exact rationals.
 
 This is the oracle layer of the package: every closed-form construction
-elsewhere is checked against plain Gauss-Jordan arithmetic done here.
-Scalars are ``fractions.Fraction`` throughout; floats are rejected so that
-every equality test in the repository is exact.
+elsewhere is checked against exact Gauss-Jordan arithmetic done here.
+Scalars are ``fractions.Fraction`` at the interface; floats are rejected so
+that every equality test in the repository is exact.
+
+Internally a matrix also has an integer form, computed on first use and
+cached: one common denominator (the lcm of the entry denominators) and rows
+of integer numerators. Products and matrix-vector products are integer dot
+products over that form with one ``Fraction`` per result entry, and
+elimination is fraction-free (Bareiss 1968, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination").
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
@@ -73,10 +82,54 @@ def vec_is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-class Mat:
-    """Immutable dense matrix of Fractions, row-major."""
+def _integer_form(v: Vec) -> tuple[int, list[int]]:
+    """Common denominator (lcm of the denominators) and the numerators over it."""
+    den = lcm(*(q.denominator for q in v))
+    return den, [q.numerator * (den // q.denominator) for q in v]
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _bareiss_rref(m: list[list[int]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """RREF and pivot columns of an integer matrix, by fraction-free
+    Gauss-Jordan elimination.
+
+    Pivot choice: leftmost nonzero column, first nonzero row from the top.
+    Every row other than the pivot row is updated as (p*a - f*b) // prev,
+    where p is the pivot and prev the previous pivot; the division is exact
+    by Sylvester's identity. At the end each pivot row is divided by its
+    pivot, and the rows below the rank are zero.
+    """
+    rows, cols = len(m), len(m[0])
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(rows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    reduced = tuple(tuple(Fraction(a, row[c]) for a in row) for row, c in zip(m, pivots))
+    return reduced + ((Fraction(0),) * cols,) * (rows - r), tuple(pivots)
+
+
+class Mat:
+    """Immutable dense matrix of Fractions, row-major.
+
+    `_ints` caches the integer form, (denominator, rows of numerators), once
+    `_integer_rows` has computed it.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
         grid = tuple(tuple(as_rat(v) for v in row) for row in entries)
@@ -88,6 +141,7 @@ class Mat:
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -102,7 +156,18 @@ class Mat:
         object.__setattr__(out, "rows", len(grid))
         object.__setattr__(out, "cols", len(grid[0]))
         object.__setattr__(out, "entries", grid)
+        object.__setattr__(out, "_ints", None)
         return out
+
+    def _integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The common denominator and the rows of integer numerators."""
+        if self._ints is None:
+            den = lcm(*(x.denominator for row in self.entries for x in row))
+            rows = tuple(
+                tuple(x.numerator * (den // x.denominator) for x in row) for row in self.entries
+            )
+            object.__setattr__(self, "_ints", (den, rows))
+        return self._ints
 
     @classmethod
     def identity(cls, n: int) -> Mat:
@@ -205,11 +270,14 @@ class Mat:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            bt = other.transpose().entries
+            da, ra = self._integer_rows()
+            db, rb = other._integer_rows()
+            den = da * db
+            cols = tuple(zip(*rb))
             return Mat._raw(
                 tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                    for row in self.entries
+                    tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
+                    for row in ra
                 )
             )
         return self.scale(other)
@@ -226,14 +294,17 @@ class Mat:
             raise NonSquareMatrix("matrix power requires a square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Mat.identity(self.rows)
+        if n == 0:
+            return Mat.identity(self.rows)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def apply(self, x: Sequence[Scalar]) -> Vec:
         """Matrix-vector product, returning a plain coordinate tuple."""
@@ -242,7 +313,10 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot apply {self.rows}x{self.cols} to vector of length {len(v)}"
             )
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        dv, nv = _integer_form(v)
+        da, ra = self._integer_rows()
+        den = da * dv
+        return tuple(Fraction(sum(map(mul, row, nv)), den) for row in ra)
 
     def transpose(self) -> Mat:
         return Mat._raw(
@@ -261,27 +335,11 @@ class Mat:
         """Reduced row echelon form and pivot columns.
 
         Pivot choice: leftmost nonzero column, first nonzero row from the
-        top, pivot normalized to 1. Fully deterministic.
+        top, pivot normalized to 1. Fully deterministic. Computed on the
+        integer numerators, which have the same RREF.
         """
-        m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Mat._raw(tuple(tuple(row) for row in m)), tuple(pivots)
+        reduced, pivots = _bareiss_rref([list(row) for row in self._integer_rows()[1]])
+        return Mat._raw(reduced), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -54,9 +54,9 @@ class SeqOp:
 
     def _check_input(self, x: FsVec, dim: int, domain: Domain) -> None:
         if not isinstance(x, FsVec) or x.domain is not domain or x.dim != dim:
+            got = f"({x.domain.value}, dim {x.dim})" if isinstance(x, FsVec) else type(x).__name__
             raise DomainMismatch(
-                f"{type(self).__name__} expects ({domain.value}, dim {dim}), got "
-                f"({getattr(x, 'domain', '?')}, dim {getattr(x, 'dim', '?')})"
+                f"{type(self).__name__} expects ({domain.value}, dim {dim}), got {got}"
             )
 
 
@@ -75,6 +75,10 @@ class EmbedI(SeqOp):
     domain: Domain = Domain.UNINAT
 
     def apply(self, x: Sequence[Scalar]) -> FsVec:
+        if not isinstance(x, (tuple, list)):
+            raise DomainMismatch(
+                f"EmbedI expects an ambient vector of length {self.dim}, got {type(x).__name__}"
+            )
         v = vec(x)
         if len(v) != self.dim:
             raise DomainMismatch(f"expected a vector of length {self.dim}, got {len(v)}")
@@ -193,11 +197,12 @@ class SchafferVInv(SeqOp):
 
 
 class _PowerCache:
-    """Memoized powers of a fixed matrix.
+    """Memoized powers of a fixed matrix, built one step at a time.
 
-    Writes are idempotent dict inserts, so concurrent apply calls on the
-    same operator stay safe: racing threads at worst recompute the same
-    immutable value.
+    The cached exponents are always 0..k: a miss extends from the largest
+    cached power by T^j = T^(j-1) T. Writes are idempotent dict inserts, so
+    concurrent apply calls on the same operator stay safe: racing threads
+    at worst recompute the same immutable value.
     """
 
     def __init__(self, base: Mat):
@@ -205,10 +210,13 @@ class _PowerCache:
         self.base = base
 
     def get(self, n: int) -> Mat:
-        cached = self.powers.get(n)
-        if cached is None:
-            cached = self.powers.setdefault(n, self.base ** n)
-        return cached
+        powers = self.powers
+        top = len(powers) - 1
+        if n > top:
+            power = powers[top]
+            for j in range(top + 1, n + 1):
+                power = powers.setdefault(j, power * self.base)
+        return powers[n]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 import json
+import re
 
-from dilatekit import Mat
+from dilatekit import Mat, cli
 from dilatekit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from dilatekit.harness import SuiteConfig, run_suites
 from dilatekit.seqops import Componentwise
-from dilatekit.serialize import seqop_to_json
+from dilatekit.serialize import _KINDS, seqop_to_json
 
 
 def write(tmp_path, name, payload):
@@ -40,6 +41,33 @@ def test_run_small_suite(capsys, tmp_path):
     assert [r["suite"] for r in reports] == ["halmos", "wold"]
     assert json.loads(out_path.read_text()) == reports
     assert "halmos: pass" in err
+
+
+def test_run_prints_elapsed_time_per_suite(capsys):
+    argv = ["run", "--seed", "7", "--trials", "2", "--suites", "wold,halmos"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_PASS
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["halmos", "wold"]
+    for line in lines:
+        assert re.fullmatch(r"\w+: pass \(\d+ checks, \d+\.\d\d s\)", line), line
+    # the timing goes to stderr only; the report equals the suites' own
+    config = SuiteConfig(seed=7, trials=2, suites=("halmos", "wold"))
+    assert json.loads(out) == json.loads(cli.reports_to_json(run_suites(config)))
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
+    t_file = write(tmp_path, "t.json", [[2]])
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, ["halmos", "--T", t_file])[0] == EXIT_PASS
+        assert run_cli(capsys, ["wold", "--T", t_file, "--mode", "strict"])[0] == EXIT_PASS
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_run_is_deterministic(capsys):
@@ -235,3 +263,44 @@ def test_malformed_matrix_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["halmos", "--T", str(bad)])
     assert code == EXIT_INPUT
     assert "denominator" in err
+
+
+# the smallest valid descriptor of each wire kind, all on dimension 1
+MINIMAL_DESCRIPTORS = {
+    "embed": {"dim": 1},
+    "coord_proj0": {"dim": 1},
+    "shift_right": {"dim": 1},
+    "shift_bilat": {"dim": 1},
+    "grid_down": {"dim": 1},
+    "grid_right": {"dim": 1},
+    "schaffer_u": {"T": [[1]]},
+    "schaffer_v_inv": {"T": [[1]]},
+    "proj_std": {"T": [[1]]},
+    "proj_ando": {"T": [[1]], "S": [[1]]},
+    "block_dense": {"dim": 1, "matrix": [[1]]},
+    "componentwise": {"S": [[1]]},
+    "column_blocks": {
+        "dim_in": 1, "dim_out": 1, "blocks": [{"row": 0, "col": 0, "block": [[1]]}],
+    },
+    "compose": {"factors": [{"kind": "embed", "dim": 1}]},
+    "power": {"n": 2, "base": {"kind": "embed", "dim": 1}},
+}
+
+
+def test_every_operator_kind_extracts_to_an_exit_code(capsys, tmp_path):
+    assert set(MINIMAL_DESCRIPTORS) == set(_KINDS)
+    t_file = write(tmp_path, "t.json", [[2]])
+    codes = {}
+    for kind, fields in MINIMAL_DESCRIPTORS.items():
+        r_file = write(tmp_path, f"{kind}.json", {"kind": kind, **fields})
+        argv = ["intertwine", "extract", "--R", r_file, "--T1", t_file, "--T2", t_file]
+        code, out, err = run_cli(capsys, argv)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INPUT), kind
+        assert "Traceback" not in out + err
+        if code == EXIT_INPUT:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (kind, err)
+        else:
+            assert json.loads(out)[0]["suite"] == "intertwine_extract"
+        codes[kind] = code
+    assert codes["componentwise"] == EXIT_PASS
+    assert codes["embed"] == codes["power"] == EXIT_INPUT

@@ -5,9 +5,11 @@ import pytest
 
 from dilatekit import Mat
 from dilatekit.finsupp import Domain, FsVec
+from dilatekit import intertwine
 from dilatekit.intertwine import (
     HypothesisFailed,
     NotIntertwining,
+    certification_report,
     extract_intertwiner,
     lift_intertwiner,
     make_pair,
@@ -129,3 +131,28 @@ def test_cert_bound_validation():
     pair = make_pair(Mat([[1]]), Mat([[1]]), Mat([[1]]))
     with pytest.raises(ValueError):
         extract_intertwiner(lift_intertwiner(pair), pair.dil1, pair.dil2, cert_bound=0)
+
+
+def test_certification_report_passes_on_the_lift():
+    pair = make_pair(Mat([[2]]), Mat([[2]]), Mat([[3]]))
+    rep = certification_report(lift_intertwiner(pair), pair.dil1, pair.dil2, cert_bound=4)
+    assert [c.status for c in rep.checks] == ["pass", "pass"]
+    assert rep.checks[1].name == "extracted map intertwines: T1 S = S T2"
+    assert rep.data["S"] == [[3]]
+
+
+def test_certification_report_turns_not_intertwining_into_a_failed_check(monkeypatch):
+    # extraction asserts T1 S = S T2 itself; the report takes its outcome
+    # instead of recomputing the defect
+    def extract(*args, **kwargs):
+        raise NotIntertwining(Mat([[1, "-1/2"]]))
+
+    monkeypatch.setattr(intertwine, "extract_intertwiner", extract)
+    pair = make_pair(Mat([[2]]), Mat([[2]]), Mat([[3]]))
+    rep = certification_report(lift_intertwiner(pair), pair.dil1, pair.dil2, cert_bound=4)
+    assert not rep.passed
+    certified, intertwines = rep.checks
+    assert certified.status == "pass"
+    assert intertwines.name == "extracted map intertwines: T1 S = S T2"
+    assert intertwines.status == "fail"
+    assert intertwines.witness == {"defect": [[1, "-1/2"]]}

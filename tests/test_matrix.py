@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatekit import (
     DimensionMismatch,
@@ -11,6 +12,7 @@ from dilatekit import (
     rref_image_kernel,
 )
 from dilatekit.matrix import as_rat, in_span, span_rank, unit_vec, vec
+from dilatekit.seqops import _PowerCache
 
 from strategies import matrices, square_pairs
 
@@ -158,3 +160,179 @@ def test_rref_is_idempotent(m):
     again, pivots2 = reduced.rref()
     assert again == reduced
     assert pivots == pivots2
+
+
+# ----------------------------------------------------------------------
+# differential oracle: the kernel against plain-Fraction reference code
+#
+# The reference works on lists of Fraction rows with the schoolbook
+# formulas, so it shares nothing with the kernel's integer form.
+
+
+def ref_mul(a, b):
+    return tuple(
+        tuple(sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(len(b[0])))
+        for row in a
+    )
+
+
+def ref_apply(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+
+
+def ref_identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def ref_rref(a):
+    """Gauss-Jordan: leftmost nonzero column, first nonzero row from the top."""
+    m = [list(row) for row in a]
+    rows, cols = len(m), len(m[0])
+    pivots, r = [], 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return tuple(tuple(row) for row in m), tuple(pivots)
+
+
+def ref_inverse(a):
+    """The right half of rref([A | I]), or None when A is singular."""
+    n = len(a)
+    reduced, pivots = ref_rref([row + ref_identity(n)[i] for i, row in enumerate(a)])
+    if sum(1 for p in pivots if p < n) < n:
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
+def ref_pow(a, n):
+    if n < 0:
+        a, n = ref_inverse(a), -n
+    out = ref_identity(len(a))
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_kernel_basis(a):
+    reduced, pivots = ref_rref(a)
+    cols = len(a[0])
+    basis = []
+    for free in (j for j in range(cols) if j not in pivots):
+        v = [Fraction(0)] * cols
+        v[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_column_space_basis(a):
+    reduced, pivots = ref_rref(tuple(zip(*a)))
+    return [reduced[i] for i in range(len(pivots))]
+
+
+def assert_exact(got, expected):
+    """Equal entry tuples, every entry a Fraction."""
+    assert got == expected
+    for row in got if got and isinstance(got[0], tuple) else [got]:
+        assert all(type(x) is Fraction for x in row), row
+
+
+# entries: zeros, small rationals, and denominators up to 10^6
+oracle_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def oracle_grids(draw, rows=None, cols=None):
+    """A rows x cols grid of Fractions: dense, a rank-deficient product of
+    thin factors, or either with some rows and columns zeroed."""
+    rows = rows or draw(st.integers(1, 7))
+    cols = cols or draw(st.integers(1, 9))
+
+    def dense(r, c):
+        return draw(st.lists(st.lists(oracle_entries, min_size=c, max_size=c), min_size=r,
+                             max_size=r))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        grid = [list(row) for row in ref_mul(dense(rows, inner), dense(inner, cols))]
+    else:
+        grid = dense(rows, cols)
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        grid[i] = [Fraction(0)] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in grid:
+            row[j] = Fraction(0)
+    return tuple(tuple(row) for row in grid)
+
+
+@st.composite
+def product_operands(draw):
+    rows, inner, cols = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    a = draw(oracle_grids(rows, inner))
+    b = draw(oracle_grids(inner, cols))
+    v = tuple(draw(st.lists(oracle_entries, min_size=inner, max_size=inner)))
+    return a, b, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands())
+def test_oracle_products_and_matvecs(operands):
+    a, b, v = operands
+    assert_exact((Mat(a) * Mat(b)).entries, ref_mul(a, b))
+    assert_exact(Mat(a).apply(v), ref_apply(a, v))
+    # a cached integer form is reused, not stale
+    m = Mat(a)
+    m.apply(v)
+    assert_exact((m * Mat(b)).entries, ref_mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: oracle_grids(n, n)))
+def test_oracle_powers_and_inverse(a):
+    m = Mat(a)
+    for n in range(7):
+        assert_exact((m ** n).entries, ref_pow(a, n))
+    cache = _PowerCache(m)
+    for n in (3, 0, 6, 1, 4):
+        assert_exact(cache.get(n).entries, ref_pow(a, n))
+    assert sorted(cache.powers) == list(range(7))
+    inv = ref_inverse(a)
+    if inv is None:
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+        with pytest.raises(SingularMatrix):
+            m ** -1
+        return
+    assert_exact(m.inverse().entries, inv)
+    for n in (-1, -2):
+        assert_exact((m ** n).entries, ref_pow(a, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_grids())
+def test_oracle_elimination(a):
+    m = Mat(a)
+    reduced, pivots = m.rref()
+    ref_reduced, ref_pivots = ref_rref(a)
+    assert_exact(reduced.entries, ref_reduced)
+    assert pivots == ref_pivots
+    assert_exact(tuple(m.kernel_basis()), tuple(ref_kernel_basis(a)))
+    assert_exact(tuple(m.column_space_basis()), tuple(ref_column_space_basis(a)))
+    assert m.rank() == len(ref_pivots)

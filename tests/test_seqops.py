@@ -189,6 +189,21 @@ def test_domain_mismatch_rejected():
         GridDown(1).apply(FsVec.single(Domain.UNINAT, 1, 0, (1,)))
 
 
+def test_mismatch_messages_name_domains_by_value():
+    with pytest.raises(DomainMismatch, match=r"expects \(grid, dim 1\), got \(uninat, dim 1\)"):
+        GridDown(1).apply(FsVec.single(Domain.UNINAT, 1, 0, (1,)))
+    with pytest.raises(DomainMismatch, match=r"got tuple"):
+        ShiftRight(1).apply((1,))
+
+
+def test_embed_rejects_a_sequence_element():
+    # EmbedI takes an ambient vector; a family in its own codomain is not one
+    with pytest.raises(DomainMismatch, match="ambient vector"):
+        EmbedI(1).apply(FsVec.single(Domain.UNINAT, 1, 0, (1,)))
+    with pytest.raises(DomainMismatch):
+        PowerOp(EmbedI(1), 2).apply(FsVec.single(Domain.UNINAT, 1, 0, (1,)))
+
+
 # ----------------------------------------------------------------------
 # algebraic properties
 
