@@ -11,7 +11,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -27,8 +26,8 @@ from .harness import (
     GenerationExhausted,
     SuiteConfig,
     instance_rng,
+    iter_suites,
     overall_exit_code,
-    run_suites,
 )
 from .intertwine import HypothesisFailed, NotIntertwining, RangeViolation
 from .matrix import MatrixError
@@ -134,15 +133,13 @@ def _cmd_run(args) -> int:
         suites=suites,
     )
     reports = []
-    for kind in ALL_SUITES:
-        if kind not in config.suites:
-            continue
-        start = time.perf_counter()
-        reports += run_suites(dataclasses.replace(config, suites=(kind,)))
+    start = time.perf_counter()
+    for rep in iter_suites(config):
         elapsed = time.perf_counter() - start
-        rep = reports[-1]
+        reports.append(rep)
         status = "pass" if rep.passed else "FAIL"
         print(f"{rep.suite}: {status} ({len(rep.checks)} checks, {elapsed:.2f} s)", file=sys.stderr)
+        start = time.perf_counter()
     return _finish(reports, args.json_path)
 
 

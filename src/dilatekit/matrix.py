@@ -162,10 +162,9 @@ class Mat:
     def _integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The common denominator and the rows of integer numerators."""
         if self._ints is None:
-            den = lcm(*(x.denominator for row in self.entries for x in row))
-            rows = tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row) for row in self.entries
-            )
+            den, flat = _integer_form([x for row in self.entries for x in row])
+            c = self.cols
+            rows = tuple(tuple(flat[i : i + c]) for i in range(0, len(flat), c))
             object.__setattr__(self, "_ints", (den, rows))
         return self._ints
 
@@ -296,6 +295,11 @@ class Mat:
             return self.inverse() ** (-n)
         if n == 0:
             return Mat.identity(self.rows)
+        return self._positive_power(n)
+
+    def _positive_power(self, n: int) -> Mat:
+        """self ** n for a square self and n >= 1, by repeated squaring that
+        stops after the top bit; self ** 1 is self itself, with no product."""
         result = None
         base = self
         while True:

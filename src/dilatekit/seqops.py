@@ -197,26 +197,27 @@ class SchafferVInv(SeqOp):
 
 
 class _PowerCache:
-    """Memoized powers of a fixed matrix, built one step at a time.
+    """Memoized powers of a fixed square matrix.
 
-    The cached exponents are always 0..k: a miss extends from the largest
-    cached power by T^j = T^(j-1) T. Writes are idempotent dict inserts, so
+    A miss for T^n starts from the largest cached T^k with k < n and stores
+    only T^n = T^k T^(n-k), the second factor by repeated squaring: a run of
+    consecutive exponents costs one product each, and a single large
+    exponent about 2 log2(n). Writes are idempotent dict inserts, so
     concurrent apply calls on the same operator stay safe: racing threads
     at worst recompute the same immutable value.
     """
 
     def __init__(self, base: Mat):
-        self.powers = {0: Mat.identity(base.rows)}
+        self.powers = {0: Mat.identity(base.rows), 1: base}
         self.base = base
 
     def get(self, n: int) -> Mat:
         powers = self.powers
-        top = len(powers) - 1
-        if n > top:
-            power = powers[top]
-            for j in range(top + 1, n + 1):
-                power = powers.setdefault(j, power * self.base)
-        return powers[n]
+        cached = powers.get(n)
+        if cached is None:
+            k = max(j for j in tuple(powers) if j < n)
+            cached = powers.setdefault(n, powers[k] * self.base._positive_power(n - k))
+        return cached
 
 
 @dataclass(frozen=True)

@@ -312,7 +312,7 @@ def test_oracle_powers_and_inverse(a):
     cache = _PowerCache(m)
     for n in (3, 0, 6, 1, 4):
         assert_exact(cache.get(n).entries, ref_pow(a, n))
-    assert sorted(cache.powers) == list(range(7))
+    assert sorted(cache.powers) == [0, 1, 3, 4, 6]
     inv = ref_inverse(a)
     if inv is None:
         with pytest.raises(SingularMatrix):

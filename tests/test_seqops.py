@@ -57,6 +57,18 @@ def test_proj_std_sums_powers():
     assert p.apply(x) == proj_std_oracle(Mat([[2]]), x)
 
 
+def test_proj_std_at_a_huge_index_squares_instead_of_stepping():
+    # a support index of 10**9 must not build the 10**9 intermediate powers
+    n = 10**9
+    p = ProjStd(Mat([[1]]))
+    assert p.apply(FsVec.single(Domain.UNINAT, 1, n, (3,))) == FsVec.single(
+        Domain.UNINAT, 1, 0, (3,)
+    )
+    nilpotent = ProjStd(Mat([[0, 1], [0, 0]]))
+    assert nilpotent.apply(FsVec.single(Domain.UNINAT, 2, n + 1, (1, 1))).is_zero()
+    assert sorted(p._powers.powers) == [0, 1, n]
+
+
 def test_schaffer_u_rows():
     # expanding the defining rows: the input at 0 lands at -1, plus T x_0 at 0
     u = SchafferU(Mat([[2]]))
