@@ -9,9 +9,9 @@ the complementary Schur complement governing invertibility of the whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .matrix import Mat, NonSquareMatrix, SingularMatrix, Vec, require_square, vec
 from .report import Report
@@ -33,10 +33,30 @@ class PreconditionFailed(ValueError):
         self.which = which
 
 
-def _assert_inverse(U: Mat, U_inv: Mat, label: str) -> None:
+def _is_inverse_pair(U: Mat, U_inv: Mat) -> bool:
     eye = Mat.identity(U.rows)
-    if U * U_inv != eye or U_inv * U != eye:
+    return U * U_inv == eye and U_inv * U == eye
+
+
+def _assert_inverse(U: Mat, U_inv: Mat, label: str) -> tuple[Mat, Mat]:
+    """Multiply the pair out and require the identity; the pair returned is
+    the proof that the built object records as `inverse_proof`."""
+    if not _is_inverse_pair(U, U_inv):
         raise ConstructionError(f"{label}: closed-form inverse failed U*U_inv = U_inv*U = I")
+    return U, U_inv
+
+
+def inverse_holds(built) -> bool:
+    """U * U_inv = U_inv * U = I for a built dilation with fields U, U_inv.
+
+    The builder's proof is read when it covers these very matrix objects;
+    otherwise (an object assembled or replaced by hand) the products are
+    formed again.
+    """
+    proof = built.inverse_proof
+    if proof is not None and proof[0] is built.U and proof[1] is built.U_inv:
+        return True
+    return _is_inverse_pair(built.U, built.U_inv)
 
 
 # ----------------------------------------------------------------------
@@ -50,6 +70,7 @@ class HalmosDilation:
     T: Mat
     U: Mat
     U_inv: Mat
+    inverse_proof: Optional[tuple[Mat, Mat]] = field(default=None, repr=False, compare=False)
 
 
 def halmos_build(T: Mat) -> HalmosDilation:
@@ -59,8 +80,8 @@ def halmos_build(T: Mat) -> HalmosDilation:
     zero = Mat.zeros(d, d)
     U = Mat.block([[T, eye], [eye, zero]])
     U_inv = Mat.block([[zero, eye], [eye, -T]])
-    _assert_inverse(U, U_inv, "two-block dilation")
-    return HalmosDilation(T=T, U=U, U_inv=U_inv)
+    proof = _assert_inverse(U, U_inv, "two-block dilation")
+    return HalmosDilation(T=T, U=U, U_inv=U_inv, inverse_proof=proof)
 
 
 # ----------------------------------------------------------------------
@@ -79,6 +100,7 @@ class SchurFamily:
     schur: Mat
     U: Mat
     U_inv: Mat
+    inverse_proof: Optional[tuple[Mat, Mat]] = field(default=None, repr=False, compare=False)
 
 
 def _inv_or_fail(m: Mat, which: str) -> Mat:
@@ -148,8 +170,10 @@ def schur_build(class_tag: str, T: Mat, B: Mat, C: Mat, D: Mat) -> SchurFamily:
         )
 
     U = Mat.block([[T, B], [C, D]])
-    _assert_inverse(U, U_inv, f"class ({class_tag})")
-    return SchurFamily(class_tag=class_tag, T=T, B=B, C=C, D=D, schur=schur, U=U, U_inv=U_inv)
+    proof = _assert_inverse(U, U_inv, f"class ({class_tag})")
+    return SchurFamily(
+        class_tag=class_tag, T=T, B=B, C=C, D=D, schur=schur, U=U, U_inv=U_inv, inverse_proof=proof
+    )
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +234,7 @@ class NDilation:
     N: int
     U: Mat
     U_inv: Mat
+    inverse_proof: Optional[tuple[Mat, Mat]] = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -255,8 +280,8 @@ def ndilation_build(T: Mat, N: int) -> NDilation:
     inv_grid[N][1] = -T
     U_inv = Mat.block(inv_grid)
 
-    _assert_inverse(U, U_inv, f"N-dilation (N={N})")
-    return NDilation(T=T, N=N, U=U, U_inv=U_inv)
+    proof = _assert_inverse(U, U_inv, f"N-dilation (N={N})")
+    return NDilation(T=T, N=N, U=U, U_inv=U_inv, inverse_proof=proof)
 
 
 def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: int) -> Report:

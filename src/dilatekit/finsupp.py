@@ -89,6 +89,17 @@ class FsVec:
         raise AttributeError("FsVec is immutable")
 
     @classmethod
+    def _raw(cls, domain: Domain, dim: int, support: Iterable[tuple[Index, Vec]]) -> FsVec:
+        # internal: trusts the indices to be valid for the domain, distinct and
+        # in sorted order, and every column to be a length-dim tuple of
+        # Fractions; zero columns are still pruned
+        out = cls.__new__(cls)
+        object.__setattr__(out, "domain", domain)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "support", {k: v for k, v in support if any(v)})
+        return out
+
+    @classmethod
     def zero(cls, domain: Domain, dim: int) -> FsVec:
         return cls(domain, dim)
 

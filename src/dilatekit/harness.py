@@ -29,6 +29,7 @@ from .finite import (
     SCHUR_CLASSES,
     PreconditionFailed,
     halmos_build,
+    inverse_holds,
     ndilation_build,
     ndilation_verify,
     nonsimilar_pair,
@@ -270,16 +271,13 @@ def _nmax(default: int) -> tuple[str, dict]:
     return ("--nmax", {"dest": "n_max", "type": int, "default": default})
 
 
-def _inverse_check(rep: Report, name: str, U: Mat, U_inv: Mat, witness: dict) -> None:
-    eye = Mat.identity(U.rows)
-    rep.add(name, U * U_inv == eye and U_inv * U == eye, witness=witness)
-
-
-def _closed_form_report(suite: str, U: Mat, U_inv: Mat, inverse: str, oracle: str) -> Report:
-    """A closed-form inverse checked by multiplication and against the
-    dense-inverse oracle, under the check names `inverse` and `oracle`."""
+def _closed_form_report(suite: str, built, inverse: str, oracle: str) -> Report:
+    """A closed-form inverse checked by multiplication (the builder's own
+    proof) and against the dense-inverse oracle, under the check names
+    `inverse` and `oracle`."""
+    U, U_inv = built.U, built.U_inv
     rep = Report(suite=suite, data={"U": mat_to_json(U), "U_inv": mat_to_json(U_inv)})
-    _inverse_check(rep, inverse, U, U_inv, {"U": rep.data["U"]})
+    rep.add(inverse, inverse_holds(built), witness={"U": rep.data["U"]})
     rep.add(
         oracle,
         U_inv == U.inverse(),
@@ -298,7 +296,7 @@ class _Halmos(Construction):
     def verify(self, hd, inst, bounds):
         inverse = "closed-form inverse: U * U_inv = U_inv * U = I"
         oracle = "closed form equals the dense-inverse oracle entrywise"
-        return [_closed_form_report("halmos", hd.U, hd.U_inv, inverse, oracle)]
+        return [_closed_form_report("halmos", hd, inverse, oracle)]
 
 
 class _Schur(Construction):
@@ -329,7 +327,7 @@ class _Schur(Construction):
     def verify(self, fam, inst, bounds):
         inverse = f"class ({fam.class_tag}): U * U_inv = U_inv * U = I"
         oracle = f"class ({fam.class_tag}): closed form equals the dense-inverse oracle"
-        rep = _closed_form_report("schur", fam.U, fam.U_inv, inverse, oracle)
+        rep = _closed_form_report("schur", fam, inverse, oracle)
         rep.data["schur_complement"] = mat_to_json(fam.schur)
         return [rep]
 
@@ -424,12 +422,10 @@ class _NDilation(Construction):
         rep = Report(
             suite="ndilation", data={"U": mat_to_json(nd.U), "U_inv": mat_to_json(nd.U_inv)}
         )
-        _inverse_check(
-            rep,
+        rep.add(
             "closed-form inverse: U * U_inv = U_inv * U = I",
-            nd.U,
-            nd.U_inv,
-            {"N": nd.N, "T": mat_to_json(nd.T)},
+            inverse_holds(nd),
+            witness={"N": nd.N, "T": mat_to_json(nd.T)},
         )
         k_max = nd.N + 1 if bounds.k_max is None else bounds.k_max
         powers = ndilation_verify(nd, inst["probes"], k_max=k_max)

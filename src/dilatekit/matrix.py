@@ -88,6 +88,11 @@ def _integer_form(v: Vec) -> tuple[int, list[int]]:
     return den, [q.numerator * (den // q.denominator) for q in v]
 
 
+def _from_integer_form(den: int, nums: Iterable[int]) -> Vec:
+    """The vector nums / den, one reduced Fraction per entry."""
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def _bareiss_rref(m: list[list[int]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     """RREF and pivot columns of an integer matrix, by fraction-free
     Gauss-Jordan elimination.
@@ -317,10 +322,22 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot apply {self.rows}x{self.cols} to vector of length {len(v)}"
             )
-        dv, nv = _integer_form(v)
+        return self._apply_trusted(v)
+
+    def _apply_trusted(self, v: Vec) -> Vec:
+        # internal: trusts v to be a length-cols tuple of Fractions, such as a
+        # column held by an FsVec, so it is not coerced again
+        return _from_integer_form(*self._apply_ints(*_integer_form(v)))
+
+    def _apply_ints(self, den: int, nums: Sequence[int]) -> tuple[int, list[int]]:
+        """The product with the vector nums / den, in the same integer form.
+
+        Internal: trusts nums to have length self.cols. The denominator is
+        the product of the two, not reduced, so chains of products stay in
+        integers and are reduced once, by the caller.
+        """
         da, ra = self._integer_rows()
-        den = da * dv
-        return tuple(Fraction(sum(map(mul, row, nv)), den) for row in ra)
+        return da * den, [sum(map(mul, row, nums)) for row in ra]
 
     def transpose(self) -> Mat:
         return Mat._raw(

@@ -21,10 +21,11 @@ maps between one-sided spaces with finitely many nonzero blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Sequence
 
 from .finsupp import Domain, DomainMismatch, FsVec, Index
-from .matrix import Mat, Scalar, Vec, vec, vec_add, zero_vec
+from .matrix import Mat, Scalar, Vec, _from_integer_form, _integer_form, vec, vec_add, zero_vec
 from .report import Report
 
 
@@ -67,6 +68,17 @@ def _accumulate(acc: dict[Index, Vec], index: Index, value: Vec) -> None:
         acc[index] = value
 
 
+def _sum_ints(terms: Sequence[tuple[int, list[int]]], dim: int) -> Vec:
+    """The sum of vectors given as (denominator, numerators), added over the
+    lcm of the denominators, with one Fraction per entry."""
+    den = lcm(*(d for d, _ in terms))
+    sums = [0] * dim
+    for d, nums in terms:
+        f = den // d
+        sums = [s + f * n for s, n in zip(sums, nums)]
+    return _from_integer_form(den, sums)
+
+
 @dataclass(frozen=True)
 class EmbedI(SeqOp):
     """Injective embedding of the ambient space at the origin index."""
@@ -82,7 +94,7 @@ class EmbedI(SeqOp):
         v = vec(x)
         if len(v) != self.dim:
             raise DomainMismatch(f"expected a vector of length {self.dim}, got {len(v)}")
-        return FsVec.single(self.domain, self.dim, self.domain.origin, v)
+        return FsVec._raw(self.domain, self.dim, [(self.domain.origin, v)])
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,8 @@ class CoordProj0(SeqOp):
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, self.domain)
         origin = self.domain.origin
-        return FsVec.single(self.domain, self.dim, origin, x.coeff(origin))
+        column = x.support.get(origin)
+        return FsVec._raw(self.domain, self.dim, [] if column is None else [(origin, column)])
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,9 @@ class _Shift(SeqOp):
 
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, self.domain)
-        return FsVec(self.domain, self.dim, [(self._step(k), v) for k, v in x.items()])
+        # every step is increasing in the index order, so the order is kept
+        step = self._step
+        return FsVec._raw(self.domain, self.dim, [(step(k), v) for k, v in x.support.items()])
 
 
 class ShiftRight(_Shift):
@@ -160,11 +175,11 @@ class SchafferU(SeqOp):
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.BIINT)
         acc: dict[Index, Vec] = {}
-        for k, v in x.items():
+        for k, v in x.support.items():
             _accumulate(acc, k - 1, v)
             if k == 0:
-                _accumulate(acc, 0, self.T.apply(v))
-        return FsVec(Domain.BIINT, self.dim, acc)
+                _accumulate(acc, 0, self.T._apply_trusted(v))
+        return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()))
 
 
 @dataclass(frozen=True)
@@ -189,11 +204,11 @@ class SchafferVInv(SeqOp):
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.BIINT)
         acc: dict[Index, Vec] = {}
-        for k, v in x.items():
+        for k, v in x.support.items():
             _accumulate(acc, k + 1, v)
             if k == -1:
-                _accumulate(acc, 1, self._neg_T.apply(v))
-        return FsVec(Domain.BIINT, self.dim, acc)
+                _accumulate(acc, 1, self._neg_T._apply_trusted(v))
+        return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()))
 
 
 class _PowerCache:
@@ -241,10 +256,9 @@ class ProjStd(SeqOp):
 
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.UNINAT)
-        total = zero_vec(self.dim)
-        for n, v in x.items():
-            total = vec_add(total, self._powers.get(n).apply(v))
-        return FsVec(Domain.UNINAT, self.dim, [(0, total)])
+        powers = self._powers
+        terms = [powers.get(n)._apply_ints(*_integer_form(v)) for n, v in x.support.items()]
+        return FsVec._raw(Domain.UNINAT, self.dim, [(0, _sum_ints(terms, self.dim))])
 
 
 @dataclass(frozen=True)
@@ -271,10 +285,12 @@ class ProjAndo(SeqOp):
 
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.GRID)
-        total = zero_vec(self.dim)
-        for (n, m), v in x.items():
-            total = vec_add(total, self._t_powers.get(n).apply(self._s_powers.get(m).apply(v)))
-        return FsVec(Domain.GRID, self.dim, [((0, 0), total)])
+        t_powers, s_powers = self._t_powers, self._s_powers
+        terms = [
+            t_powers.get(n)._apply_ints(*s_powers.get(m)._apply_ints(*_integer_form(v)))
+            for (n, m), v in x.support.items()
+        ]
+        return FsVec._raw(Domain.GRID, self.dim, [((0, 0), _sum_ints(terms, self.dim))])
 
 
 @dataclass(frozen=True)
@@ -308,11 +324,11 @@ class BlockDense(SeqOp):
             raise DomainMismatch(
                 f"input supported outside the {k} coordinates this operator acts on"
             )
-        stacked = []
-        for block in range(k):
-            stacked.extend(x.coeff(block))
-        image = self.matrix.apply(stacked)
-        return FsVec(
+        zero = zero_vec(self.dim)
+        image = self.matrix._apply_trusted(
+            tuple(c for b in range(k) for c in x.support.get(b, zero))
+        )
+        return FsVec._raw(
             Domain.UNINAT,
             self.dim,
             [(b, image[b * self.dim : (b + 1) * self.dim]) for b in range(k)],
@@ -336,7 +352,8 @@ class Componentwise(SeqOp):
 
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim_in, Domain.UNINAT)
-        return FsVec(Domain.UNINAT, self.dim_out, [(k, self.S.apply(v)) for k, v in x.items()])
+        columns = [(k, self.S._apply_trusted(v)) for k, v in x.support.items()]
+        return FsVec._raw(Domain.UNINAT, self.dim_out, columns)
 
 
 class ColumnBlocks(SeqOp):
@@ -374,8 +391,8 @@ class ColumnBlocks(SeqOp):
         for (r, c), b in self.blocks.items():
             v = x.support.get(c)
             if v is not None:
-                _accumulate(acc, r, b.apply(v))
-        return FsVec(Domain.UNINAT, self.dim_out, acc)
+                _accumulate(acc, r, b._apply_trusted(v))
+        return FsVec._raw(Domain.UNINAT, self.dim_out, sorted(acc.items()))
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,20 @@ def _probe_vecs(probes: Sequence[Sequence], dim: int) -> list[Vec]:
 
 def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Optional[dict]:
     """The first (n, x), in that order, with P U^n I x != I T^n x for
-    first_n <= n <= n_max, as a JSON witness."""
-    t_power = Mat.identity(dil.dim)
+    first_n <= n <= n_max, as a JSON witness.
+
+    Both orbits are carried forward one step per n: U^n I x by U, and the
+    expected side T^n x by one T.apply, independently of the operators."""
     images = [dil.I.apply(x) for x in vecs]
+    t_images = list(vecs)
     for n in range(n_max + 1):
         if n > 0:
-            t_power = dil.T * t_power
             images = [dil.U.apply(image) for image in images]
+            t_images = [dil.T.apply(y) for y in t_images]
         if n < first_n:
             continue
-        for x, image in zip(vecs, images):
-            projected, expected = dil.P.apply(image), dil.I.apply(t_power.apply(x))
+        for x, image, t_image in zip(vecs, images, t_images):
+            projected, expected = dil.P.apply(image), dil.I.apply(t_image)
             if projected != expected:
                 return {
                     "n": n,
@@ -364,23 +367,23 @@ def ando_verify(
         },
     )
 
-    t_powers = [Mat.identity(av.dim)]
-    for _ in range(n_max):
-        t_powers.append(av.T * t_powers[-1])
-    s_powers = [Mat.identity(av.dim)]
-    for _ in range(m_max):
-        s_powers.append(av.S * s_powers[-1])
-
     # One pass over the cells (n, m) per probe; the single-parameter
-    # compressions are the cells with m = 0 < n and with n = 0 < m.
+    # compressions are the cells with m = 0 < n and with n = 0 < m. The
+    # expected side of row n is the list [T^n S^m x for m <= m_max], carried
+    # from row to row by one T.apply per cell.
     witness = u_witness = v_witness = None
     for x in vecs:
+        orbit = [x]
+        for _ in range(m_max):
+            orbit.append(av.S.apply(orbit[-1]))
         row_shifted = av.I.apply(x)
         for n in range(0, n_max + 1):
+            if n > 0:
+                orbit = [av.T.apply(y) for y in orbit]
             cell = row_shifted
-            for m in range(0, m_max + 1):
+            for m, t_s_x in enumerate(orbit):
                 projected = av.P.apply(cell)
-                expected = av.I.apply(t_powers[n].apply(s_powers[m].apply(x)))
+                expected = av.I.apply(t_s_x)
                 if projected != expected:
                     if witness is None:
                         witness = {

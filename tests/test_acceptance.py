@@ -6,6 +6,7 @@ arithmetic equalities; the only numeric budgets are wall-clock bounds,
 measured in integer nanoseconds.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,6 +25,8 @@ from dilatekit.harness import SuiteConfig, generate_instance, run_suites
 from dilatekit.report import reports_to_json
 
 SECOND_NS = 1_000_000_000
+# sha256 of the file `dilatekit run --json PATH` writes at the default config
+DEFAULT_REPORT_SHA256 = "1cc4b6d765938a4392adfad320e821eba74202eb303fa479180f7a923dfaaeb0"
 
 
 def gate(number: int, description: str, ok: bool, detail: str = ""):
@@ -209,10 +212,13 @@ def test_criterion_09_ando():
 def test_criterion_10_determinism_and_budget():
     config = SuiteConfig()  # seed=42, trials=200, dim_max=4, n_max=12
     start = time.monotonic_ns()
-    first = reports_to_json(run_suites(config))
+    reports = run_suites(config)
+    first = reports_to_json(reports)
     elapsed = time.monotonic_ns() - start
     second = reports_to_json(run_suites(config))
     identical = first.encode() == second.encode()
+    written = (reports_to_json(reports, indent=2) + "\n").encode()
+    pinned = hashlib.sha256(written).hexdigest() == DEFAULT_REPORT_SHA256
 
     # cross-process: hash randomization must not leak into reports
     cli_outputs = []
@@ -228,8 +234,11 @@ def test_criterion_10_determinism_and_budget():
         cli_outputs.append(proc.stdout)
     gate(
         10,
-        "identical configs give byte-identical reports (in-process and across processes); "
-        "full default run under 60s",
-        identical and cli_outputs[0] == cli_outputs[1] and elapsed < 60 * SECOND_NS,
-        detail=f"elapsed={elapsed / SECOND_NS}s",
+        "identical configs give byte-identical reports (in-process and across processes), "
+        "the default report has its pinned sha256; full default run under 60s",
+        identical
+        and cli_outputs[0] == cli_outputs[1]
+        and pinned
+        and elapsed < 60 * SECOND_NS,
+        detail=f"elapsed={elapsed / SECOND_NS}s, report sha256 pinned: {pinned}",
     )

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from dilatekit.seqops import (
     ShiftRight,
     check_inverse_pair,
 )
+from dilatekit.serialize import fsvec_to_json
 
 from strategies import fsvecs, rationals
 
@@ -310,3 +313,191 @@ def test_proj_std_fixes_embedded_vectors(values):
     p = ProjStd(T2)
     embedded = EmbedI(2).apply(tuple(values))
     assert p.apply(embedded) == embedded
+
+
+# ----------------------------------------------------------------------
+# differential oracle: every operator kind against plain-Fraction code
+#
+# Each operator's result must equal the validating FsVec(...) built from
+# the reference columns in every observable way: the support's key order,
+# the Fraction type of every entry, ==, hash, repr and the JSON form. The
+# inputs include empty supports, terms that cancel to a zero column, and
+# denominators up to 10^6.
+
+ORACLE = settings(max_examples=40, deadline=None)
+ZERO = Fraction(0)
+INDICES = {
+    Domain.UNINAT: st.integers(min_value=0, max_value=6),
+    Domain.BIINT: st.integers(min_value=-4, max_value=4),
+    Domain.GRID: st.tuples(
+        st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)
+    ),
+}
+
+
+def scalars():
+    return st.one_of(st.just(ZERO), rationals(3), rationals(10**6))
+
+
+def draw_vector(data, dim):
+    return tuple(data.draw(st.lists(scalars(), min_size=dim, max_size=dim)))
+
+
+def draw_matrix(data, rows, cols):
+    return Mat([draw_vector(data, cols) for _ in range(rows)])
+
+
+def draw_columns(data, domain, dim, indices=None):
+    index = INDICES[domain] if indices is None else indices
+    vectors = st.lists(scalars(), min_size=dim, max_size=dim).map(tuple)
+    return data.draw(st.dictionaries(index, vectors, max_size=4))
+
+
+def ref_matvec(m, v):
+    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in m.to_lists()]
+
+
+def ref_power_apply(m, n, v):
+    v = list(v)
+    for _ in range(n):
+        v = ref_matvec(m, v)
+    return v
+
+
+def ref_add(acc, index, value):
+    acc[index] = [a + b for a, b in zip(acc[index], value)] if index in acc else list(value)
+
+
+def assert_matches_reference(result, domain, dim, columns):
+    expected = FsVec(domain, dim, columns)
+    assert (result.domain, result.dim) == (domain, dim)
+    assert list(result.support) == list(expected.support)
+    assert all(type(q) is Fraction for v in result.support.values() for q in v)
+    assert result == expected
+    assert hash(result) == hash(expected)
+    assert repr(result) == repr(expected)
+    assert fsvec_to_json(result) == fsvec_to_json(expected)
+
+
+@ORACLE
+@given(st.data(), st.sampled_from(list(Domain)), st.integers(min_value=1, max_value=3))
+def test_oracle_shifts_origin_projection_and_embedding(data, domain, dim):
+    columns = draw_columns(data, domain, dim)
+    x = FsVec(domain, dim, columns)
+    shifts = {
+        Domain.UNINAT: [(ShiftRight(dim), lambda k: k + 1)],
+        Domain.BIINT: [(ShiftBilat(dim), lambda k: k + 1)],
+        Domain.GRID: [
+            (GridDown(dim), lambda k: (k[0] + 1, k[1])),
+            (GridRight(dim), lambda k: (k[0], k[1] + 1)),
+        ],
+    }[domain]
+    for op, step in shifts:
+        assert_matches_reference(op.apply(x), domain, dim, {step(k): v for k, v in columns.items()})
+    origin = domain.origin
+    kept = {k: v for k, v in columns.items() if k == origin}
+    assert_matches_reference(CoordProj0(dim, domain).apply(x), domain, dim, kept)
+    value = columns.get(origin, (ZERO,) * dim)
+    assert_matches_reference(EmbedI(dim, domain).apply(list(value)), domain, dim, {origin: value})
+
+
+@ORACLE
+@given(st.data(), st.integers(min_value=1, max_value=3), st.sampled_from([None, "u", "v"]))
+def test_oracle_schaffer_pair(data, dim, cancel):
+    T = draw_matrix(data, dim, dim)
+    columns = draw_columns(data, Domain.BIINT, dim)
+    if cancel == "u":  # x_1 = -T x_0: both terms of (Ux)_0 cancel
+        x0 = columns.setdefault(0, draw_vector(data, dim))
+        columns[1] = tuple(-q for q in ref_matvec(T, x0))
+    elif cancel == "v":  # x_0 = T x_-1: both terms of (Vx)_1 cancel
+        x_minus = columns.setdefault(-1, draw_vector(data, dim))
+        columns[0] = tuple(ref_matvec(T, x_minus))
+    x = FsVec(Domain.BIINT, dim, columns)
+    ref_u, ref_v = {}, {}
+    for k, v in columns.items():
+        ref_add(ref_u, k - 1, v)
+        if k == 0:
+            ref_add(ref_u, 0, ref_matvec(T, v))
+        ref_add(ref_v, k + 1, v)
+        if k == -1:
+            ref_add(ref_v, 1, [-q for q in ref_matvec(T, v)])
+    assert_matches_reference(SchafferU(T).apply(x), Domain.BIINT, dim, ref_u)
+    assert_matches_reference(SchafferVInv(T).apply(x), Domain.BIINT, dim, ref_v)
+
+
+@ORACLE
+@given(st.data(), st.integers(min_value=1, max_value=3), st.booleans())
+def test_oracle_proj_std(data, dim, cancel):
+    T = draw_matrix(data, dim, dim)
+    if cancel:  # x_0 + T x_1 = 0: the projection is the zero family
+        x1 = draw_vector(data, dim)
+        columns = {1: x1, 0: tuple(-q for q in ref_matvec(T, x1))}
+    else:
+        columns = draw_columns(data, Domain.UNINAT, dim)
+    x = FsVec(Domain.UNINAT, dim, columns)
+    total = [ZERO] * dim
+    for n, v in columns.items():
+        total = [a + b for a, b in zip(total, ref_power_apply(T, n, v))]
+    assert_matches_reference(ProjStd(T).apply(x), Domain.UNINAT, dim, {0: total})
+
+
+@ORACLE
+@given(st.data(), st.integers(min_value=1, max_value=3), st.booleans())
+def test_oracle_proj_ando(data, dim, cancel):
+    T, S = draw_matrix(data, dim, dim), draw_matrix(data, dim, dim)
+    if cancel:  # x_00 + T x_10 + S x_01 = 0 with x_10, x_01 drawn
+        x10, x01 = draw_vector(data, dim), draw_vector(data, dim)
+        x00 = [-(a + b) for a, b in zip(ref_matvec(T, x10), ref_matvec(S, x01))]
+        columns = {(1, 0): x10, (0, 1): x01, (0, 0): tuple(x00)}
+    else:
+        columns = draw_columns(data, Domain.GRID, dim)
+    x = FsVec(Domain.GRID, dim, columns)
+    total = [ZERO] * dim
+    for (n, m), v in columns.items():
+        term = ref_power_apply(T, n, ref_power_apply(S, m, v))
+        total = [a + b for a, b in zip(total, term)]
+    assert_matches_reference(ProjAndo(T, S).apply(x), Domain.GRID, dim, {(0, 0): total})
+
+
+@ORACLE
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+)
+def test_oracle_componentwise_and_column_blocks(data, dim_in, dim_out, cancel):
+    S = draw_matrix(data, dim_out, dim_in)
+    columns = draw_columns(data, Domain.UNINAT, dim_in)
+    positions = data.draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=6)),
+            max_size=4,
+            unique=True,
+        )
+    )
+    blocks = {p: draw_matrix(data, dim_out, dim_in) for p in positions}
+    if cancel:  # blocks S and -S read equal columns 0 and 1 into row 2
+        columns[0] = columns[1] = draw_vector(data, dim_in)
+        blocks[(2, 0)], blocks[(2, 1)] = S, Mat([[-q for q in row] for row in S.to_lists()])
+    x = FsVec(Domain.UNINAT, dim_in, columns)
+    expected = {k: ref_matvec(S, v) for k, v in columns.items()}
+    assert_matches_reference(Componentwise(S).apply(x), Domain.UNINAT, dim_out, expected)
+    expected = {}
+    for (r, c), b in blocks.items():
+        if c in columns:
+            ref_add(expected, r, ref_matvec(b, columns[c]))
+    op = ColumnBlocks(blocks, dim_in=dim_in, dim_out=dim_out)
+    assert_matches_reference(op.apply(x), Domain.UNINAT, dim_out, expected)
+
+
+@ORACLE
+@given(st.data(), st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3))
+def test_oracle_block_dense(data, dim, k):
+    matrix = draw_matrix(data, k * dim, k * dim)
+    columns = draw_columns(data, Domain.UNINAT, dim, st.integers(min_value=0, max_value=k - 1))
+    x = FsVec(Domain.UNINAT, dim, columns)
+    stacked = [q for b in range(k) for q in columns.get(b, (ZERO,) * dim)]
+    image = ref_matvec(matrix, stacked)
+    expected = {b: image[b * dim : (b + 1) * dim] for b in range(k)}
+    assert_matches_reference(BlockDense(matrix, dim).apply(x), Domain.UNINAT, dim, expected)

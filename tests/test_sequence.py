@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from dilatekit.sequence import (
     standard_minimality_check,
     standard_verify,
 )
-from dilatekit.seqops import GridDown, GridRight, SchafferU
+from dilatekit.seqops import GridDown, GridRight, ProjAndo, ProjStd, SchafferU, _PowerCache
+from dilatekit.serialize import fsvec_to_json
 
 from strategies import matrices
 
@@ -251,3 +253,106 @@ def test_ando_polynomial_pairs(T):
     ]
     rep = ando_verify(av, probes, n_max=4, m_max=4, seq_probes=seq_probes)
     assert rep.passed
+
+
+# ----------------------------------------------------------------------
+# the verifiers compute their expected side independently of the operators
+# under test: an operator wrong at one exponent fails with the witness there
+
+
+class _PowersOffAt(_PowerCache):
+    """Power cache that hands out T^(n+1) in place of T^n at one exponent."""
+
+    def __init__(self, base, at):
+        super().__init__(base)
+        self.at = at
+
+    def get(self, n):
+        return super().get(n + 1 if n == self.at else n)
+
+
+def _off_at(op, attr, at):
+    object.__setattr__(op, attr, _PowersOffAt(getattr(op, attr).base, at))
+    return op
+
+
+def _grid_single(value):
+    return fsvec_to_json(FsVec.single(Domain.GRID, 1, (0, 0), (value,)))
+
+
+def _failed(rep):
+    return {c.name: c.witness for c in rep.failed_checks()}
+
+
+TWO_PARAMETER = "two-parameter compression I T^n S^m x = P U^n V^m I x"
+SINGLE_U = "single-parameter compression P U^n I x = I T^n x"
+SINGLE_V = "single-parameter compression P V^m I x = I S^m x"
+
+
+def test_ando_verify_catches_a_projection_wrong_at_one_row():
+    av = ando_build(Mat([[2]]), Mat([[3]]))
+    wrong = dataclasses.replace(av, P=_off_at(ProjAndo(av.T, av.S), "_t_powers", 3))
+    failed = _failed(ando_verify(wrong, [(1,)], n_max=5, m_max=4))
+    assert set(failed) == {TWO_PARAMETER, SINGLE_U}
+    # the first wrong cell is (3, 0): P reads T^4 x = 16 where T^3 x = 8
+    assert failed[TWO_PARAMETER] == {
+        "n": 3,
+        "m": 0,
+        "probe": [1],
+        "projected": _grid_single(16),
+        "expected": _grid_single(8),
+    }
+    assert failed[SINGLE_U] == {"n": 3, "probe": [1]}
+
+
+def test_ando_verify_catches_a_projection_wrong_at_one_column():
+    av = ando_build(Mat([[2]]), Mat([[3]]))
+    wrong = dataclasses.replace(av, P=_off_at(ProjAndo(av.T, av.S), "_s_powers", 2))
+    failed = _failed(ando_verify(wrong, [(1,)], n_max=4, m_max=5))
+    assert set(failed) == {TWO_PARAMETER, SINGLE_V}
+    assert failed[TWO_PARAMETER] == {
+        "n": 0,
+        "m": 2,
+        "probe": [1],
+        "projected": _grid_single(27),
+        "expected": _grid_single(9),
+    }
+    assert failed[SINGLE_V] == {"m": 2, "probe": [1]}
+
+
+def test_standard_verify_catches_a_projection_wrong_at_one_index():
+    sd = standard_build(Mat([[2]]))
+    wrong = dataclasses.replace(sd, P=_off_at(ProjStd(sd.T), "_powers", 4))
+    failed = _failed(standard_verify(wrong, [(1,)], n_max=6))
+    assert list(failed) == ["dilation equation I T^n x = P U^n I x (0 <= n <= bound)"]
+    assert failed["dilation equation I T^n x = P U^n I x (0 <= n <= bound)"] == {
+        "n": 4,
+        "probe": [1],
+        "projected": fsvec_to_json(FsVec.single(Domain.UNINAT, 1, 0, (32,))),
+        "expected": fsvec_to_json(FsVec.single(Domain.UNINAT, 1, 0, (16,))),
+    }
+
+
+class _SchafferUWrongOnThirdStep(SchafferU):
+    """Adds e_0 to its image when the input reaches index -2, which U^n I x
+    does first at n = 2, so P U^n I x is wrong from n = 3 on."""
+
+    def apply(self, x):
+        y = super().apply(x)
+        if x.support and min(x.support) == -2:
+            y = y + FsVec.single(Domain.BIINT, self.dim, 0, (1,) * self.dim)
+        return y
+
+
+def test_schaffer_verify_catches_an_operator_wrong_at_one_power():
+    sd = schaffer_build(Mat([[2]]))
+    wrong = dataclasses.replace(sd, U=_SchafferUWrongOnThirdStep(sd.T))
+    failed = _failed(schaffer_verify(wrong, [(1,)], n_max=5))
+    name = "compression: coordinate 0 of U^n(I x) equals T^n x (1 <= n <= bound)"
+    assert list(failed) == [name]
+    assert failed[name] == {
+        "n": 3,
+        "probe": [1],
+        "projected": fsvec_to_json(FsVec.single(Domain.BIINT, 1, 0, (9,))),
+        "expected": fsvec_to_json(FsVec.single(Domain.BIINT, 1, 0, (8,))),
+    }
