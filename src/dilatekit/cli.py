@@ -11,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -56,6 +57,9 @@ INPUT_ERRORS = (
 
 _GROUP_HELP = {"intertwine": "lift or extract an intertwiner"}
 
+# the SuiteConfig fields that `run` takes as --trials, --dim-max, ... flags
+_RUN_SIZES = ("trials", "dim_max", "n_max", "m_max", "entry_bound")
+
 
 def _default_seed() -> int:
     raw = os.environ.get("DILATEKIT_SEED")
@@ -77,11 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the seeded conformance suites")
     run.set_defaults(handler=_cmd_run)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--trials", type=int, default=200)
-    run.add_argument("--dim-max", type=int, default=4)
-    run.add_argument("--n-max", type=int, default=12)
-    run.add_argument("--m-max", type=int, default=8)
-    run.add_argument("--entry-bound", type=int, default=9)
+    defaults = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
+    for name in _RUN_SIZES:
+        run.add_argument("--" + name.replace("_", "-"), type=int, default=defaults[name])
     run.add_argument(
         "--suites",
         default=",".join(ALL_SUITES),
@@ -123,15 +125,8 @@ def _finish(reports: list[Report], json_path: Optional[str] = None) -> int:
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    config = SuiteConfig(
-        seed=seed,
-        trials=args.trials,
-        dim_max=args.dim_max,
-        n_max=args.n_max,
-        m_max=args.m_max,
-        entry_bound=args.entry_bound,
-        suites=suites,
-    )
+    sizes = {name: getattr(args, name) for name in _RUN_SIZES}
+    config = SuiteConfig(seed=seed, suites=suites, **sizes)
     reports = []
     start = time.perf_counter()
     for rep in iter_suites(config):

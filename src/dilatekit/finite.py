@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .matrix import Mat, NonSquareMatrix, SingularMatrix, Vec, require_square, vec
-from .report import Report
-from .serialize import vec_to_json
+from .report import INCONCLUSIVE, Check, Report
+from .serialize import mat_to_json, vec_to_json
 
 NOT_SIMILAR = "not_similar"
 INCONCLUSIVE_VERDICT = "inconclusive"
@@ -284,62 +284,66 @@ def ndilation_build(T: Mat, N: int) -> NDilation:
     return NDilation(T=T, N=N, U=U, U_inv=U_inv, inverse_proof=proof)
 
 
-def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: int) -> Report:
-    """Check the compression identity per power, past the guaranteed range.
+def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] = None) -> Report:
+    """The N-dilation's report: its closed-form inverse, and the compression
+    identity P U^k I = T^k on every probe for all k <= N as one check whose
+    witness is the first (k, probe) that fails.
 
-    For k <= N the first block of U^k (x, 0, ..) must equal T^k x on every
-    probe; those are hard pass/fail checks. For N < k <= k_max the outcome
-    is recorded as inconclusive data: the identity usually breaks there
-    but is not required to.
+    Past the guaranteed range, N < k <= k_max (N + 1 when None), the outcome
+    per k is recorded as inconclusive data under `beyond_range`, and
+    `breaks_at_n_plus_1` says whether the identity broke at N + 1: it
+    usually does there but is not required to. Both orbits are carried
+    forward one step per k, U^k I x by U and T^k x by one T.apply.
     """
+    k_max = nd.N + 1 if k_max is None else k_max
     if k_max < nd.N + 1:
         raise ValueError(f"k_max must be at least N+1 = {nd.N + 1}, got {k_max}")
     report = Report(
-        suite="ndilation_verify",
-        config={"N": nd.N, "k_max": k_max, "probes": len(probes)},
+        suite="ndilation", data={"U": mat_to_json(nd.U), "U_inv": mat_to_json(nd.U_inv)}
     )
-    if not probes:
-        report.add(
-            "compression T^k = P U^k I (k = 1..N)",
-            True,
-            bound=nd.N,
-            detail="vacuous: no probes supplied",
-        )
-        return report
+    report.add(
+        "closed-form inverse: U * U_inv = U_inv * U = I",
+        inverse_holds(nd),
+        witness={"N": nd.N, "T": mat_to_json(nd.T)},
+    )
 
     probes = [vec(x) for x in probes]
     images = [nd.embed(x) for x in probes]
-    t_power = Mat.identity(nd.dim)
-    breaks_at_n_plus_1 = False
+    t_images = list(probes)
+    first_witness = None
+    beyond_range = []
     for k in range(1, k_max + 1):
-        t_power = nd.T * t_power
         witness = None
         for i, x in enumerate(probes):
             images[i] = nd.U.apply(images[i])
-            expected = t_power.apply(x)
-            if witness is None and nd.first_block(images[i]) != expected:
+            t_images[i] = nd.T.apply(t_images[i])
+            if witness is None and nd.first_block(images[i]) != t_images[i]:
                 witness = {
                     "k": k,
                     "probe": vec_to_json(x),
                     "first_block": vec_to_json(nd.first_block(images[i])),
-                    "expected": vec_to_json(expected),
+                    "expected": vec_to_json(t_images[i]),
                 }
         if k <= nd.N:
-            report.add(
-                f"compression T^k = P U^k I (k={k})",
-                witness is None,
-                bound=len(probes),
-                witness=witness,
-            )
-        else:
-            if k == nd.N + 1:
-                breaks_at_n_plus_1 = witness is not None
-            report.add_inconclusive(
-                f"compression beyond guaranteed range (k={k})",
-                detail="identity held on all probes"
-                if witness is None
-                else "identity broke on a probe",
-                witness=witness,
-            )
-    report.data["breaks_at_n_plus_1"] = breaks_at_n_plus_1
+            if first_witness is None:
+                first_witness = witness
+            continue
+        if k == nd.N + 1:
+            report.data["breaks_at_n_plus_1"] = witness is not None
+        held = "held on all probes" if witness is None else "broke on a probe"
+        beyond = Check(
+            f"compression beyond guaranteed range (k={k})",
+            INCONCLUSIVE,
+            witness=witness,
+            detail=f"identity {held}",
+        )
+        beyond_range.append(beyond.as_dict())
+    report.add(
+        "compression T^k = P U^k I for all k <= N on probes",
+        first_witness is None,
+        bound=nd.N,
+        witness=first_witness,
+        detail="" if probes else "vacuous: no probes supplied",
+    )
+    report.data["beyond_range"] = beyond_range
     return report

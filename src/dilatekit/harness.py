@@ -43,6 +43,7 @@ from .intertwine import (
     lift_intertwiner,
     lift_relations,
     make_pair,
+    read_off_intertwiner,
     relation_witness,
     verify_lift,
 )
@@ -419,26 +420,7 @@ class _NDilation(Construction):
         return ndilation_build(inst["T"], inst["N"])
 
     def verify(self, nd, inst, bounds):
-        rep = Report(
-            suite="ndilation", data={"U": mat_to_json(nd.U), "U_inv": mat_to_json(nd.U_inv)}
-        )
-        rep.add(
-            "closed-form inverse: U * U_inv = U_inv * U = I",
-            inverse_holds(nd),
-            witness={"N": nd.N, "T": mat_to_json(nd.T)},
-        )
-        k_max = nd.N + 1 if bounds.k_max is None else bounds.k_max
-        powers = ndilation_verify(nd, inst["probes"], k_max=k_max)
-        first_fail = next((c for c in powers.checks if c.status == FAIL), None)
-        rep.add(
-            "compression T^k = P U^k I for all k <= N on probes",
-            first_fail is None,
-            bound=nd.N,
-            witness=None if first_fail is None else first_fail.witness,
-        )
-        rep.data["breaks_at_n_plus_1"] = powers.data.get("breaks_at_n_plus_1")
-        rep.data["beyond_range"] = [c.as_dict() for c in powers.checks if c.status == INCONCLUSIVE]
-        return [rep]
+        return [ndilation_verify(nd, inst["probes"], bounds.k_max)]
 
     def finish(self, config, rep, trial_data):
         rep.data["instances_breaking_at_n_plus_1"] = sum(
@@ -590,7 +572,11 @@ class _Intertwine(Construction):
     def verify(self, built, inst, bounds):
         pair, R = built
         rep = verify_lift(R, pair, inst["probes"], n_max=bounds.n_max)
-        extracted = extract_intertwiner(R, pair.dil1, pair.dil2, cert_bound=bounds.n_max)
+        if not rep.passed:  # no certificate to read the map off from
+            return [rep]
+        # the passing relation checks are extraction's certificate, and
+        # make_pair has proved that pair.S intertwines
+        extracted = read_off_intertwiner(R, pair.dil1, pair.dil2)
         rep.add(
             "round trip: extracted map equals the lifted one",
             extracted == pair.S,
@@ -628,7 +614,7 @@ class _Intertwine(Construction):
 
 class _Extract(Construction):
     """The converse of the lift: a subcommand, but no suite of its own,
-    since the intertwine suite extracts from every lift it builds."""
+    since the intertwine suite reads S off every lift it verifies."""
 
     name = "intertwine_extract"
     command = "intertwine extract"

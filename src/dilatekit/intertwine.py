@@ -109,7 +109,10 @@ def relation_witness(lhs, rhs, probes: Sequence[FsVec]) -> Optional[dict]:
 
 
 def _basis_probes(dim: int, n_max: int) -> list[FsVec]:
-    """Basis elements supported at indices 0..n_max."""
+    """Basis elements supported at indices 0..n_max, the certification
+    bound, which must be at least 1."""
+    if n_max < 1:
+        raise ValueError(f"certification bound must be >= 1, got {n_max}")
     return [
         FsVec.single(Domain.UNINAT, dim, n, unit_vec(dim, i))
         for n in range(n_max + 1)
@@ -126,7 +129,9 @@ def verify_lift(
     """Check the three lift relations exactly on probes and basis elements.
 
     Basis elements supported at indices up to n_max are always included in
-    addition to the supplied probes.
+    addition to the supplied probes, so passing relation checks are the
+    certificate that `extract_intertwiner` would establish with
+    cert_bound = n_max.
     """
     d2 = pair.T2.rows
     all_probes = list(probes) + _basis_probes(d2, n_max)
@@ -162,29 +167,14 @@ def verify_lift(
     return report
 
 
-def extract_intertwiner(
-    R: SeqOp,
-    dil1: StandardDilation,
-    dil2: StandardDilation,
-    cert_bound: int = 12,
-) -> Mat:
-    """Recover the intertwiner from a lift, after bounded certification.
+def read_off_intertwiner(R: SeqOp, dil1: StandardDilation, dil2: StandardDilation) -> Mat:
+    """The map whose column i is the origin coordinate of P1 R I2 e_i.
 
-    The relations U1 R = R U2 and R P2 = P1 R are certified exactly on all
-    basis elements supported at indices up to cert_bound; then column i of
-    the result is read off the origin coordinate of P1 R I2 e_i, and the
-    intertwining relation of the extracted map is asserted exactly.
+    Only meaningful once U1 R = R U2 and R P2 = P1 R are certified; an
+    image supported off the origin, or of the wrong length, raises
+    RangeViolation.
     """
-    if cert_bound < 1:
-        raise ValueError(f"cert_bound must be >= 1, got {cert_bound}")
     d1, d2 = dil1.dim, dil2.dim
-
-    basis = _basis_probes(d2, cert_bound)
-    for _, relation, lhs, rhs in lift_relations(R, dil1, dil2):
-        witness = relation_witness(lhs, rhs, basis)
-        if witness is not None:
-            raise HypothesisFailed(relation, witness)
-
     columns = []
     for i in range(d2):
         projected = dil1.P.apply(R.apply(dil2.I.apply(unit_vec(d2, i))))
@@ -198,8 +188,29 @@ def extract_intertwiner(
                 f"extracted column {i} has length {len(column)}, expected {d1}"
             )
         columns.append(column)
+    return Mat.from_columns(columns)
 
-    S = Mat.from_columns(columns)
+
+def extract_intertwiner(
+    R: SeqOp,
+    dil1: StandardDilation,
+    dil2: StandardDilation,
+    cert_bound: int = 12,
+) -> Mat:
+    """Recover the intertwiner from a lift, after bounded certification.
+
+    The relations U1 R = R U2 and R P2 = P1 R are certified exactly on all
+    basis elements supported at indices up to cert_bound; then the map is
+    read off (`read_off_intertwiner`), and its intertwining relation is
+    asserted exactly.
+    """
+    basis = _basis_probes(dil2.dim, cert_bound)
+    for _, relation, lhs, rhs in lift_relations(R, dil1, dil2):
+        witness = relation_witness(lhs, rhs, basis)
+        if witness is not None:
+            raise HypothesisFailed(relation, witness)
+
+    S = read_off_intertwiner(R, dil1, dil2)
     defect = dil1.T * S - S * dil2.T
     if not defect.is_zero():
         raise NotIntertwining(defect)

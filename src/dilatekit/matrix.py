@@ -218,12 +218,6 @@ class Mat:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vec:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

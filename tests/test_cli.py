@@ -1,5 +1,8 @@
+import hashlib
 import json
 import re
+
+import pytest
 
 from dilatekit import Mat, cli
 from dilatekit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
@@ -87,6 +90,16 @@ def test_seed_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["run", "--trials", "2", "--suites", "halmos"])
     assert code == EXIT_INPUT
     assert "DILATEKIT_SEED" in err
+
+
+def test_run_without_flags_builds_the_default_config(capsys, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "iter_suites", lambda config: configs.append(config) or iter(()))
+    monkeypatch.setenv("DILATEKIT_SEED", "11")
+    assert run_cli(capsys, ["run"])[0] == EXIT_PASS
+    monkeypatch.delenv("DILATEKIT_SEED")
+    assert run_cli(capsys, ["run"])[0] == EXIT_PASS
+    assert configs == [SuiteConfig(seed=11), SuiteConfig()]
 
 
 def test_run_rejects_unknown_suite(capsys):
@@ -304,3 +317,105 @@ def test_every_operator_kind_extracts_to_an_exit_code(capsys, tmp_path):
         codes[kind] = code
     assert codes["componentwise"] == EXIT_PASS
     assert codes["embed"] == codes["power"] == EXIT_INPUT
+
+
+# Every file subcommand on fixed small files, with DILATEKIT_SEED unset:
+# (argv with {name} for the file written from PINNED_FILES, exit code,
+# sha256 of stdout).
+PINNED_FILES = {
+    "t1": [[2]],
+    "t2": [[2, 1], [0, 3]],
+    "b2": [[1, 0], [0, 1]],
+    "c2": [[1, 1], [0, 1]],
+    "d2": [[0, 1], [1, 0]],
+    "n2": [[0, 1], [0, 0]],
+    "p2": [[3, 1], [0, 4]],
+    "q2": [[4, 5], [0, 9]],
+    "lift": seqop_to_json(Componentwise(Mat([[3]]))),
+    "corrupted": {
+        "kind": "compose",
+        "factors": [{"kind": "shift_right", "dim": 1}, seqop_to_json(Componentwise(Mat([[3]])))],
+    },
+}
+PINNED_OUTPUTS = {
+    "halmos": (
+        "halmos --T {t2}",
+        EXIT_PASS,
+        "4f28125426ee248f398dd1ad1e064230300f0a58e888922a3c6707bab38e98ad",
+    ),
+    "schur i": (
+        "schur --class i --T {t2} --B {b2} --C {c2} --D {d2}",
+        EXIT_PASS,
+        "4896fd5628e8851570361e22a482ba47a4afbeb1c66358c9a7c7b7d0dfb8fc37",
+    ),
+    "schur ii": (
+        "schur --class ii --T {t2} --B {b2} --C {c2} --D {d2}",
+        EXIT_PASS,
+        "240be6e3c3a0ec8c647964de877a8eaafb51e7995db67fbf19ef8223be10b83b",
+    ),
+    "schur iii": (
+        "schur --class iii --T {t2} --B {b2} --C {c2} --D {d2}",
+        EXIT_PASS,
+        "5f2f043d06efae040ed0eff00725402482720133f4841560bbf7dd0ca6200524",
+    ),
+    "schur iv": (
+        "schur --class iv --T {t2} --B {b2} --C {c2} --D {d2}",
+        EXIT_PASS,
+        "d0ab1136b3d9f47077b4b3836f49ef70331eedd19438b23f537a4a5e687fb3ca",
+    ),
+    "nonsimilar": (
+        "nonsimilar --T {t2}",
+        EXIT_PASS,
+        "6006de34258dc049187d731f291b3943710c5b7699944005c437f389fab2460c",
+    ),
+    "ndilate": (
+        "ndilate --T {t2} --N 2 --kmax 3",
+        EXIT_PASS,
+        "96351c57afbcf8743991c0fec487d0a92708cd8b396ea04dffaf278575859962",
+    ),
+    "schaffer": (
+        "schaffer --T {t2} --nmax 6",
+        EXIT_PASS,
+        "6e78a260cdd791d7083189ecc91896c0726a8aa6950c7b45e58d317c9ef58652",
+    ),
+    "standard": (
+        "standard --T {t2} --nmax 6 --minimality",
+        EXIT_PASS,
+        "1b2a64e7a72244d66132c61cefd5df0b1a2c15871bff261c3bdd2d84f01d5118",
+    ),
+    "ando": (
+        "ando --T {t2} --S {p2} --nmax 3 --mmax 3",
+        EXIT_PASS,
+        "fb12c3d17d33d82355b2aac785c0d109364f44e62a6b1dc38b20dfe34019e894",
+    ),
+    "wold": (
+        "wold --T {n2}",
+        EXIT_PASS,
+        "e2eef1c79f3c12ab36c119d96bd800d19b1be44977656ee9a96a91a3f50d6c1b",
+    ),
+    "intertwine lift": (
+        "intertwine lift --T1 {t2} --T2 {t2} --S {q2} --nmax 6",
+        EXIT_PASS,
+        "721e64bfa950b753bff412b88a02afc6116827dccc4fd8eb225bf4269eea204d",
+    ),
+    "intertwine extract": (
+        "intertwine extract --R {lift} --T1 {t1} --T2 {t1}",
+        EXIT_PASS,
+        "755e29f00a1bcfb5a896fc34b1917163b26ab225fe7dd4c7b97fe28731d7d549",
+    ),
+    "intertwine extract corrupted": (
+        "intertwine extract --R {corrupted} --T1 {t1} --T2 {t1} --certbound 4",
+        EXIT_FAIL,
+        "e0e74dd99734bd3e9da058e860db8374b9e22b1be9d13e15e15727d40bae84c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_OUTPUTS))
+def test_file_subcommand_output_is_pinned(label, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("DILATEKIT_SEED", raising=False)
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in PINNED_FILES.items()}
+    argv, expected_code, digest = PINNED_OUTPUTS[label]
+    code, out, _ = run_cli(capsys, argv.format(**paths).split())
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -192,13 +193,76 @@ def test_ndilation_requires_positive_n():
         ndilation_build(Mat([[1]]), 0)
 
 
+COMPRESSION = "compression T^k = P U^k I for all k <= N on probes"
+
+
 def test_ndilation_verify_pass_then_break():
     nd = ndilation_build(Mat([[2]]), 3)
     rep = ndilation_verify(nd, [(1,)], k_max=4)
-    hard = [c for c in rep.checks if c.status == "pass"]
-    assert len(hard) == 3  # k = 1, 2, 3
+    assert rep.suite == "ndilation"
+    assert [(c.name, c.status, c.bound) for c in rep.checks] == [
+        ("closed-form inverse: U * U_inv = U_inv * U = I", "pass", None),
+        (COMPRESSION, "pass", 3),
+    ]
     assert rep.passed
     assert rep.data["breaks_at_n_plus_1"] is True
+    # U^4 (1, 0, 0, 0) has first block 2^4 + 1
+    assert rep.data["beyond_range"] == [
+        {
+            "name": "compression beyond guaranteed range (k=4)",
+            "status": "inconclusive",
+            "detail": "identity broke on a probe",
+            "witness": {"k": 4, "probe": [1], "first_block": [17], "expected": [16]},
+        }
+    ]
+
+
+def test_ndilation_verify_records_every_k_beyond_range():
+    nd = ndilation_build(Mat.zeros(1, 1), 1)
+    rep = ndilation_verify(nd, [(1,)], k_max=4)
+    assert rep.passed
+    # U^2 I x = I x for the zero map, so the identity breaks at k = 2 and
+    # holds again at k = 3, where both sides are zero
+    assert rep.data["breaks_at_n_plus_1"] is True
+    beyond = rep.data["beyond_range"]
+    assert [entry["name"] for entry in beyond] == [
+        f"compression beyond guaranteed range (k={k})" for k in (2, 3, 4)
+    ]
+    assert {entry["status"] for entry in beyond} == {"inconclusive"}
+    assert [entry["detail"] for entry in beyond] == [
+        "identity broke on a probe",
+        "identity held on all probes",
+        "identity broke on a probe",
+    ]
+    assert "witness" not in beyond[1]
+    assert [entry["witness"]["k"] for entry in (beyond[0], beyond[2])] == [2, 4]
+
+
+def _wrong_at_apply(T: Mat, step: int) -> Mat:
+    """T, except that its step-th `apply` is off by one in the first entry."""
+    calls = []
+
+    class Wrong(Mat):
+        __slots__ = ()
+
+        def apply(self, x):
+            calls.append(x)
+            y = super().apply(x)
+            return (y[0] + 1,) + y[1:] if len(calls) == step else y
+
+    return Wrong(T.entries)
+
+
+def test_ndilation_verify_witness_at_the_power_where_t_is_wrong():
+    nd = ndilation_build(Mat([[2, 1], [0, 1]]), 4)
+    patched = dataclasses.replace(nd, T=_wrong_at_apply(nd.T, 3))
+    rep = ndilation_verify(patched, [(1, 1)], k_max=5)  # one probe: k-th apply is step k
+    assert not rep.passed
+    check = rep.checks[1]
+    assert (check.name, check.status) == (COMPRESSION, "fail")
+    # T^3 (1, 1) = (15, 1)
+    assert check.witness == {"k": 3, "probe": [1, 1], "first_block": [15, 1], "expected": [16, 1]}
+    assert rep.checks[0].status == "pass"
 
 
 def test_ndilation_identity_map_still_breaks_beyond_n():
@@ -219,13 +283,20 @@ def test_ndilation_verify_empty_probes_vacuous():
     nd = ndilation_build(Mat([[2]]), 2)
     rep = ndilation_verify(nd, [], k_max=3)
     assert rep.passed
-    assert "vacuous" in rep.checks[0].detail
+    check = rep.checks[1]
+    assert (check.name, check.status) == (COMPRESSION, "pass")
+    assert "vacuous" in check.detail
+    assert rep.data["breaks_at_n_plus_1"] is False
 
 
 def test_ndilation_verify_kmax_too_small():
     nd = ndilation_build(Mat([[2]]), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max must be at least N\\+1 = 3, got 2"):
         ndilation_verify(nd, [(1,)], k_max=2)
+    rep = ndilation_verify(nd, [(1,)])
+    assert [entry["name"] for entry in rep.data["beyond_range"]] == [
+        "compression beyond guaranteed range (k=3)"
+    ]
 
 
 @settings(max_examples=25)

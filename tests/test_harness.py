@@ -20,7 +20,9 @@ from dilatekit.harness import (
     run_suites,
 )
 from dilatekit.finsupp import Domain
+from dilatekit.intertwine import make_pair, verify_lift
 from dilatekit.report import Check, Report, reports_to_json
+from dilatekit.seqops import Componentwise, Compose, CoordProj0
 
 SMALL = SuiteConfig(seed=1, trials=4, dim_max=3, n_max=6, m_max=4)
 
@@ -193,3 +195,28 @@ def test_report_json_shape():
     assert doc["suite"] == "demo"
     assert doc["passed"] is True
     assert doc["checks"][0] == {"name": "identity holds", "status": "pass", "bound": 5}
+
+
+def test_intertwine_suite_reports_a_broken_lift_as_a_failed_check(monkeypatch):
+    # S applied to the origin coordinate only: U1 R = R U2 fails, and the
+    # suite reports verify_lift's witness instead of raising
+    def broken_lift(pair):
+        return Compose((Componentwise(pair.S), CoordProj0(pair.T2.rows, Domain.UNINAT)))
+
+    monkeypatch.setattr(harness, "lift_intertwiner", broken_lift)
+    config = SuiteConfig(seed=3, trials=2, dim_max=2, n_max=3, suites=("intertwine",))
+    rep = run_suites(config)[0]
+    checks = {c.name: c for c in rep.checks}
+    forward = checks["forward shifts intertwine: U1 R = R U2"]
+    assert forward.status == "fail"
+
+    inst = generate_instance(config, "intertwine", 0)
+    probe_rng = instance_rng(config, "intertwine_probes", 0)
+    inst.update(CONSTRUCTIONS["intertwine"].probes(probe_rng, inst))
+    pair = make_pair(inst["T1"], inst["T2"], inst["S"])
+    expected = verify_lift(broken_lift(pair), pair, inst["probes"], n_max=3).checks[0]
+    assert expected.name == forward.name
+    assert forward.witness["trial"] == 0
+    assert {k: forward.witness[k] for k in ("probe", "lhs", "rhs")} == expected.witness
+    # without the certificate, nothing is read off
+    assert "round trip: extracted map equals the lifted one" not in checks

@@ -131,6 +131,8 @@ def test_cert_bound_validation():
     pair = make_pair(Mat([[1]]), Mat([[1]]), Mat([[1]]))
     with pytest.raises(ValueError):
         extract_intertwiner(lift_intertwiner(pair), pair.dil1, pair.dil2, cert_bound=0)
+    with pytest.raises(ValueError):
+        verify_lift(lift_intertwiner(pair), pair, probes=[], n_max=0)
 
 
 def test_certification_report_passes_on_the_lift():
