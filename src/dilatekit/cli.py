@@ -22,6 +22,7 @@ from .finite import PreconditionFailed
 from .harness import (
     ALL_SUITES,
     COMMANDS,
+    SIZE_CAPS,
     Bounds,
     Construction,
     GenerationExhausted,
@@ -57,9 +58,6 @@ INPUT_ERRORS = (
 
 _GROUP_HELP = {"intertwine": "lift or extract an intertwiner"}
 
-# the SuiteConfig fields that `run` takes as --trials, --dim-max, ... flags
-_RUN_SIZES = ("trials", "dim_max", "n_max", "m_max", "entry_bound")
-
 
 def _default_seed() -> int:
     raw = os.environ.get("DILATEKIT_SEED")
@@ -79,11 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the seeded conformance suites")
-    run.set_defaults(handler=_cmd_run)
     run.add_argument("--seed", type=int, default=None)
     defaults = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
-    for name in _RUN_SIZES:
-        run.add_argument("--" + name.replace("_", "-"), type=int, default=defaults[name])
+    caps = []
+    for name, cap in SIZE_CAPS.items():
+        flag = "--" + name.replace("_", "-")
+        run.add_argument(flag, type=int, default=defaults[name])
+        caps.append((flag, name, cap))
+    run.set_defaults(handler=_cmd_run, caps=tuple(caps))
     run.add_argument(
         "--suites",
         default=",".join(ALL_SUITES),
@@ -103,14 +104,26 @@ def build_parser() -> argparse.ArgumentParser:
                 )
             parent = groups[group[0]]
         cmd = parent.add_parser(name, help=c.help)
-        cmd.set_defaults(handler=functools.partial(_cmd_construction, c))
         for operand in c.operators:
             cmd.add_argument(f"--{operand}", required=True, help="operator descriptor JSON file")
         for operand in c.files:
             cmd.add_argument(f"--{operand}", required=True)
+        caps = []
         for flag, kwargs in c.options + c.bounds:
+            kwargs = dict(kwargs)
+            if "cap" in kwargs:
+                caps.append((flag, kwargs["dest"], kwargs.pop("cap")))
             cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(handler=functools.partial(_cmd_construction, c), caps=tuple(caps))
     return parser
+
+
+def _check_caps(args) -> None:
+    """Refuse a size flag above its cap before any work starts."""
+    for flag, dest, cap in args.caps:
+        value = getattr(args, dest)
+        if value is not None and value > cap:
+            raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
 
 
 def _finish(reports: list[Report], json_path: Optional[str] = None) -> int:
@@ -125,7 +138,7 @@ def _finish(reports: list[Report], json_path: Optional[str] = None) -> int:
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    sizes = {name: getattr(args, name) for name in _RUN_SIZES}
+    sizes = {name: getattr(args, name) for name in SIZE_CAPS}
     config = SuiteConfig(seed=seed, suites=suites, **sizes)
     reports = []
     start = time.perf_counter()
@@ -158,6 +171,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_caps(args)
         return args.handler(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -304,7 +304,7 @@ def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] 
     report.add(
         "closed-form inverse: U * U_inv = U_inv * U = I",
         inverse_holds(nd),
-        witness={"N": nd.N, "T": mat_to_json(nd.T)},
+        witness=lambda: {"N": nd.N, "T": mat_to_json(nd.T)},
     )
 
     probes = [vec(x) for x in probes]

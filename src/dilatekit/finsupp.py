@@ -3,18 +3,28 @@
 Elements of the infinite-dimensional spaces in this package are families
 of columns in Q^d indexed by Z+ (one-sided sequences), Z (two-sided
 sequences), or Z+ x Z+ (grids), with all but finitely many coordinates
-zero. The support is kept in sorted order and zero columns are pruned, so
-structural equality coincides with mathematical equality.
+zero. The support is kept in sorted order and zero columns are pruned.
+
+Each column is held in a canonical integer form, a common denominator and
+a tuple of numerators, ``(den, nums)`` with ``den >= 1`` and
+``gcd(den, *nums) == 1``. The form is unique, so structural equality and
+hashing coincide with mathematical equality, and the operators in
+``seqops`` compute on it directly. ``Fraction`` coordinates appear only in
+the views (``support``, ``coeff``, ``items``) read at the boundary: JSON,
+report witnesses and tests.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .matrix import Scalar, Vec, vec, vec_add, vec_is_zero, vec_scale
+from .matrix import Scalar, Vec, as_rat, zero_vec
 
 Index = Union[int, tuple[int, int]]
+Column = tuple[int, tuple[int, ...]]  # (den, nums): the column nums / den
 
 
 class Domain(str, Enum):
@@ -39,14 +49,16 @@ class BadIndex(FinsuppError):
     pass
 
 
+def _is_natural(k) -> bool:
+    return isinstance(k, int) and not isinstance(k, bool) and k >= 0
+
+
 def check_index(domain: Domain, index: Index) -> Index:
     if domain is Domain.GRID:
-        if (
-            isinstance(index, tuple)
-            and len(index) == 2
-            and all(isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in index)
-        ):
-            return index
+        if isinstance(index, tuple) and len(index) == 2:
+            n, m = index
+            if _is_natural(n) and _is_natural(m):
+                return index
         raise BadIndex(f"grid index must be a pair of nonnegative ints, got {index!r}")
     if not isinstance(index, int) or isinstance(index, bool):
         raise BadIndex(f"index must be an int, got {index!r}")
@@ -55,10 +67,71 @@ def check_index(domain: Domain, index: Index) -> Index:
     return index
 
 
-class FsVec:
-    """Immutable finitely supported family of Q^dim columns."""
+_RATIO = {Fraction: Fraction.as_integer_ratio, int: int.as_integer_ratio}
 
-    __slots__ = ("domain", "dim", "support")
+
+def column_of(values: Iterable[Scalar]) -> Optional[Column]:
+    """The canonical integer form of a column of exact scalars, or None if
+    it is zero. Floats and bools are refused, as by ``as_rat``.
+
+    The denominator is the lcm of the entry denominators, built up in one
+    pass. No gcd is needed: a prime power p^k that divides it exactly
+    divides some entry's denominator b exactly, and that entry's numerator
+    a * (den // b) is prime to p.
+    """
+    den = 1
+    nums: list[int] = []
+    for x in values:
+        ratio = _RATIO.get(type(x))
+        n, d = ratio(x) if ratio else as_rat(x).as_integer_ratio()
+        if den % d:
+            f = d // gcd(den, d)
+            nums = [a * f for a in nums]
+            den *= f
+        nums.append(n * (den // d))
+    return (den, tuple(nums)) if any(nums) else None
+
+
+def reduce_column(den: int, nums: Sequence[int]) -> Optional[Column]:
+    """The canonical form of the column nums / den for den >= 1, or None if
+    it is zero: one gcd for the whole column."""
+    if not any(nums):
+        return None
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple([n // g for n in nums])
+
+
+def accumulate(acc: dict[Index, Column], index: Index, column: Optional[Column]) -> None:
+    """Add a canonical column (None for zero) into acc[index], dropping the
+    index if the sum cancels."""
+    if column is None:
+        return
+    if index in acc:
+        (da, na), (db, nb) = acc[index], column
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        column = reduce_column(den, [fa * x + fb * y for x, y in zip(na, nb)])
+        if column is None:
+            del acc[index]
+            return
+    acc[index] = column
+
+
+def _fractions(column: Column) -> Vec:
+    den, nums = column
+    return tuple(Fraction(n, den) for n in nums)
+
+
+class FsVec:
+    """Immutable finitely supported family of Q^dim columns.
+
+    ``columns`` maps each index of the support, in sorted order, to the
+    column's canonical integer form ``(den, nums)``.
+    """
+
+    __slots__ = ("domain", "dim", "columns")
 
     def __init__(
         self,
@@ -69,34 +142,36 @@ class FsVec:
         if dim < 1:
             raise FinsuppError(f"ambient dimension must be >= 1, got {dim}")
         items = support.items() if isinstance(support, Mapping) else support
-        cleaned: dict[Index, Vec] = {}
+        cleaned: dict[Index, Column] = {}
         for index, value in items:
             index = check_index(domain, index)
-            column = vec(value)
+            column = tuple(value)
             if len(column) != dim:
                 raise DomainMismatch(
                     f"column at index {index} has length {len(column)}, expected {dim}"
                 )
             if index in cleaned:
                 raise FinsuppError(f"duplicate index {index} in support")
-            if not vec_is_zero(column):
-                cleaned[index] = column
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "support", {k: cleaned[k] for k in sorted(cleaned)})
+            canonical = column_of(column)
+            if canonical is not None:
+                cleaned[index] = canonical
+        _set_domain(self, domain)
+        _set_dim(self, dim)
+        # the indices are distinct, so sorting the items compares indices only
+        _set_columns(self, dict(sorted(cleaned.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("FsVec is immutable")
 
     @classmethod
-    def _raw(cls, domain: Domain, dim: int, support: Iterable[tuple[Index, Vec]]) -> FsVec:
+    def _raw(cls, domain: Domain, dim: int, columns: Iterable[tuple[Index, Column]]) -> FsVec:
         # internal: trusts the indices to be valid for the domain, distinct and
-        # in sorted order, and every column to be a length-dim tuple of
-        # Fractions; zero columns are still pruned
+        # in sorted order, and every column to be a nonzero canonical
+        # (den, nums) of length dim
         out = cls.__new__(cls)
-        object.__setattr__(out, "domain", domain)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "support", {k: v for k, v in support if any(v)})
+        _set_domain(out, domain)
+        _set_dim(out, dim)
+        _set_columns(out, dict(columns))
         return out
 
     @classmethod
@@ -109,6 +184,22 @@ class FsVec:
         return cls(domain, dim, [(index, value)])
 
     # ------------------------------------------------------------------
+    # Fraction views, for the boundary
+
+    @property
+    def support(self) -> dict[Index, Vec]:
+        """Index -> column of Fractions, in sorted index order."""
+        return {k: _fractions(c) for k, c in self.columns.items()}
+
+    def coeff(self, index: Index) -> Vec:
+        check_index(self.domain, index)
+        column = self.columns.get(index)
+        return zero_vec(self.dim) if column is None else _fractions(column)
+
+    def items(self) -> tuple[tuple[Index, Vec], ...]:
+        return tuple((k, _fractions(c)) for k, c in self.columns.items())
+
+    # ------------------------------------------------------------------
 
     def _require_compatible(self, other: FsVec) -> None:
         if self.domain is not other.domain or self.dim != other.dim:
@@ -117,30 +208,20 @@ class FsVec:
                 f"({other.domain.value}, dim {other.dim})"
             )
 
-    def coeff(self, index: Index) -> Vec:
-        check_index(self.domain, index)
-        return self.support.get(index, (vec([0] * self.dim)))
-
     def indices(self) -> tuple[Index, ...]:
-        return tuple(self.support)
-
-    def items(self) -> tuple[tuple[Index, Vec], ...]:
-        return tuple(self.support.items())
+        return tuple(self.columns)
 
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.columns
 
     def __add__(self, other: FsVec) -> FsVec:
         if not isinstance(other, FsVec):
             return NotImplemented
         self._require_compatible(other)
-        acc = dict(self.support)
-        for index, value in other.support.items():
-            if index in acc:
-                acc[index] = vec_add(acc[index], value)
-            else:
-                acc[index] = value
-        return FsVec(self.domain, self.dim, acc)
+        acc = dict(self.columns)
+        for index, column in other.columns.items():
+            accumulate(acc, index, column)
+        return FsVec._raw(self.domain, self.dim, sorted(acc.items()))
 
     def __sub__(self, other: FsVec) -> FsVec:
         return self + other.scale(-1)
@@ -149,25 +230,39 @@ class FsVec:
         return self.scale(-1)
 
     def scale(self, c: Scalar) -> FsVec:
-        return FsVec(
+        f = as_rat(c)
+        p, q = f.numerator, f.denominator
+        return FsVec._raw(
             self.domain,
             self.dim,
-            [(k, vec_scale(c, v)) for k, v in self.support.items()],
+            [] if not p else [
+                (k, reduce_column(den * q, [p * n for n in nums]))
+                for k, (den, nums) in self.columns.items()
+            ],
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FsVec):
             return NotImplemented
         self._require_compatible(other)
-        return self.support == other.support
+        return self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash((self.domain, self.dim, tuple(self.support.items())))
+        return hash((self.domain, self.dim, tuple(self.columns.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return f"FsVec({self.domain.value}, dim={self.dim}, 0)"
         parts = ", ".join(
-            f"{k}: ({', '.join(str(x) for x in v)})" for k, v in self.support.items()
+            f"{k}: ({', '.join(str(x) for x in v)})" for k, v in self.items()
         )
         return f"FsVec({self.domain.value}, dim={self.dim}, {{{parts}}})"
+
+
+# the slots' own setters, which go around the __setattr__ that keeps FsVec
+# immutable, and cost less than object.__setattr__
+_set_domain, _set_dim, _set_columns = (
+    FsVec.domain.__set__,
+    FsVec.dim.__set__,
+    FsVec.columns.__set__,
+)

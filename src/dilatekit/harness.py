@@ -59,7 +59,15 @@ from .sequence import (
     standard_minimality_check,
     standard_verify,
 )
-from .serialize import fsvec_from_json, mat_to_json
+from .serialize import (
+    MAX_BOUND,
+    MAX_DIM,
+    MAX_ENTRY_BOUND,
+    MAX_N,
+    MAX_TRIALS,
+    fsvec_from_json,
+    mat_to_json,
+)
 from .wold import EXTENDED, STRICT, NotInjective, wold_decompose
 
 ALL_SUITES = (
@@ -85,6 +93,22 @@ class SuiteError(RuntimeError):
     """A module error, wrapped with the instance that triggered it."""
 
 
+def _require_at_most(name: str, value: Optional[int], cap: int) -> None:
+    if value is not None and value > cap:
+        raise ValueError(f"{name} {value} exceeds the cap of {cap}")
+
+
+# the SuiteConfig sizes that `run` takes as --trials, --dim-max, ... flags,
+# with the largest value of each
+SIZE_CAPS = {
+    "trials": MAX_TRIALS,
+    "dim_max": MAX_DIM,
+    "n_max": MAX_BOUND,
+    "m_max": MAX_BOUND,
+    "entry_bound": MAX_ENTRY_BOUND,
+}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
@@ -104,6 +128,8 @@ class SuiteConfig:
             raise ValueError("bounds must be >= 1")
         if self.entry_bound < 1:
             raise ValueError("entry_bound must be >= 1")
+        for name, cap in SIZE_CAPS.items():
+            _require_at_most(name, getattr(self, name), cap)
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
@@ -215,6 +241,10 @@ class Bounds:
     k_max: Optional[int] = None  # ndilation: last power checked, N + 1 when None
     minimality: bool = True  # standard: also certify minimality
 
+    def __post_init__(self):
+        for name in ("n_max", "m_max", "k_max"):
+            _require_at_most(name, getattr(self, name), MAX_BOUND)
+
 
 class Construction:
     """One construction: seeded instances, build, verify, and a CLI subcommand.
@@ -235,7 +265,8 @@ class Construction:
     file per name in `files` and one operator descriptor per name in
     `operators`. Its `options` flags go into the instance and its `bounds`
     flags into `Bounds`; a flag is a (flag, argparse keywords) pair with an
-    explicit dest.
+    explicit dest, and a size flag's keywords also hold its `cap`, the
+    largest value the CLI accepts.
 
     The methods call builders and verifiers by their module-level names, so
     whatever replaces those names (tracing, tests) is seen by the suites and
@@ -268,8 +299,12 @@ class Construction:
         pass
 
 
+def _size_flag(flag: str, dest: str, cap: int, **kwargs) -> tuple[str, dict]:
+    return (flag, {"dest": dest, "type": int, "cap": cap, **kwargs})
+
+
 def _nmax(default: int) -> tuple[str, dict]:
-    return ("--nmax", {"dest": "n_max", "type": int, "default": default})
+    return _size_flag("--nmax", "n_max", MAX_BOUND, default=default)
 
 
 def _closed_form_report(suite: str, built, inverse: str, oracle: str) -> Report:
@@ -278,11 +313,11 @@ def _closed_form_report(suite: str, built, inverse: str, oracle: str) -> Report:
     `inverse` and `oracle`."""
     U, U_inv = built.U, built.U_inv
     rep = Report(suite=suite, data={"U": mat_to_json(U), "U_inv": mat_to_json(U_inv)})
-    rep.add(inverse, inverse_holds(built), witness={"U": rep.data["U"]})
+    rep.add(inverse, inverse_holds(built), witness=lambda: {"U": rep.data["U"]})
     rep.add(
         oracle,
         U_inv == U.inverse(),
-        witness={"U": rep.data["U"], "closed_form": rep.data["U_inv"]},
+        witness=lambda: {"U": rep.data["U"], "closed_form": rep.data["U_inv"]},
     )
     return rep
 
@@ -406,8 +441,8 @@ class _NDilation(Construction):
     command = "ndilate"
     help = "N-step block dilation"
     probe_stream = "ndilation_probes"
-    options = (("--N", {"dest": "N", "type": int, "required": True}),)
-    bounds = (("--kmax", {"dest": "k_max", "type": int, "default": None}),)
+    options = (_size_flag("--N", "N", MAX_N, required=True),)
+    bounds = (_size_flag("--kmax", "k_max", MAX_BOUND, default=None),)
 
     def generate(self, rng, config, counter):
         dim = rng.randint(1, min(4, config.dim_max))
@@ -580,7 +615,7 @@ class _Intertwine(Construction):
         rep.add(
             "round trip: extracted map equals the lifted one",
             extracted == pair.S,
-            witness={"extracted": mat_to_json(extracted), "S": mat_to_json(pair.S)},
+            witness=lambda: {"extracted": mat_to_json(extracted), "S": mat_to_json(pair.S)},
         )
         return [rep]
 
@@ -621,7 +656,7 @@ class _Extract(Construction):
     help = "recover S from an operator descriptor"
     operators = ("R",)
     files = ("T1", "T2")
-    bounds = (("--certbound", {"dest": "n_max", "type": int, "default": 12}),)
+    bounds = (_size_flag("--certbound", "n_max", MAX_BOUND, default=12),)
 
     def build(self, inst):
         return inst["R"], standard_build(inst["T1"]), standard_build(inst["T2"])
@@ -636,7 +671,7 @@ class _Ando(_SequenceConstruction):
     help = "two-parameter grid dilation of a commuting pair"
     files = ("T", "S")
     domain, vec_count, seq_count = Domain.GRID, 3, 3
-    bounds = (_nmax(8), ("--mmax", {"dest": "m_max", "type": int, "default": 8}))
+    bounds = (_nmax(8), _size_flag("--mmax", "m_max", MAX_BOUND, default=8))
 
     def generate(self, rng, config, counter):
         inst = Construction.generate(self, rng, config, counter)

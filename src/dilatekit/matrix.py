@@ -73,11 +73,6 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_scale(c: Scalar, a: Vec) -> Vec:
-    f = as_rat(c)
-    return tuple(f * x for x in a)
-
-
 def vec_is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
@@ -86,11 +81,6 @@ def _integer_form(v: Vec) -> tuple[int, list[int]]:
     """Common denominator (lcm of the denominators) and the numerators over it."""
     den = lcm(*(q.denominator for q in v))
     return den, [q.numerator * (den // q.denominator) for q in v]
-
-
-def _from_integer_form(den: int, nums: Iterable[int]) -> Vec:
-    """The vector nums / den, one reduced Fraction per entry."""
-    return tuple(Fraction(n, den) for n in nums)
 
 
 def _bareiss_rref(m: list[list[int]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
@@ -316,12 +306,8 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot apply {self.rows}x{self.cols} to vector of length {len(v)}"
             )
-        return self._apply_trusted(v)
-
-    def _apply_trusted(self, v: Vec) -> Vec:
-        # internal: trusts v to be a length-cols tuple of Fractions, such as a
-        # column held by an FsVec, so it is not coerced again
-        return _from_integer_form(*self._apply_ints(*_integer_form(v)))
+        den, nums = self._apply_ints(*_integer_form(v))
+        return tuple(Fraction(n, den) for n in nums)
 
     def _apply_ints(self, den: int, nums: Sequence[int]) -> tuple[int, list[int]]:
         """The product with the vector nums / den, in the same integer form.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Union
 
 PASS = "pass"
 FAIL = "fail"
@@ -63,14 +63,20 @@ class Report:
         name: str,
         ok: bool,
         bound: Optional[int] = None,
-        witness: Optional[dict[str, Any]] = None,
+        witness: Union[dict[str, Any], Callable[[], dict[str, Any]], None] = None,
         detail: str = "",
     ) -> Check:
+        """Record a check. A witness that costs work to build can be given
+        as a function of no arguments; it is called only if the check fails."""
+        if ok:
+            witness = None
+        elif callable(witness):
+            witness = witness()
         check = Check(
             name=name,
             status=PASS if ok else FAIL,
             bound=bound,
-            witness=witness if not ok else None,
+            witness=witness,
             detail=detail,
         )
         self.checks.append(check)

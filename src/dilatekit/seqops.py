@@ -15,17 +15,32 @@ Naming convention for the standard quadruple pieces:
 * ``ProjAndo``     collapses a grid to sum_{n,m} T^n S^m x_{n,m} at (0,0).
 
 ``Componentwise``, ``ColumnBlocks`` and ``BlockDense`` express general
-maps between one-sided spaces with finitely many nonzero blocks.
+maps between one-sided spaces with finitely many nonzero blocks;
+``Componentwise`` also acts on the other two domains.
+
+Every ``apply`` reads and writes the canonical integer columns of
+``FsVec`` directly: shifts move columns without touching a number, and a
+matrix action is an integer matrix-vector product followed by one gcd per
+output column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .finsupp import Domain, DomainMismatch, FsVec, Index
-from .matrix import Mat, Scalar, Vec, _from_integer_form, _integer_form, vec, vec_add, zero_vec
+from .finsupp import (
+    Column,
+    Domain,
+    DomainMismatch,
+    FsVec,
+    Index,
+    accumulate,
+    column_of,
+    reduce_column,
+)
+from .matrix import Mat, Scalar
 from .report import Report
 
 
@@ -61,22 +76,20 @@ class SeqOp:
             )
 
 
-def _accumulate(acc: dict[Index, Vec], index: Index, value: Vec) -> None:
-    if index in acc:
-        acc[index] = vec_add(acc[index], value)
-    else:
-        acc[index] = value
+def _at(index: Index, column: Optional[Column]) -> list[tuple[Index, Column]]:
+    """The support of a family with one (possibly zero) column."""
+    return [] if column is None else [(index, column)]
 
 
-def _sum_ints(terms: Sequence[tuple[int, list[int]]], dim: int) -> Vec:
-    """The sum of vectors given as (denominator, numerators), added over the
-    lcm of the denominators, with one Fraction per entry."""
+def _sum_ints(terms: Sequence[tuple[int, Sequence[int]]], dim: int) -> Optional[Column]:
+    """The sum of columns given as (den, nums) in any scale, added over the
+    lcm of the denominators: canonical, or None if it is zero."""
     den = lcm(*(d for d, _ in terms))
     sums = [0] * dim
     for d, nums in terms:
         f = den // d
         sums = [s + f * n for s, n in zip(sums, nums)]
-    return _from_integer_form(den, sums)
+    return reduce_column(den, sums)
 
 
 @dataclass(frozen=True)
@@ -91,10 +104,9 @@ class EmbedI(SeqOp):
             raise DomainMismatch(
                 f"EmbedI expects an ambient vector of length {self.dim}, got {type(x).__name__}"
             )
-        v = vec(x)
-        if len(v) != self.dim:
-            raise DomainMismatch(f"expected a vector of length {self.dim}, got {len(v)}")
-        return FsVec._raw(self.domain, self.dim, [(self.domain.origin, v)])
+        if len(x) != self.dim:
+            raise DomainMismatch(f"expected a vector of length {self.dim}, got {len(x)}")
+        return FsVec._raw(self.domain, self.dim, _at(self.domain.origin, column_of(x)))
 
 
 @dataclass(frozen=True)
@@ -107,8 +119,7 @@ class CoordProj0(SeqOp):
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, self.domain)
         origin = self.domain.origin
-        column = x.support.get(origin)
-        return FsVec._raw(self.domain, self.dim, [] if column is None else [(origin, column)])
+        return FsVec._raw(self.domain, self.dim, _at(origin, x.columns.get(origin)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ class _Shift(SeqOp):
         self._check_input(x, self.dim, self.domain)
         # every step is increasing in the index order, so the order is kept
         step = self._step
-        return FsVec._raw(self.domain, self.dim, [(step(k), v) for k, v in x.support.items()])
+        return FsVec._raw(self.domain, self.dim, [(step(k), c) for k, c in x.columns.items()])
 
 
 class ShiftRight(_Shift):
@@ -174,11 +185,10 @@ class SchafferU(SeqOp):
 
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.BIINT)
-        acc: dict[Index, Vec] = {}
-        for k, v in x.support.items():
-            _accumulate(acc, k - 1, v)
-            if k == 0:
-                _accumulate(acc, 0, self.T._apply_trusted(v))
+        acc = {k - 1: c for k, c in x.columns.items()}
+        x_0 = x.columns.get(0)
+        if x_0 is not None:
+            accumulate(acc, 0, reduce_column(*self.T._apply_ints(*x_0)))
         return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()))
 
 
@@ -203,11 +213,10 @@ class SchafferVInv(SeqOp):
 
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.BIINT)
-        acc: dict[Index, Vec] = {}
-        for k, v in x.support.items():
-            _accumulate(acc, k + 1, v)
-            if k == -1:
-                _accumulate(acc, 1, self._neg_T._apply_trusted(v))
+        acc = {k + 1: c for k, c in x.columns.items()}
+        x_minus = x.columns.get(-1)
+        if x_minus is not None:
+            accumulate(acc, 1, reduce_column(*self._neg_T._apply_ints(*x_minus)))
         return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()))
 
 
@@ -257,8 +266,8 @@ class ProjStd(SeqOp):
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.UNINAT)
         powers = self._powers
-        terms = [powers.get(n)._apply_ints(*_integer_form(v)) for n, v in x.support.items()]
-        return FsVec._raw(Domain.UNINAT, self.dim, [(0, _sum_ints(terms, self.dim))])
+        terms = [powers.get(n)._apply_ints(*c) for n, c in x.columns.items()]
+        return FsVec._raw(Domain.UNINAT, self.dim, _at(0, _sum_ints(terms, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -287,10 +296,10 @@ class ProjAndo(SeqOp):
         self._check_input(x, self.dim, Domain.GRID)
         t_powers, s_powers = self._t_powers, self._s_powers
         terms = [
-            t_powers.get(n)._apply_ints(*s_powers.get(m)._apply_ints(*_integer_form(v)))
-            for (n, m), v in x.support.items()
+            t_powers.get(n)._apply_ints(*s_powers.get(m)._apply_ints(*c))
+            for (n, m), c in x.columns.items()
         ]
-        return FsVec._raw(Domain.GRID, self.dim, [((0, 0), _sum_ints(terms, self.dim))])
+        return FsVec._raw(Domain.GRID, self.dim, _at((0, 0), _sum_ints(terms, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -324,23 +333,27 @@ class BlockDense(SeqOp):
             raise DomainMismatch(
                 f"input supported outside the {k} coordinates this operator acts on"
             )
-        zero = zero_vec(self.dim)
-        image = self.matrix._apply_trusted(
-            tuple(c for b in range(k) for c in x.support.get(b, zero))
-        )
-        return FsVec._raw(
-            Domain.UNINAT,
-            self.dim,
-            [(b, image[b * self.dim : (b + 1) * self.dim]) for b in range(k)],
-        )
+        d = self.dim
+        # the k blocks stacked over one common denominator
+        den = lcm(*(c[0] for c in x.columns.values()))
+        zero = (1, (0,) * d)
+        stacked = []
+        for b in range(k):
+            block_den, nums = x.columns.get(b, zero)
+            f = den // block_den
+            stacked.extend(f * n for n in nums)
+        image_den, image = self.matrix._apply_ints(den, stacked)
+        columns = [(b, reduce_column(image_den, image[b * d : (b + 1) * d])) for b in range(k)]
+        return FsVec._raw(Domain.UNINAT, d, [(b, c) for b, c in columns if c is not None])
 
 
 @dataclass(frozen=True)
 class Componentwise(SeqOp):
-    """Coordinatewise matrix action (x_n) -> (S x_n) between one-sided spaces."""
+    """Coordinatewise matrix action (x_k) -> (S x_k) on families over
+    `domain`, one-sided unless given."""
 
     S: Mat
-    domain = Domain.UNINAT
+    domain: Domain = Domain.UNINAT
 
     @property
     def dim_in(self) -> int:
@@ -351,9 +364,9 @@ class Componentwise(SeqOp):
         return self.S.rows
 
     def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim_in, Domain.UNINAT)
-        columns = [(k, self.S._apply_trusted(v)) for k, v in x.support.items()]
-        return FsVec._raw(Domain.UNINAT, self.dim_out, columns)
+        self._check_input(x, self.dim_in, self.domain)
+        columns = [(k, reduce_column(*self.S._apply_ints(*c))) for k, c in x.columns.items()]
+        return FsVec._raw(self.domain, self.dim_out, [(k, c) for k, c in columns if c is not None])
 
 
 class ColumnBlocks(SeqOp):
@@ -387,11 +400,11 @@ class ColumnBlocks(SeqOp):
 
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim_in, Domain.UNINAT)
-        acc: dict[Index, Vec] = {}
+        acc: dict[Index, Column] = {}
         for (r, c), b in self.blocks.items():
-            v = x.support.get(c)
-            if v is not None:
-                _accumulate(acc, r, b._apply_trusted(v))
+            column = x.columns.get(c)
+            if column is not None:
+                accumulate(acc, r, reduce_column(*b._apply_ints(*column)))
         return FsVec._raw(Domain.UNINAT, self.dim_out, sorted(acc.items()))
 
 

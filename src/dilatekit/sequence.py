@@ -21,6 +21,7 @@ from .finsupp import Domain, FsVec
 from .matrix import Mat, NonSquareMatrix, Vec, require_square, unit_vec, vec
 from .report import Report
 from .seqops import (
+    Componentwise,
     CoordProj0,
     EmbedI,
     GridDown,
@@ -59,17 +60,19 @@ def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Opti
     first_n <= n <= n_max, as a JSON witness.
 
     Both orbits are carried forward one step per n: U^n I x by U, and the
-    expected side T^n x by one T.apply, independently of the operators."""
+    expected side I T^n x by a componentwise action of T, independently of
+    U and P."""
+    t_step = Componentwise(dil.T, dil.I.domain)
     images = [dil.I.apply(x) for x in vecs]
-    t_images = list(vecs)
+    t_images = list(images)
     for n in range(n_max + 1):
         if n > 0:
             images = [dil.U.apply(image) for image in images]
-            t_images = [dil.T.apply(y) for y in t_images]
+            t_images = [t_step.apply(y) for y in t_images]
         if n < first_n:
             continue
-        for x, image, t_image in zip(vecs, images, t_images):
-            projected, expected = dil.P.apply(image), dil.I.apply(t_image)
+        for x, image, expected in zip(vecs, images, t_images):
+            projected = dil.P.apply(image)
             if projected != expected:
                 return {
                     "n": n,
@@ -369,21 +372,21 @@ def ando_verify(
 
     # One pass over the cells (n, m) per probe; the single-parameter
     # compressions are the cells with m = 0 < n and with n = 0 < m. The
-    # expected side of row n is the list [T^n S^m x for m <= m_max], carried
-    # from row to row by one T.apply per cell.
+    # expected side of row n is the list [I T^n S^m x for m <= m_max],
+    # carried from row to row by a componentwise action of T per cell.
+    t_step, s_step = Componentwise(av.T, Domain.GRID), Componentwise(av.S, Domain.GRID)
     witness = u_witness = v_witness = None
     for x in vecs:
-        orbit = [x]
-        for _ in range(m_max):
-            orbit.append(av.S.apply(orbit[-1]))
         row_shifted = av.I.apply(x)
+        orbit = [row_shifted]
+        for _ in range(m_max):
+            orbit.append(s_step.apply(orbit[-1]))
         for n in range(0, n_max + 1):
             if n > 0:
-                orbit = [av.T.apply(y) for y in orbit]
+                orbit = [t_step.apply(y) for y in orbit]
             cell = row_shifted
-            for m, t_s_x in enumerate(orbit):
+            for m, expected in enumerate(orbit):
                 projected = av.P.apply(cell)
-                expected = av.I.apply(t_s_x)
                 if projected != expected:
                     if witness is None:
                         witness = {

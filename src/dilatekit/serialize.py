@@ -153,6 +153,13 @@ def fsvec_from_json(value: Any, where: str = "$") -> FsVec:
 MAX_POWER = 1000  # largest n accepted for kind "power"
 MAX_DEPTH = 64  # deepest nesting of operators inside operators
 
+# caps on the sizes a caller picks, so that no flag asks for unbounded work
+MAX_BOUND = 100  # exponent bounds: n_max, m_max, k_max and the certification bound
+MAX_N = 32  # the N of an N-dilation, whose matrices are (N+1)d x (N+1)d
+MAX_TRIALS = 10_000  # trials per suite
+MAX_DIM = 16  # largest generated dimension
+MAX_ENTRY_BOUND = 10**6  # largest numerator and denominator of generated entries
+
 
 class _Field(NamedTuple):
     read: Callable[[Any, str, int], Any]  # (JSON value, path, depth) -> value

@@ -123,7 +123,7 @@ def verify_wold(w: WoldDecomposition) -> Report:
     report.add(
         "direct sum: combined basis spans the space",
         rank == d,
-        witness={"rank": rank, "dim": d, "basis": [vec_to_json(v) for v in combined]},
+        witness=lambda: {"rank": rank, "dim": d, "basis": [vec_to_json(v) for v in combined]},
     )
 
     invariance_witness = None
@@ -142,7 +142,10 @@ def verify_wold(w: WoldDecomposition) -> Report:
     report.add(
         "bijectivity: T restricted to the bijective part has full rank into it",
         bijective,
-        witness={"images": [vec_to_json(v) for v in images], "expected_rank": len(w.Vb_basis)},
+        witness=lambda: {
+            "images": [vec_to_json(v) for v in images],
+            "expected_rank": len(w.Vb_basis),
+        },
     )
 
     ev_basis, _ = eventual_image(w.T)
@@ -153,7 +156,7 @@ def verify_wold(w: WoldDecomposition) -> Report:
     report.add(
         "bijective part equals the eventual image",
         agrees,
-        witness={
+        witness=lambda: {
             "claimed": [vec_to_json(v) for v in w.Vb_basis],
             "eventual_image": [vec_to_json(v) for v in ev_basis],
         },

@@ -8,7 +8,15 @@ from dilatekit import Mat, cli
 from dilatekit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from dilatekit.harness import SuiteConfig, run_suites
 from dilatekit.seqops import Componentwise
-from dilatekit.serialize import _KINDS, seqop_to_json
+from dilatekit.serialize import (
+    _KINDS,
+    MAX_BOUND,
+    MAX_DIM,
+    MAX_ENTRY_BOUND,
+    MAX_N,
+    MAX_TRIALS,
+    seqop_to_json,
+)
 
 
 def write(tmp_path, name, payload):
@@ -245,6 +253,34 @@ def test_file_subcommands_honour_seed_env(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, ["ndilate", "--T", t_file, "--N", "2"])
     assert code == EXIT_INPUT
     assert "DILATEKIT_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, cap",
+    [
+        (["run"], "--trials", MAX_TRIALS),
+        (["run"], "--dim-max", MAX_DIM),
+        (["run"], "--n-max", MAX_BOUND),
+        (["run"], "--m-max", MAX_BOUND),
+        (["run"], "--entry-bound", MAX_ENTRY_BOUND),
+        (["ndilate", "--T", "T", "--N", "2"], "--kmax", MAX_BOUND),
+        (["ndilate", "--T", "T"], "--N", MAX_N),
+        (["schaffer", "--T", "T"], "--nmax", MAX_BOUND),
+        (["ando", "--T", "T", "--S", "T"], "--mmax", MAX_BOUND),
+        (["intertwine", "lift", "--T1", "T", "--T2", "T", "--S", "T"], "--nmax", MAX_BOUND),
+        (["intertwine", "extract", "--R", "R", "--T1", "T", "--T2", "T"], "--certbound", MAX_BOUND),
+    ],
+)
+def test_size_flag_over_its_cap_exits_two_naming_the_flag(capsys, tmp_path, command, flag, cap):
+    files = {
+        "T": write(tmp_path, "t.json", [[2]]),
+        "R": write(tmp_path, "r.json", {"kind": "componentwise", "S": [[1]]}),
+    }
+    argv = [files.get(arg, arg) for arg in command] + [flag, str(cap + 1)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {flag} {cap + 1} exceeds the cap of {cap}\n"
 
 
 def test_operator_input_errors_exit_two(capsys, tmp_path):

@@ -1,9 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from dilatekit import Mat
 from dilatekit.finsupp import BadIndex, Domain, DomainMismatch, FsVec
+from dilatekit.seqops import Componentwise
+from dilatekit.serialize import fsvec_to_json
 
 from strategies import fsvecs
 
@@ -98,3 +103,67 @@ def test_no_zero_columns_survive_operations(a, b):
     for result in (a + b, a - b, a.scale(Fraction(-3, 7))):
         for _, column in result.items():
             assert any(x != 0 for x in column)
+
+
+# ----------------------------------------------------------------------
+# the canonical integer form: one representation per family
+
+
+NATURAL = st.integers(min_value=0, max_value=4)
+INDEX = {
+    Domain.UNINAT: NATURAL,
+    Domain.BIINT: st.integers(min_value=-4, max_value=4),
+    Domain.GRID: st.tuples(NATURAL, NATURAL),
+}
+
+
+@st.composite
+def spelled_families(draw):
+    """Integer columns, a common denominator and a common factor: the data
+    of one family, to be spelled several ways."""
+    domain = draw(st.sampled_from(list(Domain)))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    entries = st.lists(st.integers(min_value=-12, max_value=12), min_size=dim, max_size=dim)
+    columns = draw(st.dictionaries(INDEX[domain], entries.map(tuple), max_size=4))
+    den = draw(st.integers(min_value=1, max_value=12))
+    factor = draw(st.integers(min_value=1, max_value=6))
+    return domain, dim, columns, den, factor
+
+
+def spellings(domain, dim, columns, den, factor):
+    def family(values):
+        return FsVec(domain, dim, {k: values(v) for k, v in columns.items()})
+
+    identity = Mat.identity(dim)
+    scaled_up = Componentwise(identity.scale(factor), domain)
+    scaled_down = Componentwise(identity.scale(Fraction(1, den * factor)), domain)
+    from_ints = family(lambda v: v)
+    return {
+        "ints, then scaled by 1/den": from_ints.scale(Fraction(1, den)),
+        "unreduced Fractions": family(lambda v: [Fraction(n * factor, den * factor) for n in v]),
+        "p/q strings": family(lambda v: [f"{n * factor}/{den * factor}" for n in v]),
+        "columns scaled by a common factor": family(lambda v: [n * factor for n in v]).scale(
+            Fraction(1, den * factor)
+        ),
+        "operators scaling up, then down": scaled_down.apply(scaled_up.apply(from_ints)),
+    }
+
+
+@given(spelled_families())
+def test_every_spelling_of_a_family_is_the_same_value(data):
+    forms = spellings(*data)
+    reference = forms.pop("unreduced Fractions")
+    for how, x in forms.items():
+        assert x == reference, how
+        assert hash(x) == hash(reference), how
+        assert repr(x) == repr(reference), how
+        assert fsvec_to_json(x) == fsvec_to_json(reference), how
+
+
+@given(spelled_families())
+def test_columns_are_canonical_and_the_view_holds_fractions(data):
+    for x in spellings(*data).values():
+        for den, nums in x.columns.values():
+            assert den >= 1 and gcd(den, *nums) == 1 and any(nums)
+        assert all(type(q) is Fraction for column in x.support.values() for q in column)
+        assert list(x.support) == list(x.indices()) == sorted(x.indices())

@@ -23,6 +23,7 @@ from dilatekit.finsupp import Domain
 from dilatekit.intertwine import make_pair, verify_lift
 from dilatekit.report import Check, Report, reports_to_json
 from dilatekit.seqops import Componentwise, Compose, CoordProj0
+from dilatekit.serialize import MAX_BOUND
 
 SMALL = SuiteConfig(seed=1, trials=4, dim_max=3, n_max=6, m_max=4)
 
@@ -34,6 +35,18 @@ def test_config_validation():
         SuiteConfig(dim_max=0)
     with pytest.raises(ValueError):
         SuiteConfig(suites=("halmos", "nagy"))
+
+
+def test_sizes_over_their_caps_are_refused():
+    # the default config and the benchmark's largest sizes are admitted
+    SuiteConfig()
+    SuiteConfig(dim_max=6, n_max=16, m_max=16)
+    for name, cap in harness.SIZE_CAPS.items():
+        with pytest.raises(ValueError, match=f"{name} {cap + 1} exceeds the cap of {cap}"):
+            SuiteConfig(**{name: cap + 1})
+    for name in ("n_max", "m_max", "k_max"):
+        with pytest.raises(ValueError, match=f"{name} {MAX_BOUND + 1} exceeds the cap"):
+            harness.Bounds(**{name: MAX_BOUND + 1})
 
 
 def test_generate_instance_is_deterministic():
@@ -176,6 +189,21 @@ def test_failing_check_requires_witness():
         Check(name="broken", status="fail")
     check = Check(name="broken", status="fail", witness={"probe": 1})
     assert check.witness == {"probe": 1}
+
+
+def test_witness_function_runs_only_when_the_check_fails():
+    calls = []
+
+    def witness():
+        calls.append("built")
+        return {"probe": 1}
+
+    rep = Report(suite="demo")
+    rep.add("passes", True, witness=witness)
+    assert calls == []
+    rep.add("fails", False, witness=witness)
+    assert calls == ["built"]
+    assert [c.witness for c in rep.checks] == [None, {"probe": 1}]
 
 
 def test_exit_code_distinguishes_fail_from_inconclusive():
