@@ -7,24 +7,23 @@ zero. The support is kept in sorted order and zero columns are pruned.
 
 Each column is held in a canonical integer form, a common denominator and
 a tuple of numerators, ``(den, nums)`` with ``den >= 1`` and
-``gcd(den, *nums) == 1``. The form is unique, so structural equality and
-hashing coincide with mathematical equality, and the operators in
-``seqops`` compute on it directly. ``Fraction`` coordinates appear only in
-the views (``support``, ``coeff``, ``items``) read at the boundary: JSON,
-report witnesses and tests.
+``gcd(den, *nums) == 1``: the form of ``matrix.Mat``, built by the same
+``column_of`` and ``reduce_column``. The form is unique, so structural
+equality and hashing coincide with mathematical equality, and the
+operators in ``seqops`` compute on it directly. ``Fraction`` coordinates
+appear only in the views (``support``, ``coeff``, ``items``) read at the
+boundary: JSON, report witnesses and tests.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .matrix import Scalar, Vec, as_rat, zero_vec
+from .matrix import Column, Scalar, Vec, as_rat, column_of, fractions_of, reduce_column, zero_vec
 
 Index = Union[int, tuple[int, int]]
-Column = tuple[int, tuple[int, ...]]  # (den, nums): the column nums / den
 
 
 class Domain(str, Enum):
@@ -67,42 +66,6 @@ def check_index(domain: Domain, index: Index) -> Index:
     return index
 
 
-_RATIO = {Fraction: Fraction.as_integer_ratio, int: int.as_integer_ratio}
-
-
-def column_of(values: Iterable[Scalar]) -> Optional[Column]:
-    """The canonical integer form of a column of exact scalars, or None if
-    it is zero. Floats and bools are refused, as by ``as_rat``.
-
-    The denominator is the lcm of the entry denominators, built up in one
-    pass. No gcd is needed: a prime power p^k that divides it exactly
-    divides some entry's denominator b exactly, and that entry's numerator
-    a * (den // b) is prime to p.
-    """
-    den = 1
-    nums: list[int] = []
-    for x in values:
-        ratio = _RATIO.get(type(x))
-        n, d = ratio(x) if ratio else as_rat(x).as_integer_ratio()
-        if den % d:
-            f = d // gcd(den, d)
-            nums = [a * f for a in nums]
-            den *= f
-        nums.append(n * (den // d))
-    return (den, tuple(nums)) if any(nums) else None
-
-
-def reduce_column(den: int, nums: Sequence[int]) -> Optional[Column]:
-    """The canonical form of the column nums / den for den >= 1, or None if
-    it is zero: one gcd for the whole column."""
-    if not any(nums):
-        return None
-    g = gcd(den, *nums)
-    if g == 1:
-        return den, tuple(nums)
-    return den // g, tuple([n // g for n in nums])
-
-
 def accumulate(acc: dict[Index, Column], index: Index, column: Optional[Column]) -> None:
     """Add a canonical column (None for zero) into acc[index], dropping the
     index if the sum cancels."""
@@ -117,11 +80,6 @@ def accumulate(acc: dict[Index, Column], index: Index, column: Optional[Column])
             del acc[index]
             return
     acc[index] = column
-
-
-def _fractions(column: Column) -> Vec:
-    den, nums = column
-    return tuple(Fraction(n, den) for n in nums)
 
 
 class FsVec:
@@ -142,7 +100,9 @@ class FsVec:
         if dim < 1:
             raise FinsuppError(f"ambient dimension must be >= 1, got {dim}")
         items = support.items() if isinstance(support, Mapping) else support
-        cleaned: dict[Index, Column] = {}
+        # every index given, with None for a zero column, so that a duplicate
+        # is seen whichever of its columns is zero
+        cleaned: dict[Index, Optional[Column]] = {}
         for index, value in items:
             index = check_index(domain, index)
             column = tuple(value)
@@ -152,13 +112,11 @@ class FsVec:
                 )
             if index in cleaned:
                 raise FinsuppError(f"duplicate index {index} in support")
-            canonical = column_of(column)
-            if canonical is not None:
-                cleaned[index] = canonical
+            cleaned[index] = column_of(column)
         _set_domain(self, domain)
         _set_dim(self, dim)
         # the indices are distinct, so sorting the items compares indices only
-        _set_columns(self, dict(sorted(cleaned.items())))
+        _set_columns(self, dict(sorted((k, c) for k, c in cleaned.items() if c is not None)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FsVec is immutable")
@@ -189,15 +147,15 @@ class FsVec:
     @property
     def support(self) -> dict[Index, Vec]:
         """Index -> column of Fractions, in sorted index order."""
-        return {k: _fractions(c) for k, c in self.columns.items()}
+        return {k: fractions_of(*c) for k, c in self.columns.items()}
 
     def coeff(self, index: Index) -> Vec:
         check_index(self.domain, index)
         column = self.columns.get(index)
-        return zero_vec(self.dim) if column is None else _fractions(column)
+        return zero_vec(self.dim) if column is None else fractions_of(*column)
 
     def items(self) -> tuple[tuple[Index, Vec], ...]:
-        return tuple((k, _fractions(c)) for k, c in self.columns.items())
+        return tuple((k, fractions_of(*c)) for k, c in self.columns.items())
 
     # ------------------------------------------------------------------
 

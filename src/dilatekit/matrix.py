@@ -5,23 +5,28 @@ elsewhere is checked against exact Gauss-Jordan arithmetic done here.
 Scalars are ``fractions.Fraction`` at the interface; floats are rejected so
 that every equality test in the repository is exact.
 
-Internally a matrix also has an integer form, computed on first use and
-cached: one common denominator (the lcm of the entry denominators) and rows
-of integer numerators. Products and matrix-vector products are integer dot
-products over that form with one ``Fraction`` per result entry, and
-elimination is fraction-free (Bareiss 1968, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination").
+A matrix is stored in one canonical integer form: a denominator and rows of
+integer numerators, ``(den, nums)`` with ``den >= 1`` and
+``gcd(den, *all nums) == 1``. ``column_of`` and ``reduce_column`` state that
+rule once, for a matrix's flattened grid here and for the columns of
+``finsupp.FsVec``. The form is unique, so ``==`` and ``hash`` compare
+integers. Products, powers, sums and elimination build it directly with one
+gcd per result; elimination is fraction-free (Bareiss 1968, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination").
+``Fraction`` entries appear only in the views read at the boundary:
+``entries``, ``m[i, j]``, ``apply``, ``trace`` and the bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
 Vec = tuple[Fraction, ...]
+Column = tuple[int, tuple[int, ...]]  # (den, nums): the numbers nums / den
 
 
 class MatrixError(ValueError):
@@ -44,13 +49,9 @@ def as_rat(value: Scalar) -> Fraction:
     """Coerce an exact scalar to Fraction. Floats are refused."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, bool):
-        raise TypeError(f"not an exact scalar: {value!r}")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact scalar: {value!r} (floats are not allowed)")
+    raise TypeError(f"not an exact scalar: {value!r} (floats and bools are not allowed)")
 
 
 def vec(values: Iterable[Scalar]) -> Vec:
@@ -73,25 +74,61 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+_RATIO = {Fraction: Fraction.as_integer_ratio, int: int.as_integer_ratio}
 
 
-def _integer_form(v: Vec) -> tuple[int, list[int]]:
-    """Common denominator (lcm of the denominators) and the numerators over it."""
-    den = lcm(*(q.denominator for q in v))
-    return den, [q.numerator * (den // q.denominator) for q in v]
+def column_of(values: Iterable[Scalar]) -> Optional[Column]:
+    """The canonical integer form of a column of exact scalars, or None if
+    it is zero. Floats and bools are refused, as by ``as_rat``.
+
+    The denominator is the lcm of the entry denominators, built up in one
+    pass. No gcd is needed: a prime power p^k that divides it exactly
+    divides some entry's denominator b exactly, and that entry's numerator
+    a * (den // b) is prime to p.
+    """
+    den = 1
+    nums: list[int] = []
+    for x in values:
+        ratio = _RATIO.get(type(x))
+        n, d = ratio(x) if ratio else as_rat(x).as_integer_ratio()
+        if den % d:
+            f = d // gcd(den, d)
+            nums = [a * f for a in nums]
+            den *= f
+        nums.append(n * (den // d))
+    return (den, tuple(nums)) if any(nums) else None
 
 
-def _bareiss_rref(m: list[list[int]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """RREF and pivot columns of an integer matrix, by fraction-free
-    Gauss-Jordan elimination.
+def reduce_column(den: int, nums: Sequence[int]) -> Optional[Column]:
+    """The canonical form of the column nums / den for den >= 1, or None if
+    it is zero: one gcd for the whole column."""
+    if not any(nums):
+        return None
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple([n // g for n in nums])
+
+
+def fractions_of(den: int, nums: Iterable[int]) -> Vec:
+    """The Fraction view of the numbers nums / den."""
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def _rows_of(flat: tuple[int, ...], cols: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(flat[i : i + cols] for i in range(0, len(flat), cols))
+
+
+def _bareiss_rref(m: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in
+    place. Returns d and the pivot columns; the RREF is then m / d.
 
     Pivot choice: leftmost nonzero column, first nonzero row from the top.
     Every row other than the pivot row is updated as (p*a - f*b) // prev,
     where p is the pivot and prev the previous pivot; the division is exact
-    by Sylvester's identity. At the end each pivot row is divided by its
-    pivot, and the rows below the rank are zero.
+    by Sylvester's identity. An earlier pivot entry prev so becomes p, as
+    the pivot row is zero in its column: at the end every pivot entry is the
+    last pivot d, and the rows below the rank are zero.
     """
     rows, cols = len(m), len(m[0])
     pivots: list[int] = []
@@ -113,30 +150,25 @@ def _bareiss_rref(m: list[list[int]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]
         r += 1
         if r == rows:
             break
-    reduced = tuple(tuple(Fraction(a, row[c]) for a in row) for row, c in zip(m, pivots))
-    return reduced + ((Fraction(0),) * cols,) * (rows - r), tuple(pivots)
+    return prev, tuple(pivots)
 
 
 class Mat:
-    """Immutable dense matrix of Fractions, row-major.
-
-    `_ints` caches the integer form, (denominator, rows of numerators), once
-    `_integer_rows` has computed it.
+    """Immutable dense rational matrix, row-major, stored only as its
+    canonical integer form: ``den`` and the rows of numerators ``nums``.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_ints")
+    __slots__ = ("rows", "cols", "den", "nums")
 
-    def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        grid = tuple(tuple(as_rat(v) for v in row) for row in entries)
+    def __new__(cls, entries: Sequence[Sequence[Scalar]]) -> Mat:
+        grid = [tuple(row) for row in entries]
         if not grid or not grid[0]:
             raise MatrixError("matrix must have at least one row and one column")
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise MatrixError("ragged rows in matrix literal")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "_ints", None)
+        den, flat = column_of(x for row in grid for x in row) or (1, (0,) * (len(grid) * width))
+        return cls._raw(den, _rows_of(flat, width))
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -145,23 +177,23 @@ class Mat:
     # constructors
 
     @classmethod
-    def _raw(cls, grid: tuple[tuple[Fraction, ...], ...]) -> Mat:
-        # internal: trusts the grid to be a rectangular tuple of Fractions
-        out = cls.__new__(cls)
-        object.__setattr__(out, "rows", len(grid))
-        object.__setattr__(out, "cols", len(grid[0]))
-        object.__setattr__(out, "entries", grid)
-        object.__setattr__(out, "_ints", None)
+    def _raw(cls, den: int, nums: tuple[tuple[int, ...], ...]) -> Mat:
+        # internal: trusts (den, nums) to be canonical, with nums a nonempty
+        # rectangular tuple of int tuples; the slots' own setters go around
+        # the __setattr__ that keeps Mat immutable
+        out = object.__new__(cls)
+        _set_rows(out, len(nums))
+        _set_cols(out, len(nums[0]))
+        _set_den(out, den)
+        _set_nums(out, nums)
         return out
 
-    def _integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The common denominator and the rows of integer numerators."""
-        if self._ints is None:
-            den, flat = _integer_form([x for row in self.entries for x in row])
-            c = self.cols
-            rows = tuple(tuple(flat[i : i + c]) for i in range(0, len(flat), c))
-            object.__setattr__(self, "_ints", (den, rows))
-        return self._ints
+    @classmethod
+    def _reduced(cls, den: int, flat: Sequence[int], cols: int) -> Mat:
+        # internal: the matrix with row-major numerators flat over den >= 1,
+        # brought to canonical form by one gcd
+        den, flat = reduce_column(den, flat) or (1, tuple(flat))
+        return cls._raw(den, _rows_of(flat, cols))
 
     @classmethod
     def identity(cls, n: int) -> Mat:
@@ -173,16 +205,15 @@ class Mat:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Scalar]]) -> Mat:
-        cols = [vec(c) for c in columns]
-        if not cols:
-            raise MatrixError("need at least one column")
-        if any(len(c) != len(cols[0]) for c in cols):
-            raise MatrixError("columns of unequal length")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
+        return cls(columns).transpose()
 
     @classmethod
     def block(cls, grid: Sequence[Sequence[Mat]]) -> Mat:
-        """Assemble a matrix from a grid of conforming blocks."""
+        """Assemble a matrix from a grid of conforming blocks.
+
+        The blocks are brought over the lcm of their denominators, which is
+        canonical with no gcd, by the argument in ``column_of``.
+        """
         if not grid or not grid[0]:
             raise MatrixError("empty block grid")
         heights = [row[0].rows for row in grid]
@@ -195,39 +226,49 @@ class Mat:
                     raise DimensionMismatch(
                         f"block ({i},{j}) is {b.rows}x{b.cols}, expected {heights[i]}x{widths[j]}"
                     )
-        out = []
-        for i, row in enumerate(grid):
-            for r in range(heights[i]):
-                out.append(tuple(x for b in row for x in b.entries[r]))
-        return cls._raw(tuple(out))
+        den = lcm(*(b.den for row in grid for b in row))
+        rows = tuple(
+            tuple(den // b.den * n for b in row for n in b.nums[r])
+            for row, height in zip(grid, heights)
+            for r in range(height)
+        )
+        return cls._raw(den, rows)
 
     # ------------------------------------------------------------------
-    # basic queries
+    # Fraction views, for the boundary
+
+    @property
+    def entries(self) -> tuple[Vec, ...]:
+        """The rows of Fraction entries, built on each read."""
+        return tuple(fractions_of(self.den, row) for row in self.nums)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i][j]
+        return Fraction(self.nums[i][j], self.den)
+
+    def to_lists(self) -> list[list[Fraction]]:
+        return [list(row) for row in self.entries]
+
+    def __repr__(self) -> str:
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
+        return f"Mat[{body}]"
+
+    # ------------------------------------------------------------------
+    # basic queries
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
+        return not any(map(any, self.nums))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"Mat[{body}]"
+        return hash((self.den, self.nums))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -239,18 +280,16 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        return Mat._raw(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        flat = [fa * a + fb * b for ra, rb in zip(self.nums, other.nums) for a, b in zip(ra, rb)]
+        return Mat._reduced(den, flat, self.cols)
 
     def __sub__(self, other: Mat) -> Mat:
         return self + (-other)
 
     def __neg__(self) -> Mat:
-        return Mat._raw(tuple(tuple(-x for x in row) for row in self.entries))
+        return Mat._raw(self.den, tuple(tuple(-n for n in row) for row in self.nums))
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -258,24 +297,17 @@ class Mat:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            da, ra = self._integer_rows()
-            db, rb = other._integer_rows()
-            den = da * db
-            cols = tuple(zip(*rb))
-            return Mat._raw(
-                tuple(
-                    tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
-                    for row in ra
-                )
-            )
+            cols = tuple(zip(*other.nums))
+            flat = [sum(map(mul, row, col)) for row in self.nums for col in cols]
+            return Mat._reduced(self.den * other.den, flat, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c: Scalar) -> Mat:
-        f = as_rat(c)
-        return Mat._raw(tuple(tuple(f * x for x in row) for row in self.entries))
+        p, q = as_rat(c).as_integer_ratio()
+        return Mat._reduced(self.den * q, [p * n for row in self.nums for n in row], self.cols)
 
     def __pow__(self, n: int) -> Mat:
         if not self.is_square():
@@ -301,13 +333,13 @@ class Mat:
 
     def apply(self, x: Sequence[Scalar]) -> Vec:
         """Matrix-vector product, returning a plain coordinate tuple."""
-        v = vec(x)
+        v = tuple(x)
+        column = column_of(v) or (1, (0,) * len(v))
         if len(v) != self.cols:
             raise DimensionMismatch(
                 f"cannot apply {self.rows}x{self.cols} to vector of length {len(v)}"
             )
-        den, nums = self._apply_ints(*_integer_form(v))
-        return tuple(Fraction(n, den) for n in nums)
+        return fractions_of(*self._apply_ints(*column))
 
     def _apply_ints(self, den: int, nums: Sequence[int]) -> tuple[int, list[int]]:
         """The product with the vector nums / den, in the same integer form.
@@ -316,18 +348,15 @@ class Mat:
         the product of the two, not reduced, so chains of products stay in
         integers and are reduced once, by the caller.
         """
-        da, ra = self._integer_rows()
-        return da * den, [sum(map(mul, row, nums)) for row in ra]
+        return self.den * den, [sum(map(mul, row, nums)) for row in self.nums]
 
     def transpose(self) -> Mat:
-        return Mat._raw(
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        )
+        return Mat._raw(self.den, tuple(zip(*self.nums)))
 
     def trace(self) -> Fraction:
         if not self.is_square():
             raise NonSquareMatrix("trace requires a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self.nums)), self.den)
 
     # ------------------------------------------------------------------
     # elimination
@@ -339,8 +368,10 @@ class Mat:
         top, pivot normalized to 1. Fully deterministic. Computed on the
         integer numerators, which have the same RREF.
         """
-        reduced, pivots = _bareiss_rref([list(row) for row in self._integer_rows()[1]])
-        return Mat._raw(reduced), pivots
+        m = [list(row) for row in self.nums]
+        d, pivots = _bareiss_rref(m)
+        s = 1 if d > 0 else -1
+        return Mat._reduced(s * d, [s * a for row in m for a in row], self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -350,12 +381,11 @@ class Mat:
         if not self.is_square():
             raise NonSquareMatrix("inverse requires a square matrix")
         n = self.rows
-        aug = Mat.block([[self, Mat.identity(n)]])
-        reduced, pivots = aug.rref()
+        reduced, pivots = Mat.block([[self, Mat.identity(n)]]).rref()
         left_rank = sum(1 for p in pivots if p < n)
         if left_rank < n:
             raise SingularMatrix(f"matrix has rank {left_rank} < {n}")
-        return Mat._raw(tuple(row[n:] for row in reduced.entries))
+        return Mat._reduced(reduced.den, [a for row in reduced.nums for a in row[n:]], n)
 
     def column_space_basis(self) -> list[Vec]:
         """Canonical basis of the column space.
@@ -364,7 +394,7 @@ class Mat:
         columns, so equal column spaces always yield identical bases.
         """
         reduced, pivots = self.transpose().rref()
-        return [reduced.entries[i] for i in range(len(pivots))]
+        return list(reduced.entries[: len(pivots)])
 
     def kernel_basis(self) -> list[Vec]:
         """Canonical kernel basis from the rref free columns."""
@@ -377,9 +407,17 @@ class Mat:
             v = [Fraction(0)] * self.cols
             v[free] = Fraction(1)
             for row_idx, p in enumerate(pivots):
-                v[p] = -reduced.entries[row_idx][free]
+                v[p] = Fraction(-reduced.nums[row_idx][free], reduced.den)
             basis.append(tuple(v))
         return basis
+
+
+_set_rows, _set_cols, _set_den, _set_nums = (
+    Mat.rows.__set__,
+    Mat.cols.__set__,
+    Mat.den.__set__,
+    Mat.nums.__set__,
+)
 
 
 def require_square(T: Mat, name: str = "T") -> Mat:
@@ -403,7 +441,7 @@ def span_rank(columns: Sequence[Vec]) -> int:
 
 def in_span(columns: Sequence[Vec], x: Vec) -> bool:
     """Exact membership of x in the span of the given columns."""
-    if vec_is_zero(x):
+    if not any(x):
         return True
     if not columns:
         return False

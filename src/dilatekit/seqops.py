@@ -30,17 +30,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .finsupp import (
-    Column,
-    Domain,
-    DomainMismatch,
-    FsVec,
-    Index,
-    accumulate,
-    column_of,
-    reduce_column,
-)
-from .matrix import Mat, Scalar
+from .finsupp import Domain, DomainMismatch, FsVec, Index, accumulate
+from .matrix import Column, Mat, Scalar, column_of, reduce_column
 from .report import Report
 
 

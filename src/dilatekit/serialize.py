@@ -248,7 +248,8 @@ _KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 def seqop_to_json(op) -> dict:
     kind = _KIND_OF.get(type(op))
-    if kind is None:
+    # the wire format has no domain for componentwise, so it reads back one-sided
+    if kind is None or (kind == "componentwise" and op.domain is not Domain.UNINAT):
         raise TypeError(f"cannot serialize operator {op!r}")
     _, fields = _KINDS[kind]
     return {"kind": kind, **{key: field.write(getattr(op, key)) for key, field in fields}}

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dilatekit import Mat
-from dilatekit.finsupp import BadIndex, Domain, DomainMismatch, FsVec
+from dilatekit.finsupp import BadIndex, Domain, DomainMismatch, FinsuppError, FsVec
 from dilatekit.seqops import Componentwise
-from dilatekit.serialize import fsvec_to_json
+from dilatekit.serialize import ParseError, fsvec_from_json, fsvec_to_json
 
 from strategies import fsvecs
 
@@ -54,6 +54,20 @@ def test_insertion_order_does_not_matter():
     backward = FsVec(Domain.GRID, 1, [((1, 0), (3,)), ((0, 1), (2,))])
     assert forward == backward
     assert forward.indices() == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("support", [[(0, (0,)), (0, (1,))], [(0, (1,)), (0, (0,))]])
+def test_duplicate_index_is_refused_when_a_column_is_zero(support):
+    with pytest.raises(FinsuppError, match="duplicate index 0"):
+        FsVec(Domain.UNINAT, 1, support)
+    doc = {
+        "domain": "uninat",
+        "dim": 1,
+        "support": [{"index": k, "value": list(v)} for k, v in support],
+    }
+    with pytest.raises(ParseError, match="duplicate index 0") as exc:
+        fsvec_from_json(doc)
+    assert exc.value.where == "$.support"
 
 
 def test_domain_mismatch_raises():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dilatekit import (
 )
 from dilatekit.matrix import as_rat, in_span, span_rank, unit_vec, vec
 from dilatekit.seqops import _PowerCache
+from dilatekit.serialize import mat_to_json
 
 from strategies import matrices, square_pairs
 
@@ -336,3 +338,74 @@ def test_oracle_elimination(a):
     assert_exact(tuple(m.kernel_basis()), tuple(ref_kernel_basis(a)))
     assert_exact(tuple(m.column_space_basis()), tuple(ref_column_space_basis(a)))
     assert m.rank() == len(ref_pivots)
+
+
+# ----------------------------------------------------------------------
+# canonical form: one (den, nums) per value, whatever the spelling
+
+
+def assert_canonical(m):
+    """den >= 1, integer numerators in m.rows x m.cols, gcd 1 overall."""
+    flat = [n for row in m.nums for n in row]
+    assert type(m.den) is int and m.den >= 1
+    assert all(type(n) is int for n in flat)
+    assert len(m.nums) == m.rows and all(len(row) == m.cols for row in m.nums)
+    assert gcd(m.den, *flat) == 1
+
+
+def spellings_of(a, k, c):
+    """One grid of Fractions spelled five ways; k > 0 and c != 0."""
+    common = lcm(*(x.denominator for row in a for x in row))
+    ints = [[int(x * common) for x in row] for row in a]
+    return {
+        "Fractions": Mat(a),
+        "ints, then scaled by 1/lcm": Mat(ints).scale(Fraction(1, common)),
+        "unreduced Fractions": Mat(
+            [[Fraction(x.numerator * k, x.denominator * k) for x in row] for row in a]
+        ),
+        "p/q strings": Mat([[f"{x.numerator * k}/{x.denominator * k}" for x in row] for row in a]),
+        "scaled by c, then by 1/c": (c * Mat(a)).scale(1 / c),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_grids(), st.integers(1, 12), oracle_entries.filter(bool))
+def test_every_spelling_of_a_matrix_is_the_same_value(a, k, c):
+    forms = spellings_of(a, k, c)
+    reference = forms.pop("Fractions")
+    assert_canonical(reference)
+    assert reference.entries == a
+    for how, m in forms.items():
+        assert_canonical(m)
+        assert m == reference, how
+        assert hash(m) == hash(reference), how
+        assert repr(m) == repr(reference), how
+        assert mat_to_json(m) == mat_to_json(reference), how
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_operands())
+def test_results_of_the_arithmetic_are_canonical(operands):
+    a, b, _ = operands
+    m, other = Mat(a), Mat(b)
+    results = {
+        "*": m * other,
+        "+": m + m,
+        "-": m - m,
+        "neg": -m,
+        "transpose": m.transpose(),
+        "block": Mat.block([[m, m], [m, m]]),
+        "rref": m.rref()[0],
+        "scale by 0": m.scale(0),
+    }
+    n = min(m.rows, m.cols)
+    square = Mat([row[:n] for row in a[:n]])
+    results["**"] = square ** 3
+    try:
+        results["inverse"] = square.inverse()
+    except SingularMatrix:
+        pass
+    for how, result in results.items():
+        assert_canonical(result)
+        # a result equals the same matrix built from its Fraction view
+        assert result == Mat(result.entries), how

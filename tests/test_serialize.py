@@ -138,6 +138,20 @@ def test_seqop_round_trip():
         assert seqop_to_json(rebuilt) == doc
 
 
+def test_componentwise_round_trip_is_one_sided():
+    op = Componentwise(Mat([[2, "1/3"]]))
+    rebuilt = seqop_from_json(seqop_to_json(op))
+    assert rebuilt == op
+    assert rebuilt.domain is Domain.UNINAT
+
+
+@pytest.mark.parametrize("domain", [Domain.BIINT, Domain.GRID])
+def test_componentwise_off_the_one_sided_domain_is_not_serialised(domain):
+    # the wire format has no domain for componentwise: it would read back one-sided
+    with pytest.raises(TypeError, match="cannot serialize operator"):
+        seqop_to_json(Componentwise(Mat([[2]]), domain))
+
+
 def test_column_blocks_round_trip():
     op = ColumnBlocks({(0, 1): Mat([[2]]), (3, 0): Mat([["1/2"]])}, dim_in=1, dim_out=1)
     doc = seqop_to_json(op)
