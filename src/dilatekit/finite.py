@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .matrix import Mat, NonSquareMatrix, SingularMatrix, Vec, require_square, vec
@@ -299,7 +300,8 @@ def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] 
     if k_max < nd.N + 1:
         raise ValueError(f"k_max must be at least N+1 = {nd.N + 1}, got {k_max}")
     report = Report(
-        suite="ndilation", data={"U": mat_to_json(nd.U), "U_inv": mat_to_json(nd.U_inv)}
+        suite="ndilation",
+        data={"U": partial(mat_to_json, nd.U), "U_inv": partial(mat_to_json, nd.U_inv)},
     )
     report.add(
         "closed-form inverse: U * U_inv = U_inv * U = I",

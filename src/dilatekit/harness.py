@@ -20,7 +20,9 @@ import contextlib
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .finite import (
@@ -155,16 +157,15 @@ def instance_rng(config: SuiteConfig, kind: str, counter: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def random_rational(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
 def random_matrix(rng: random.Random, dim: int, bound: int) -> Mat:
-    return Mat([[random_rational(rng, bound) for _ in range(dim)] for _ in range(dim)])
+    # the draws of random_vector, row by row, brought over their lcm
+    draws = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim * dim)]
+    den = lcm(*(d for _, d in draws))
+    return Mat._reduced(den, [n * (den // d) for n, d in draws], dim)
 
 
 def random_vector(rng: random.Random, dim: int, bound: int) -> Vec:
-    return tuple(random_rational(rng, bound) for _ in range(dim))
+    return tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim))
 
 
 def random_fsvec(rng: random.Random, domain: Domain, dim: int, bound: int) -> FsVec:
@@ -312,12 +313,12 @@ def _closed_form_report(suite: str, built, inverse: str, oracle: str) -> Report:
     proof) and against the dense-inverse oracle, under the check names
     `inverse` and `oracle`."""
     U, U_inv = built.U, built.U_inv
-    rep = Report(suite=suite, data={"U": mat_to_json(U), "U_inv": mat_to_json(U_inv)})
-    rep.add(inverse, inverse_holds(built), witness=lambda: {"U": rep.data["U"]})
+    rep = Report(suite, data={"U": partial(mat_to_json, U), "U_inv": partial(mat_to_json, U_inv)})
+    rep.add(inverse, inverse_holds(built), witness=lambda: {"U": rep.data["U"]()})
     rep.add(
         oracle,
         U_inv == U.inverse(),
-        witness=lambda: {"U": rep.data["U"], "closed_form": rep.data["U_inv"]},
+        witness=lambda: {"U": rep.data["U"](), "closed_form": rep.data["U_inv"]()},
     )
     return rep
 
@@ -364,7 +365,7 @@ class _Schur(Construction):
         inverse = f"class ({fam.class_tag}): U * U_inv = U_inv * U = I"
         oracle = f"class ({fam.class_tag}): closed form equals the dense-inverse oracle"
         rep = _closed_form_report("schur", fam, inverse, oracle)
-        rep.data["schur_complement"] = mat_to_json(fam.schur)
+        rep.data["schur_complement"] = partial(mat_to_json, fam.schur)
         return [rep]
 
 
@@ -390,8 +391,8 @@ class _NonSimilar(Construction):
         rep = Report(
             suite="nonsimilar",
             data={
-                "A1": mat_to_json(pair.A1),
-                "A2": mat_to_json(pair.A2),
+                "A1": partial(mat_to_json, pair.A1),
+                "A2": partial(mat_to_json, pair.A2),
                 "verdict": pair.verdict,
                 **traces,
             },
@@ -421,7 +422,7 @@ class _NonSimilar(Construction):
         rep.add(
             "both dilations invertible with certified inverses",
             pair.A1 * pair.A1_inv == eye and pair.A2 * pair.A2_inv == eye,
-            witness={"A1": rep.data["A1"]},
+            witness=lambda: {"A1": rep.data["A1"]()},
         )
         return [rep]
 
@@ -721,7 +722,8 @@ class _Aggregator:
     def __init__(self):
         self.slots: dict[str, dict] = {}
 
-    def fold(self, rep: Report, trial: int, instance: dict) -> None:
+    def fold(self, rep: Report, trial: int, instance: Callable[[], dict]) -> None:
+        # instance() builds the provenance JSON; only a failing check calls it
         for check in rep.checks:
             slot = self.slots.setdefault(
                 check.name,
@@ -730,7 +732,7 @@ class _Aggregator:
             slot["trials"] += 1
             if check.status == FAIL and slot["witness"] is None:
                 slot["ok"] = False
-                slot["witness"] = {"trial": trial, "instance": instance, **(check.witness or {})}
+                slot["witness"] = {"trial": trial, "instance": instance(), **(check.witness or {})}
             elif check.status == INCONCLUSIVE:
                 slot["inconclusive"] += 1
 
@@ -782,9 +784,8 @@ def _run_suite(config: SuiteConfig, c: Construction) -> Report:
             inst.update(c.probes(instance_rng(config, c.probe_stream, t), inst))
         with _wrap_errors(c.name, t, inst):
             reports = c.verify(c.build(inst), inst, bounds)
-        provenance = _instance_json(c.name, t, inst)
         for trial_rep in reports:
-            agg.fold(trial_rep, t, provenance)
+            agg.fold(trial_rep, t, lambda: _instance_json(c.name, t, inst))
         trial_data.append(reports[0].data)
     agg.emit(rep)
     c.finish(config, rep, trial_data)

@@ -153,6 +153,9 @@ def _bareiss_rref(m: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     return prev, tuple(pivots)
 
 
+_EMPTY = "matrix must have at least one row and one column"
+
+
 class Mat:
     """Immutable dense rational matrix, row-major, stored only as its
     canonical integer form: ``den`` and the rows of numerators ``nums``.
@@ -163,7 +166,7 @@ class Mat:
     def __new__(cls, entries: Sequence[Sequence[Scalar]]) -> Mat:
         grid = [tuple(row) for row in entries]
         if not grid or not grid[0]:
-            raise MatrixError("matrix must have at least one row and one column")
+            raise MatrixError(_EMPTY)
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise MatrixError("ragged rows in matrix literal")
@@ -172,6 +175,9 @@ class Mat:
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
+
+    def __reduce__(self):  # for copy and pickle
+        return Mat._raw, (self.den, self.nums)
 
     # ------------------------------------------------------------------
     # constructors
@@ -197,11 +203,15 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> Mat:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise MatrixError(_EMPTY)
+        return cls._raw(1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Mat:
-        return cls([[0] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise MatrixError(_EMPTY)
+        return cls._raw(1, ((0,) * cols,) * rows)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Scalar]]) -> Mat:
@@ -436,7 +446,7 @@ def span_rank(columns: Sequence[Vec]) -> int:
     cols = list(columns)
     if not cols:
         return 0
-    return Mat.from_columns(cols).rank()
+    return Mat(cols).rank()  # the rank of the transpose
 
 
 def in_span(columns: Sequence[Vec], x: Vec) -> bool:

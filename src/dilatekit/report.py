@@ -49,6 +49,7 @@ class Report:
     suite: str
     checks: list[Check] = field(default_factory=list)
     config: dict[str, Any] = field(default_factory=dict)
+    # a value may be a function of no arguments, called when written out
     data: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -96,7 +97,7 @@ class Report:
         if self.config:
             out["config"] = self.config
         if self.data:
-            out["data"] = self.data
+            out["data"] = {k: v() if callable(v) else v for k, v in self.data.items()}
         return out
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import IO, Any, Callable, NamedTuple, Union
 
@@ -79,8 +80,15 @@ def vec_from_json(value: Any, where: str = "$") -> Vec:
     return tuple(rat_from_json(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
+def _ratio_to_json(n: int, den: int) -> Union[int, str]:
+    """``rat_to_json(Fraction(n, den))`` for den >= 1, with one gcd."""
+    g = gcd(n, den)
+    return n // g if g == den else f"{n // g}/{den // g}"
+
+
 def mat_to_json(m: Mat) -> list[list]:
-    return [[rat_to_json(x) for x in row] for row in m.entries]
+    den = m.den
+    return [[_ratio_to_json(n, den) for n in row] for row in m.nums]
 
 
 def mat_from_json(value: Any, where: str = "$") -> Mat:

@@ -2,9 +2,12 @@
 
 The bijective part is the eventual image, i.e. the stabilized member of
 the decreasing chain im(T) >= im(T^2) >= ...; in finite dimensions this
-equals the intersection of all forward images. The complement is chosen
-deterministically by greedy extension with standard basis vectors, since
-complements are genuinely non-unique.
+equals the intersection of all forward images. Each step of the chain is
+one product with T and one rref, on the matrix whose rows are the basis.
+The complement is the standard basis vectors that are pivot columns of
+rref([Vb | I]): the deterministic choice of greedy extension of Vb by
+e_0, e_1, ..., made in one elimination, since complements are genuinely
+non-unique.
 
 Strict mode mirrors the injective hypothesis of the underlying theorem
 and rejects maps with nontrivial kernel; on a finite-dimensional space an
@@ -16,10 +19,11 @@ actually exercises the algorithm; every report flags it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .matrix import Mat, Vec, in_span, require_square, span_rank, unit_vec
 from .report import Report
-from .serialize import vec_to_json
+from .serialize import mat_to_json, vec_to_json
 
 STRICT = "strict"
 EXTENDED = "extended"
@@ -43,26 +47,50 @@ class WoldDecomposition:
     certificates: Report
 
 
+def _row_space(m: Mat) -> Optional[Mat]:
+    """The nonzero rows of rref(m), a canonical basis of its row space; None if m is zero."""
+    reduced, pivots = m.rref()
+    if not pivots:
+        return None
+    # the rows dropped are zero, so the rows kept are still canonical
+    return Mat._raw(reduced.den, reduced.nums[: len(pivots)])
+
+
+def _stack(*parts: Optional[Mat]) -> Optional[Mat]:
+    """The rows of the parts given, one below the other."""
+    parts = [p for p in parts if p is not None]
+    return Mat.block([[p] for p in parts]) if parts else None
+
+
+def _rank(m: Optional[Mat]) -> int:
+    return 0 if m is None else m.rank()
+
+
+def _vecs(m: Optional[Mat]) -> list[Vec]:
+    return [] if m is None else list(m.entries)
+
+
+def _eventual_image(T: Mat) -> tuple[Optional[Mat], int]:
+    # eventual_image, with the basis as rows of a matrix (None if it is empty)
+    Tt = require_square(T).transpose()
+    basis: Optional[Mat] = Mat.identity(T.rows)  # im(T^0) = whole space
+    index = 0
+    while basis is not None:
+        image = _row_space(basis * Tt)  # its rows are T v for the rows v of basis
+        if image is not None and image.rows == basis.rows:
+            break
+        basis, index = image, index + 1
+    return basis, index
+
+
 def eventual_image(T: Mat) -> tuple[list[Vec], int]:
     """Stabilized image chain basis and the index where it stabilizes.
 
     Returns the canonical basis of im(T^k) for the minimal k with
     dim im(T^k) = dim im(T^{k+1}); k is at most the space dimension.
     """
-    d = require_square(T).rows
-    basis = [unit_vec(d, i) for i in range(d)]  # im(T^0) = whole space
-    index = 0
-    while True:
-        image = [T.apply(v) for v in basis]
-        next_basis = (
-            Mat.from_columns(image).column_space_basis()
-            if any(not all(x == 0 for x in c) for c in image)
-            else []
-        )
-        if len(next_basis) == len(basis):
-            return basis, index
-        basis = next_basis
-        index += 1
+    basis, index = _eventual_image(T)
+    return _vecs(basis), index
 
 
 def wold_decompose(T: Mat, mode: str = EXTENDED) -> WoldDecomposition:
@@ -74,21 +102,16 @@ def wold_decompose(T: Mat, mode: str = EXTENDED) -> WoldDecomposition:
         kernel = T.kernel_basis()
         if kernel:
             raise NotInjective(kernel[0])
-    vb_basis, index = eventual_image(T)
+    basis, index = _eventual_image(T)
 
-    vs_basis: list[Vec] = []
-    chosen = list(vb_basis)
-    rank = len(chosen)
-    for i in range(T.rows):
-        candidate = unit_vec(T.rows, i)
-        if span_rank(chosen + [candidate]) > rank:
-            chosen.append(candidate)
-            vs_basis.append(candidate)
-            rank += 1
+    # a column of [Vb | I] is a pivot iff it is outside the span of those before it
+    d, k = T.rows, 0 if basis is None else basis.rows
+    extended = _stack(basis, Mat.identity(d)).transpose()
+    vs_basis = [unit_vec(d, p - k) for p in extended.rref()[1] if p >= k]
 
     decomposition = WoldDecomposition(
         T=T,
-        Vb_basis=vb_basis,
+        Vb_basis=_vecs(basis),
         Vs_basis=vs_basis,
         stabilization_index=index,
         mode=mode,
@@ -105,15 +128,16 @@ def verify_wold(w: WoldDecomposition) -> Report:
     part is invariant under T; T restricted to it has full rank into it;
     the claimed bijective part agrees with the eventual image; and the
     complement meets the eventual image only in zero (the shift
-    certificate).
+    certificate). Each is a rank of an integer matrix whose rows are the
+    vectors involved; a witness is looked for only when a check fails.
     """
     d = w.T.rows
     report = Report(
         suite="wold_verify",
         config={"mode": w.mode, "dim": d},
         data={
-            "Vb_basis": [vec_to_json(v) for v in w.Vb_basis],
-            "Vs_basis": [vec_to_json(v) for v in w.Vs_basis],
+            "Vb_basis": lambda: [vec_to_json(v) for v in w.Vb_basis],
+            "Vs_basis": lambda: [vec_to_json(v) for v in w.Vs_basis],
             "stabilization_index": w.stabilization_index,
         },
     )
@@ -126,48 +150,42 @@ def verify_wold(w: WoldDecomposition) -> Report:
         witness=lambda: {"rank": rank, "dim": d, "basis": [vec_to_json(v) for v in combined]},
     )
 
-    invariance_witness = None
-    for v in w.Vb_basis:
-        image = w.T.apply(v)
-        if not in_span(w.Vb_basis, image):
-            invariance_witness = {"vector": vec_to_json(v), "image": vec_to_json(image)}
-            break
-    report.add("invariance: T maps the bijective part into itself", invariance_witness is None, witness=invariance_witness)
-
-    images = [w.T.apply(v) for v in w.Vb_basis]
-    bijective = (
-        span_rank(images) == len(w.Vb_basis)
-        and all(in_span(w.Vb_basis, img) for img in images)
+    vb = Mat(w.Vb_basis) if w.Vb_basis else None
+    claimed = None if vb is None else _row_space(vb)
+    images = None if vb is None else vb * w.T.transpose()  # rows T v for v in Vb
+    invariant = _rank(_stack(vb, images)) == (0 if claimed is None else claimed.rows)
+    report.add(
+        "invariance: T maps the bijective part into itself",
+        invariant,
+        witness=lambda: next(  # the first vector that T maps out of the part
+            {"vector": vec_to_json(v), "image": vec_to_json(w.T.apply(v))}
+            for v in w.Vb_basis
+            if not in_span(w.Vb_basis, w.T.apply(v))
+        ),
     )
+
     report.add(
         "bijectivity: T restricted to the bijective part has full rank into it",
-        bijective,
-        witness=lambda: {
-            "images": [vec_to_json(v) for v in images],
-            "expected_rank": len(w.Vb_basis),
-        },
+        invariant and _rank(images) == len(w.Vb_basis),
+        witness=lambda: {"images": mat_to_json(images), "expected_rank": len(w.Vb_basis)},
     )
 
-    ev_basis, _ = eventual_image(w.T)
-    claimed_canonical = (
-        Mat.from_columns(w.Vb_basis).column_space_basis() if w.Vb_basis else []
-    )
-    agrees = claimed_canonical == ev_basis
+    ev, _ = _eventual_image(w.T)
     report.add(
         "bijective part equals the eventual image",
-        agrees,
+        claimed == ev,
         witness=lambda: {
             "claimed": [vec_to_json(v) for v in w.Vb_basis],
-            "eventual_image": [vec_to_json(v) for v in ev_basis],
+            "eventual_image": [vec_to_json(v) for v in _vecs(ev)],
         },
     )
 
-    joint = span_rank(list(w.Vs_basis) + ev_basis)
-    disjoint = joint == len(w.Vs_basis) + len(ev_basis)
+    expected = len(w.Vs_basis) + (0 if ev is None else ev.rows)
+    joint = _rank(_stack(Mat(w.Vs_basis) if w.Vs_basis else None, ev))
     report.add(
         "shift certificate: complement meets the eventual image only in zero",
-        disjoint,
-        witness={"joint_rank": joint, "expected": len(w.Vs_basis) + len(ev_basis)},
+        joint == expected,
+        witness={"joint_rank": joint, "expected": expected},
     )
 
     return report

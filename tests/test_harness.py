@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dilatekit import Mat, harness
+from dilatekit import Mat, finite, harness, wold
 from dilatekit.harness import (
     ALL_SUITES,
     CONSTRUCTIONS,
@@ -19,11 +19,12 @@ from dilatekit.harness import (
     resample,
     run_suites,
 )
+from dilatekit.finite import halmos_build
 from dilatekit.finsupp import Domain
 from dilatekit.intertwine import make_pair, verify_lift
 from dilatekit.report import Check, Report, reports_to_json
 from dilatekit.seqops import Componentwise, Compose, CoordProj0
-from dilatekit.serialize import MAX_BOUND
+from dilatekit.serialize import MAX_BOUND, mat_to_json
 
 SMALL = SuiteConfig(seed=1, trials=4, dim_max=3, n_max=6, m_max=4)
 
@@ -248,3 +249,39 @@ def test_intertwine_suite_reports_a_broken_lift_as_a_failed_check(monkeypatch):
     assert {k: forward.witness[k] for k in ("probe", "lhs", "rhs")} == expected.witness
     # without the certificate, nothing is read off
     assert "round trip: extracted map equals the lifted one" not in checks
+
+
+def test_a_failing_check_folds_the_instance_it_failed_on(monkeypatch):
+    monkeypatch.setattr(harness, "inverse_holds", lambda built: False)
+    config = SuiteConfig(seed=5, trials=3, dim_max=3, suites=("halmos",))
+    rep = run_suites(config)[0]
+    failed = rep.failed_checks()
+    assert [c.name for c in failed] == ["closed-form inverse: U * U_inv = U_inv * U = I"]
+    inst = generate_instance(config, "halmos", 0)
+    assert failed[0].witness == {
+        "trial": 0,
+        "instance": harness._instance_json("halmos", 0, inst),
+        "U": mat_to_json(halmos_build(inst["T"]).U),
+    }
+
+
+def test_passing_suites_build_no_provenance_and_serialise_no_matrix(monkeypatch):
+    calls = {"_instance_json": 0, "mat_to_json": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "_instance_json", counting("_instance_json", harness._instance_json))
+    for module in (harness, finite, wold):
+        monkeypatch.setattr(module, "mat_to_json", counting("mat_to_json", module.mat_to_json))
+    reports = run_suites(SMALL)
+    assert all(r.passed for r in reports)
+    assert calls == {"_instance_json": 0, "mat_to_json": 0}
+    # the report's data is built when it is written out
+    text = CONSTRUCTIONS["halmos"].verify(halmos_build(Mat([[2]])), {}, None)[0].to_json()
+    assert json.loads(text)["data"] == {"U": [[2, 1], [1, 0]], "U_inv": [[0, 1], [1, -2]]}
+    assert calls["mat_to_json"] == 2

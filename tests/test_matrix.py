@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -8,13 +10,15 @@ from hypothesis import strategies as st
 from dilatekit import (
     DimensionMismatch,
     Mat,
+    MatrixError,
     NonSquareMatrix,
     SingularMatrix,
     rref_image_kernel,
 )
+from dilatekit.finsupp import Domain, FsVec
 from dilatekit.matrix import as_rat, in_span, span_rank, unit_vec, vec
-from dilatekit.seqops import _PowerCache
-from dilatekit.serialize import mat_to_json
+from dilatekit.seqops import Componentwise, ProjStd, _PowerCache
+from dilatekit.serialize import mat_to_json, rat_to_json
 
 from strategies import matrices, square_pairs
 
@@ -409,3 +413,51 @@ def test_results_of_the_arithmetic_are_canonical(operands):
         assert_canonical(result)
         # a result equals the same matrix built from its Fraction view
         assert result == Mat(result.entries), how
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_grids())
+def test_mat_to_json_reads_each_entry_as_rat_to_json(a):
+    m = Mat(a)
+    assert mat_to_json(m) == [[rat_to_json(x) for x in row] for row in m.entries]
+
+
+# ----------------------------------------------------------------------
+# the integer constructors, and copies
+
+
+def test_identity_and_zeros_equal_their_literals():
+    for n in range(1, 6):
+        literal = Mat([[int(i == j) for j in range(n)] for i in range(n)])
+        assert Mat.identity(n) == literal
+        assert hash(Mat.identity(n)) == hash(literal)
+        assert_canonical(Mat.identity(n))
+    for rows, cols in ((1, 1), (2, 3), (4, 1)):
+        literal = Mat([[0] * cols for _ in range(rows)])
+        assert Mat.zeros(rows, cols) == literal
+        assert hash(Mat.zeros(rows, cols)) == hash(literal)
+        assert_canonical(Mat.zeros(rows, cols))
+
+
+def test_empty_identity_and_zeros_are_refused():
+    for build in (lambda: Mat.identity(0), lambda: Mat.identity(-1),
+                  lambda: Mat.zeros(0, 2), lambda: Mat.zeros(2, 0)):
+        with pytest.raises(MatrixError, match="at least one row and one column"):
+            build()
+
+
+def test_copy_and_pickle_round_trips():
+    m = Mat([[1, 2], [3, "1/2"]])
+    proj = ProjStd(m)
+    proj.apply(FsVec(Domain.UNINAT, 2, {3: (1, 0)}))  # caches T^3 in _powers
+    for value in (m, Componentwise(m), proj):
+        for how, clone in (
+            ("copy", copy.copy(value)),
+            ("deepcopy", copy.deepcopy(value)),
+            ("pickle", pickle.loads(pickle.dumps(value))),
+        ):
+            assert clone == value, how
+            assert hash(clone) == hash(value), how
+    restored = pickle.loads(pickle.dumps(proj))
+    assert restored._powers.get(3) == m ** 3
+    assert restored.T.entries == m.entries
