@@ -159,7 +159,16 @@ def _cmd_construction(c: Construction, args) -> int:
     inst.update((kwargs["dest"], getattr(args, kwargs["dest"])) for _, kwargs in c.options)
     inst.update(c.probes(rng, inst))
     bounds = Bounds(**{kwargs["dest"]: getattr(args, kwargs["dest"]) for _, kwargs in c.bounds})
-    return _finish(c.verify(c.build(inst), inst, bounds))
+    # The files obey Python's int-string digit limit; the numbers a report
+    # prints, such as T^k x, may outgrow it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _finish(c.verify(c.build(inst), inst, bounds))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 @functools.lru_cache(maxsize=None)

@@ -309,8 +309,8 @@ def _nmax(default: int) -> tuple[str, dict]:
 
 
 def _closed_form_report(suite: str, built, inverse: str, oracle: str) -> Report:
-    """A closed-form inverse checked by multiplication (the builder's own
-    proof) and against the dense-inverse oracle, under the check names
+    """A closed-form inverse checked by multiplication (`inverse_holds`)
+    and against the dense-inverse oracle, under the check names
     `inverse` and `oracle`."""
     U, U_inv = built.U, built.U_inv
     rep = Report(suite, data={"U": partial(mat_to_json, U), "U_inv": partial(mat_to_json, U_inv)})

@@ -15,7 +15,7 @@ basis and caller-supplied probes, and every report states the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .finsupp import Domain, FsVec
 from .matrix import Mat, NonSquareMatrix, Vec, require_square, unit_vec, vec
@@ -55,31 +55,40 @@ def _probe_vecs(probes: Sequence[Sequence], dim: int) -> list[Vec]:
     return out
 
 
+def compression_mismatches(
+    T: Mat, U: SeqOp, P: SeqOp, starts: Sequence[tuple[FsVec, FsVec]], n_max: int
+) -> Iterator[tuple[int, int, FsVec, FsVec]]:
+    """Every (n, i, projected, expected) with P U^n y_i != T^n z_i for
+    0 <= n <= n_max, in (n, i) order, over the start pairs (y_i, z_i).
+
+    This is the compression identity of every dilation here: with
+    y = z = I x it reads P U^n I x = I T^n x. Both sides are carried forward
+    one step per n: y by U, and z by T acting componentwise on P's domain,
+    independently of U and P."""
+    t_step = Componentwise(T, P.domain)
+    ys, zs = [y for y, _ in starts], [z for _, z in starts]
+    for n in range(n_max + 1):
+        for i, (y, z) in enumerate(zip(ys, zs)):
+            if n > 0:
+                ys[i] = y = U.apply(y)
+                zs[i] = z = t_step.apply(z)
+            projected = P.apply(y)
+            if projected != z:
+                yield n, i, projected, z
+
+
 def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Optional[dict]:
     """The first (n, x), in that order, with P U^n I x != I T^n x for
-    first_n <= n <= n_max, as a JSON witness.
-
-    Both orbits are carried forward one step per n: U^n I x by U, and the
-    expected side I T^n x by a componentwise action of T, independently of
-    U and P."""
-    t_step = Componentwise(dil.T, dil.I.domain)
-    images = [dil.I.apply(x) for x in vecs]
-    t_images = list(images)
-    for n in range(n_max + 1):
-        if n > 0:
-            images = [dil.U.apply(image) for image in images]
-            t_images = [t_step.apply(y) for y in t_images]
-        if n < first_n:
-            continue
-        for x, image, expected in zip(vecs, images, t_images):
-            projected = dil.P.apply(image)
-            if projected != expected:
-                return {
-                    "n": n,
-                    "probe": vec_to_json(x),
-                    "projected": fsvec_to_json(projected),
-                    "expected": fsvec_to_json(expected),
-                }
+    first_n <= n <= n_max, as a JSON witness."""
+    starts = [(dil.I.apply(x),) * 2 for x in vecs]
+    for n, i, projected, expected in compression_mismatches(dil.T, dil.U, dil.P, starts, n_max):
+        if n >= first_n:
+            return {
+                "n": n,
+                "probe": vec_to_json(vecs[i]),
+                "projected": fsvec_to_json(projected),
+                "expected": fsvec_to_json(expected),
+            }
     return None
 
 
@@ -370,38 +379,30 @@ def ando_verify(
         },
     )
 
-    # One pass over the cells (n, m) per probe; the single-parameter
-    # compressions are the cells with m = 0 < n and with n = 0 < m. The
-    # expected side of row n is the list [I T^n S^m x for m <= m_max],
-    # carried from row to row by a componentwise action of T per cell.
-    t_step, s_step = Componentwise(av.T, Domain.GRID), Componentwise(av.S, Domain.GRID)
+    # The starts of a probe are its cells (V^m I x, I S^m x) for m <= m_max,
+    # so the witnesses run probe first, then n, then m; the
+    # single-parameter compressions are the cells with m = 0 < n and with
+    # n = 0 < m.
+    s_step = Componentwise(av.S, Domain.GRID)
     witness = u_witness = v_witness = None
     for x in vecs:
-        row_shifted = av.I.apply(x)
-        orbit = [row_shifted]
+        starts = [(av.I.apply(x),) * 2]
         for _ in range(m_max):
-            orbit.append(s_step.apply(orbit[-1]))
-        for n in range(0, n_max + 1):
-            if n > 0:
-                orbit = [t_step.apply(y) for y in orbit]
-            cell = row_shifted
-            for m, expected in enumerate(orbit):
-                projected = av.P.apply(cell)
-                if projected != expected:
-                    if witness is None:
-                        witness = {
-                            "n": n,
-                            "m": m,
-                            "probe": vec_to_json(x),
-                            "projected": fsvec_to_json(projected),
-                            "expected": fsvec_to_json(expected),
-                        }
-                    if u_witness is None and m == 0 < n:
-                        u_witness = {"n": n, "probe": vec_to_json(x)}
-                    if v_witness is None and n == 0 < m:
-                        v_witness = {"m": m, "probe": vec_to_json(x)}
-                cell = av.V.apply(cell)
-            row_shifted = av.U.apply(row_shifted)
+            y, z = starts[-1]
+            starts.append((av.V.apply(y), s_step.apply(z)))
+        for n, m, projected, expected in compression_mismatches(av.T, av.U, av.P, starts, n_max):
+            if witness is None:
+                witness = {
+                    "n": n,
+                    "m": m,
+                    "probe": vec_to_json(x),
+                    "projected": fsvec_to_json(projected),
+                    "expected": fsvec_to_json(expected),
+                }
+            if u_witness is None and m == 0 < n:
+                u_witness = {"n": n, "probe": vec_to_json(x)}
+            if v_witness is None and n == 0 < m:
+                v_witness = {"m": m, "probe": vec_to_json(x)}
     report.add(
         "two-parameter compression I T^n S^m x = P U^n V^m I x",
         witness is None,

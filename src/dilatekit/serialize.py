@@ -22,6 +22,7 @@ from .finsupp import Domain, FsVec
 from .matrix import Mat, Vec
 
 _RAT_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
+_TOO_LONG = "number has more digits than Python's int-string limit allows"
 
 
 class ParseError(ValueError):
@@ -56,8 +57,11 @@ def rat_from_json(value: Any, where: str = "$") -> Fraction:
         m = _RAT_RE.match(value)
         if not m:
             raise ParseError(f"malformed rational string {value!r}", where)
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            num = int(m.group(1))
+            den = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:
+            raise ParseError(_TOO_LONG, where) from None
         if den == 0:
             raise DenominatorZero(where)
         return Fraction(num, den)
@@ -297,6 +301,8 @@ def _load_json(source: Source) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "$") from exc
+    except ValueError:  # an integer literal past the digit limit
+        raise ParseError(_TOO_LONG, "$") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply", "$") from None
 

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import json
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +18,7 @@ from dilatekit.serialize import (
     MAX_ENTRY_BOUND,
     MAX_N,
     MAX_TRIALS,
+    rat_to_json,
     seqop_to_json,
 )
 
@@ -157,6 +161,45 @@ def test_ndilate_command(capsys, tmp_path):
     assert code == EXIT_PASS
     report = json.loads(out)[0]
     assert report["data"]["U"] == [[2, 0, 1], [1, 0, 0], [0, 1, 0]]
+
+
+@contextlib.contextmanager
+def _unlimited_int_strings():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_ndilate_prints_numbers_past_the_int_digit_limit(capsys, tmp_path):
+    # T^2 x + x in the beyond-range witness has about 6000 digits, more than
+    # the 4300 that str() allows by default
+    t = int("9" * 3000)
+    t_file = write(tmp_path, "t.json", [[t]])
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, ["ndilate", "--T", t_file, "--N", "1"])
+    assert (code, err) == (EXIT_PASS, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    witness = json.loads(out, parse_int=str)[0]["data"]["beyond_range"][0]["witness"]
+    x = Fraction(witness["probe"][0])
+    with _unlimited_int_strings():
+        assert witness["first_block"] == [str(rat_to_json(t * t * x + x))]
+        assert witness["expected"] == [str(rat_to_json(t * t * x))]
+
+
+def test_ndilate_refuses_a_number_past_the_int_digit_limit_with_its_path(capsys, tmp_path):
+    t_file = tmp_path / "t.json"
+    t_file.write_text('[["' + "1" * 5000 + '/3"]]')
+    code, out, err = run_cli(capsys, ["ndilate", "--T", str(t_file), "--N", "1"])
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: $[0][0]: number has more digits")
+    else:
+        assert code == EXIT_PASS
 
 
 def test_schaffer_and_standard_commands(capsys, tmp_path):

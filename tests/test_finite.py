@@ -1,9 +1,11 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatekit import Mat
 from dilatekit.finite import (
@@ -12,12 +14,15 @@ from dilatekit.finite import (
     SCHUR_CLASSES,
     PreconditionFailed,
     halmos_build,
+    inverse_holds,
     ndilation_build,
     ndilation_verify,
     nonsimilar_pair,
     schur_build,
 )
-from strategies import matrices
+from dilatekit.report import Check, Report
+from dilatekit.serialize import mat_to_json, vec_to_json
+from strategies import matrices, rationals, vectors
 
 
 def random_mat(rng, dim, bound=9):
@@ -239,16 +244,17 @@ def test_ndilation_verify_records_every_k_beyond_range():
 
 
 def _wrong_at_apply(T: Mat, step: int) -> Mat:
-    """T, except that its step-th `apply` is off by one in the first entry."""
+    """T, except that its step-th product with a vector is off by one in the
+    first entry."""
     calls = []
 
     class Wrong(Mat):
         __slots__ = ()
 
-        def apply(self, x):
-            calls.append(x)
-            y = super().apply(x)
-            return (y[0] + 1,) + y[1:] if len(calls) == step else y
+        def _apply_ints(self, den, nums):
+            calls.append(nums)
+            d, y = super()._apply_ints(den, nums)
+            return (d, [y[0] + d] + y[1:]) if len(calls) == step else (d, y)
 
     return Wrong(T.entries)
 
@@ -313,3 +319,128 @@ def test_ndilation_compresses_up_to_n(T):
             y = nd.U.apply(y)
             power = T * power
         assert nd.first_block(y) == power.apply(x)
+
+
+# ----------------------------------------------------------------------
+# the verifiers form the inverse products; the builders do not
+
+
+def test_builders_form_no_matrix_product(monkeypatch):
+    calls = []
+    product = Mat.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counting)
+    T = Mat([[1, 2], [Fraction(1, 3), -1]])
+    halmos_build(T)
+    for N in (1, 2, 3):
+        ndilation_build(T, N)
+    assert calls == []
+    assert inverse_holds(halmos_build(T)) and inverse_holds(ndilation_build(T, 2))
+    assert len(calls) == 4
+
+
+def test_a_wrong_closed_form_is_a_failed_check_with_its_witness():
+    nd = ndilation_build(Mat([[2]]), 1)
+    wrong = dataclasses.replace(nd, U_inv=Mat([[0, 1], [1, 2]]))
+    rep = ndilation_verify(wrong, [(1,)])
+    check = rep.checks[0]
+    assert (check.name, check.status) == ("closed-form inverse: U * U_inv = U_inv * U = I", "fail")
+    assert check.witness == {"N": 1, "T": [[2]]}
+    hd = halmos_build(Mat([[2]]))
+    assert not inverse_holds(dataclasses.replace(hd, U_inv=Mat([[0, 1], [1, 2]])))
+
+
+# ----------------------------------------------------------------------
+# ndilation_verify against a plain-Fraction copy of the loop it replaced:
+# both orbits carried by dense matrix-vector products on Fraction tuples
+
+
+def _fraction_apply(rows, x):
+    return tuple(sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows)
+
+
+def _reference_ndilation_report(nd, probes, k_max):
+    eye = Mat.identity(nd.U.rows)
+    U, T = nd.U.entries, nd.T.entries
+    report = Report(
+        suite="ndilation",
+        data={"U": partial(mat_to_json, nd.U), "U_inv": partial(mat_to_json, nd.U_inv)},
+    )
+    report.add(
+        "closed-form inverse: U * U_inv = U_inv * U = I",
+        nd.U * nd.U_inv == eye and nd.U_inv * nd.U == eye,
+        witness={"N": nd.N, "T": mat_to_json(nd.T)},
+    )
+    probes = [tuple(Fraction(v) for v in x) for x in probes]
+    images = [x + (Fraction(0),) * (nd.N * nd.dim) for x in probes]
+    t_images = list(probes)
+    first_witness = None
+    beyond_range = []
+    for k in range(1, k_max + 1):
+        witness = None
+        for i, x in enumerate(probes):
+            images[i] = _fraction_apply(U, images[i])
+            t_images[i] = _fraction_apply(T, t_images[i])
+            first_block = images[i][: nd.dim]
+            if witness is None and first_block != t_images[i]:
+                witness = {
+                    "k": k,
+                    "probe": vec_to_json(x),
+                    "first_block": vec_to_json(first_block),
+                    "expected": vec_to_json(t_images[i]),
+                }
+        if k <= nd.N:
+            first_witness = first_witness or witness
+            continue
+        if k == nd.N + 1:
+            report.data["breaks_at_n_plus_1"] = witness is not None
+        held = "held on all probes" if witness is None else "broke on a probe"
+        check = Check(
+            f"compression beyond guaranteed range (k={k})",
+            "inconclusive",
+            witness=witness,
+            detail=f"identity {held}",
+        )
+        beyond_range.append(check.as_dict())
+    report.add(
+        COMPRESSION,
+        first_witness is None,
+        bound=nd.N,
+        witness=first_witness,
+        detail="" if probes else "vacuous: no probes supplied",
+    )
+    report.data["beyond_range"] = beyond_range
+    return report
+
+
+def _nudged(m: Mat, r: int, c: int, delta: Fraction) -> Mat:
+    rows = [list(row) for row in m.entries]
+    rows[r][c] += delta
+    return Mat(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ndilation_verify_matches_the_fraction_loop(data):
+    T = data.draw(matrices(max_dim=3, bound=5), label="T")
+    N = data.draw(st.integers(1, 3), label="N")
+    nd = ndilation_build(T, N)
+    fault = data.draw(st.sampled_from(["none", "U", "T"]), label="fault")
+    delta = data.draw(rationals(4).filter(bool), label="delta")
+    if fault == "U":
+        # one entry of U: the identity first breaks at the power where that
+        # entry reaches the first block
+        size = nd.U.rows
+        r, c = data.draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+        nd = dataclasses.replace(nd, U=_nudged(nd.U, r, c, delta))
+    elif fault == "T":
+        r, c = data.draw(st.tuples(st.integers(0, T.rows - 1), st.integers(0, T.rows - 1)))
+        nd = dataclasses.replace(nd, T=_nudged(T, r, c, delta))
+    probes = data.draw(st.lists(vectors(T.rows, 5), max_size=4), label="probes")
+    k_max = N + data.draw(st.integers(1, 3), label="k_max - N")
+    got = ndilation_verify(nd, probes, k_max)
+    assert got.to_json() == _reference_ndilation_report(nd, probes, k_max).to_json()

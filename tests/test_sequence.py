@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatekit import Mat
 from dilatekit.finsupp import Domain, FsVec
@@ -19,9 +20,10 @@ from dilatekit.sequence import (
     standard_verify,
 )
 from dilatekit.seqops import GridDown, GridRight, ProjAndo, ProjStd, SchafferU, _PowerCache
-from dilatekit.serialize import fsvec_to_json
+from dilatekit.report import Report
+from dilatekit.serialize import fsvec_to_json, vec_to_json
 
-from strategies import matrices
+from strategies import fsvecs, matrices, rationals, vectors
 
 
 def random_mat(rng, dim, bound=9):
@@ -356,3 +358,136 @@ def test_schaffer_verify_catches_an_operator_wrong_at_one_power():
         "projected": fsvec_to_json(FsVec.single(Domain.BIINT, 1, 0, (9,))),
         "expected": fsvec_to_json(FsVec.single(Domain.BIINT, 1, 0, (8,))),
     }
+
+
+# ----------------------------------------------------------------------
+# ando_verify against a copy of the loop it replaced: one pass over the
+# cells V^m U^n I x per probe, with the expected side I T^n S^m x formed
+# by plain-Fraction matrix-vector products; the operators under test are
+# the same objects on both sides
+
+
+def _fraction_apply(rows, x):
+    return tuple(sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows)
+
+
+def _reference_ando_report(av, probes, n_max, m_max, seq_probes):
+    report = Report(
+        suite="ando_verify",
+        config={
+            "n_max": n_max,
+            "m_max": m_max,
+            "probes": len(probes),
+            "seq_probes": len(seq_probes),
+        },
+    )
+    T, S = av.T.entries, av.S.entries
+    witness = u_witness = v_witness = None
+    for x in probes:
+        x = tuple(Fraction(v) for v in x)
+        row_shifted = av.I.apply(x)
+        orbit = [x]
+        for _ in range(m_max):
+            orbit.append(_fraction_apply(S, orbit[-1]))
+        for n in range(n_max + 1):
+            if n > 0:
+                orbit = [_fraction_apply(T, y) for y in orbit]
+            cell = row_shifted
+            for m, value in enumerate(orbit):
+                projected = av.P.apply(cell)
+                expected = FsVec.single(Domain.GRID, av.dim, (0, 0), value)
+                if projected != expected:
+                    if witness is None:
+                        witness = {
+                            "n": n,
+                            "m": m,
+                            "probe": vec_to_json(x),
+                            "projected": fsvec_to_json(projected),
+                            "expected": fsvec_to_json(expected),
+                        }
+                    if u_witness is None and m == 0 < n:
+                        u_witness = {"n": n, "probe": vec_to_json(x)}
+                    if v_witness is None and n == 0 < m:
+                        v_witness = {"m": m, "probe": vec_to_json(x)}
+                cell = av.V.apply(cell)
+            row_shifted = av.U.apply(row_shifted)
+    report.add(TWO_PARAMETER, witness is None, bound=max(n_max, m_max), witness=witness)
+    report.add(SINGLE_U, u_witness is None, bound=n_max, witness=u_witness)
+    report.add(SINGLE_V, v_witness is None, bound=m_max, witness=v_witness)
+    witness = None
+    for x in seq_probes:
+        down, right = av.U.apply(x), av.V.apply(x)
+        if GridRight(av.dim).apply(down) != GridDown(av.dim).apply(right):
+            witness = {"probe": fsvec_to_json(x), "identity": "prepend"}
+            break
+        if av.V.apply(down) != av.U.apply(right):
+            witness = {"probe": fsvec_to_json(x), "identity": "exchange"}
+            break
+    report.add(
+        "shift exchange: zero-column-prepended U x equals zero-row-prepended V x, and U V = V U",
+        witness is None,
+        bound=len(seq_probes),
+        witness=witness,
+    )
+    return report
+
+
+class _ProjAndoWrongAtCells(ProjAndo):
+    """Adds 1 to coordinate j of its output whenever its input has a
+    nonzero coordinate j at a cell c, for each (c, j) in `faults`: wrong on
+    one coordinate, so only for the probes that reach it."""
+
+    def __init__(self, T, S, faults):
+        super().__init__(T, S)
+        object.__setattr__(self, "faults", faults)
+
+    def apply(self, x):
+        y = super().apply(x)
+        for cell, j in self.faults:
+            if x.coeff(cell)[j]:
+                bump = [int(i == j) for i in range(self.dim)]
+                y = y + FsVec.single(Domain.GRID, self.dim, (0, 0), bump)
+        return y
+
+
+def test_ando_verify_witnesses_run_probe_first():
+    # the second probe breaks at (1, 0), the first only later, at (2, 1)
+    av = ando_build(Mat.identity(2), Mat.identity(2))
+    wrong = dataclasses.replace(av, P=_ProjAndoWrongAtCells(av.T, av.S, [((1, 0), 1), ((2, 1), 0)]))
+    failed = _failed(ando_verify(wrong, [(1, 0), (0, 1)], n_max=3, m_max=3))
+    assert failed[TWO_PARAMETER] == {
+        "n": 2,
+        "m": 1,
+        "probe": [1, 0],
+        "projected": fsvec_to_json(FsVec.single(Domain.GRID, 2, (0, 0), (2, 0))),
+        "expected": fsvec_to_json(FsVec.single(Domain.GRID, 2, (0, 0), (1, 0))),
+    }
+    assert failed[SINGLE_U] == {"n": 1, "probe": [0, 1]}
+    assert SINGLE_V not in failed
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ando_verify_matches_the_fraction_loop(data):
+    T = data.draw(matrices(max_dim=3, bound=3), label="T")
+    a, b = data.draw(st.tuples(rationals(3), rationals(3)), label="S = a T + b I")
+    S = T.scale(a) + Mat.identity(T.rows).scale(b)
+    av = ando_build(T, S)
+    n_max, m_max = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)), label="bounds")
+    cells = st.tuples(st.integers(0, n_max), st.integers(0, m_max))
+    faults = data.draw(st.lists(st.tuples(cells, st.integers(0, T.rows - 1)), max_size=3))
+    P = _ProjAndoWrongAtCells(T, S, faults)
+    power_fault = data.draw(st.sampled_from([None, "_t_powers", "_s_powers"]), label="power")
+    if power_fault is not None:
+        at = data.draw(st.integers(1, n_max if power_fault == "_t_powers" else m_max))
+        P = _off_at(P, power_fault, at)
+    av = dataclasses.replace(av, P=P)
+    # the basis in some order, so that a coordinate fault breaks the probes at different cells
+    basis = [tuple(int(i == j) for i in range(T.rows)) for j in range(T.rows)]
+    probes = data.draw(st.permutations(basis), label="basis") + data.draw(
+        st.lists(vectors(T.rows, 2), max_size=2), label="probes"
+    )
+    seq_probes = data.draw(st.lists(fsvecs(Domain.GRID, T.rows, 5), max_size=2), label="seq")
+    got = ando_verify(av, probes, n_max, m_max, seq_probes=seq_probes)
+    want = _reference_ando_report(av, probes, n_max, m_max, seq_probes)
+    assert got.to_json() == want.to_json()

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -246,3 +247,26 @@ def test_json_too_deep_for_the_parser_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_instance_file(io.StringIO("[" * 100000 + "]" * 100000))
     assert exc.value.where == "$"
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default int-string digit limit, for the test's duration."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-string digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [('[["' + "1" * 5000 + '/3"]]', "$[0][0]"), ("[[" + "1" * 5000 + "]]", "$")],
+    ids=["rational string", "json integer"],
+)
+def test_a_number_past_the_int_digit_limit_is_a_parse_error(int_digit_limit, text, where):
+    with pytest.raises(ParseError) as exc:
+        parse_instance_file(io.StringIO(text))
+    assert exc.value.where == where
+    assert "digit" in str(exc.value)
