@@ -19,11 +19,10 @@ from .finite import (
 from .finsupp import Domain, DomainMismatch, FsVec
 from .harness import SuiteConfig, generate_instance, run_suites
 from .intertwine import (
-    HypothesisFailed,
     IntertwinePair,
     NotIntertwining,
     RangeViolation,
-    extract_intertwiner,
+    certification_report,
     lift_intertwiner,
     make_pair,
     verify_lift,

@@ -31,7 +31,7 @@ from .harness import (
     iter_suites,
     overall_exit_code,
 )
-from .intertwine import HypothesisFailed, NotIntertwining, RangeViolation
+from .intertwine import NotIntertwining, RangeViolation
 from .matrix import MatrixError
 from .report import Report, reports_to_json
 from .sequence import NonCommuting
@@ -49,7 +49,6 @@ INPUT_ERRORS = (
     NonCommuting,
     NotIntertwining,
     NotInjective,
-    HypothesisFailed,
     RangeViolation,
     GenerationExhausted,
     OSError,

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .finsupp import Domain
-from .matrix import Mat, NonSquareMatrix, SingularMatrix, Vec, require_square, vec
+from .matrix import Mat, NonSquareMatrix, SingularMatrix, Vec, require_square
 from .report import INCONCLUSIVE, Check, Report
 from .seqops import BlockDense, CoordProj0, EmbedI
 from .sequence import _probe_vecs, compression_mismatches
@@ -175,13 +175,12 @@ class NonSimilarPair:
 def nonsimilar_pair(T: Mat) -> NonSimilarPair:
     require_square(T)
     d = T.rows
-    eye = Mat.identity(d)
+    eye, zero = Mat.identity(d), Mat.zeros(d, d)
     A1 = Mat.block([[T, T - eye], [T + eye, T]])
-    A2 = Mat.block([[T, eye], [eye, Mat.zeros(d, d)]])
-    # A1 is always invertible: its commuting-block determinant is
-    # T^2 - (T+I)(T-I) = I. The dense oracle makes that concrete.
-    A1_inv = A1.inverse()
-    A2_inv = A2.inverse()
+    A2 = Mat.block([[T, eye], [eye, zero]])
+    # A1's blocks commute and T^2 - (T-I)(T+I) = I, which gives its inverse
+    A1_inv = Mat.block([[T, eye - T], [-(T + eye), T]])
+    A2_inv = Mat.block([[zero, eye], [eye, -T]])
     t1, t2 = A1.trace(), A2.trace()
     verdict = NOT_SIMILAR if t1 != t2 else INCONCLUSIVE_VERDICT
     return NonSimilarPair(
@@ -210,16 +209,6 @@ class NDilation:
     @property
     def dim(self) -> int:
         return self.T.rows
-
-    def embed(self, x: Sequence) -> Vec:
-        """(x, 0, ..., 0) in the stacked space."""
-        v = vec(x)
-        if len(v) != self.dim:
-            raise NonSquareMatrix(f"expected a vector of length {self.dim}")
-        return v + (Fraction(0),) * (self.N * self.dim)
-
-    def first_block(self, y: Sequence) -> Vec:
-        return tuple(y[: self.dim])
 
 
 def ndilation_build(T: Mat, N: int) -> NDilation:

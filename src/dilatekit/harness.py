@@ -39,9 +39,7 @@ from .finite import (
 )
 from .finsupp import Domain, FsVec
 from .intertwine import (
-    HypothesisFailed,
     certification_report,
-    extract_intertwiner,
     lift_intertwiner,
     lift_relations,
     make_pair,
@@ -70,7 +68,7 @@ from .serialize import (
     fsvec_from_json,
     mat_to_json,
 )
-from .wold import EXTENDED, STRICT, NotInjective, wold_decompose
+from .wold import EXTENDED, STRICT, NotInjective, verify_wold, wold_decompose
 
 ALL_SUITES = (
     "halmos",
@@ -525,14 +523,7 @@ class _Wold(Construction):
         return wold_decompose(inst["T"], inst.get("mode", EXTENDED))
 
     def verify(self, w, inst, bounds):
-        cert = w.certificates
-        rep = Report(suite="wold", checks=list(cert.checks), config=cert.config, data=cert.data)
-        rep.add(
-            "stabilization index at most the space dimension",
-            w.stabilization_index <= w.T.rows,
-            witness={"index": w.stabilization_index, "dim": w.T.rows},
-        )
-        return [rep]
+        return [verify_wold(w)]
 
     def finish(self, config, rep, trial_data):
         d = config.dim_max
@@ -540,7 +531,7 @@ class _Wold(Construction):
         w = wold_decompose(nilpotent, EXTENDED)
         rep.add(
             "nilpotent block: bijective part is zero, index equals nilpotency degree",
-            not w.Vb_basis and w.stabilization_index == d and w.certificates.passed,
+            not w.Vb_basis and w.stabilization_index == d and verify_wold(w).passed,
             witness={
                 "index": w.stabilization_index,
                 "Vb": [list(map(str, v)) for v in w.Vb_basis],
@@ -566,7 +557,7 @@ class _Wold(Construction):
         w = wold_decompose(T_inv, STRICT)
         rep.add(
             "strict mode on an injective map: trivial complement, all certificates pass",
-            not w.Vs_basis and len(w.Vb_basis) == T_inv.rows and w.certificates.passed,
+            not w.Vs_basis and len(w.Vb_basis) == T_inv.rows and verify_wold(w).passed,
             witness={"Vs": [list(map(str, v)) for v in w.Vs_basis]},
         )
 
@@ -626,24 +617,23 @@ class _Intertwine(Construction):
         T = random_matrix(rng, d, config.entry_bound)
         pair = make_pair(T, T, Mat.identity(d))
         bad = Compose((ShiftRight(d), Componentwise(Mat.identity(d))))
-        caught = None
-        try:
-            extract_intertwiner(bad, pair.dil1, pair.dil2, cert_bound=config.n_max)
-        except HypothesisFailed as exc:
-            caught = exc
+        # the first check is the certification; its witness is set if it failed
+        caught = certification_report(bad, pair.dil1, pair.dil2, config.n_max).checks[0].witness
         reproduced = False
         if caught is not None:
+            witness = dict(caught)
+            relation = witness.pop("relation")
             relations = lift_relations(bad, pair.dil1, pair.dil2)
-            lhs, rhs = next((l, r) for _, name, l, r in relations if name == caught.relation)
-            probe = fsvec_from_json(caught.witness["probe"])
-            reproduced = relation_witness(lhs, rhs, [probe]) == caught.witness
+            lhs, rhs = next((l, r) for _, name, l, r in relations if name == relation)
+            probe = fsvec_from_json(witness["probe"])
+            reproduced = relation_witness(lhs, rhs, [probe]) == witness
         rep.add(
             "corrupted lift fails bounded certification with a reproducible witness",
             caught is not None and reproduced,
             bound=config.n_max,
             witness={
                 "caught": caught is not None,
-                "relation": caught.relation if caught else None,
+                "relation": caught["relation"] if caught else None,
             },
         )
 

@@ -7,9 +7,9 @@ lift R between the one-sided dilation spaces satisfying
 
 The converse direction recovers S from any operator R satisfying the
 first two relations. The relations quantify over an infinite-dimensional
-domain, so the converse certifies them on all basis elements up to a
-stated bound before extracting; the extracted map always has its
-intertwining relation re-checked exactly.
+domain, so the converse (`certification_report`) certifies them on all
+basis elements up to a stated bound before reading S off, and then checks
+its intertwining relation exactly; both outcomes are checks of one report.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ class NotIntertwining(ValueError):
     def __init__(self, defect: Mat):
         super().__init__("intertwining relation fails; T1 S - S T2 attached")
         self.defect = defect
-
-
-class HypothesisFailed(ValueError):
-    """A lift relation failed bounded certification on a basis probe."""
-
-    def __init__(self, relation: str, witness: dict):
-        super().__init__(f"hypothesis {relation} failed on a basis probe")
-        self.relation = relation
-        self.witness = witness
 
 
 class RangeViolation(ValueError):
@@ -130,7 +121,7 @@ def verify_lift(
 
     Basis elements supported at indices up to n_max are always included in
     addition to the supplied probes, so passing relation checks are the
-    certificate that `extract_intertwiner` would establish with
+    certificate that `certification_report` would establish with
     cert_bound = n_max.
     """
     d2 = pair.T2.rows
@@ -191,56 +182,37 @@ def read_off_intertwiner(R: SeqOp, dil1: StandardDilation, dil2: StandardDilatio
     return Mat.from_columns(columns)
 
 
-def extract_intertwiner(
-    R: SeqOp,
-    dil1: StandardDilation,
-    dil2: StandardDilation,
-    cert_bound: int = 12,
-) -> Mat:
+def certification_report(
+    R: SeqOp, dil1: StandardDilation, dil2: StandardDilation, cert_bound: int
+) -> Report:
     """Recover the intertwiner from a lift, after bounded certification.
 
     The relations U1 R = R U2 and R P2 = P1 R are certified exactly on all
-    basis elements supported at indices up to cert_bound; then the map is
-    read off (`read_off_intertwiner`), and its intertwining relation is
-    asserted exactly.
+    basis elements supported at indices up to cert_bound; the first that
+    fails is a failed check carrying the relation and its witness (probe,
+    lhs, rhs). Otherwise the map S is read off (`read_off_intertwiner`) and
+    T1 S = S T2 is checked exactly, with the defect as witness; data["S"]
+    is set only when it holds.
     """
+    report = Report(suite="intertwine_extract", config={"cert_bound": cert_bound})
+    certified = "extraction: relations certified on basis elements up to the bound"
     basis = _basis_probes(dil2.dim, cert_bound)
     for _, relation, lhs, rhs in lift_relations(R, dil1, dil2):
         witness = relation_witness(lhs, rhs, basis)
         if witness is not None:
-            raise HypothesisFailed(relation, witness)
+            witness = {"relation": relation, **witness}
+            report.add(certified, False, bound=cert_bound, witness=witness)
+            return report
 
     S = read_off_intertwiner(R, dil1, dil2)
     defect = dil1.T * S - S * dil2.T
-    if not defect.is_zero():
-        raise NotIntertwining(defect)
-    return S
-
-
-def certification_report(
-    R: SeqOp, dil1: StandardDilation, dil2: StandardDilation, cert_bound: int
-) -> Report:
-    """Extract the intertwiner from R and report the outcome.
-
-    A relation that fails bounded certification is a failed check carrying
-    the relation and its witness (probe, lhs, rhs). An extracted map that
-    does not intertwine, which `extract_intertwiner` itself detects, is a
-    failed check carrying the defect T1 S - S T2.
-    """
-    report = Report(suite="intertwine_extract", config={"cert_bound": cert_bound})
-    certified = "extraction: relations certified on basis elements up to the bound"
-    intertwines = "extracted map intertwines: T1 S = S T2"
-    try:
-        S = extract_intertwiner(R, dil1, dil2, cert_bound=cert_bound)
-    except HypothesisFailed as exc:
-        witness = {"relation": exc.relation, **exc.witness}
-        report.add(certified, False, bound=cert_bound, witness=witness)
-        return report
-    except NotIntertwining as exc:
-        report.add(certified, True, bound=cert_bound)
-        report.add(intertwines, False, witness={"defect": mat_to_json(exc.defect)})
-        return report
-    report.data["S"] = mat_to_json(S)
+    intertwines = defect.is_zero()
+    if intertwines:
+        report.data["S"] = mat_to_json(S)
     report.add(certified, True, bound=cert_bound)
-    report.add(intertwines, True)
+    report.add(
+        "extracted map intertwines: T1 S = S T2",
+        intertwines,
+        witness=lambda: {"defect": mat_to_json(defect)},
+    )
     return report

@@ -293,10 +293,10 @@ Source = Union[str, Path, IO[str]]
 
 
 def _load_json(source: Source) -> Any:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
+    try:
+        text = Path(source).read_text("utf-8") if isinstance(source, (str, Path)) else source.read()
+    except UnicodeDecodeError:
+        raise ParseError("file is not UTF-8 text", "$") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -7,7 +7,9 @@ one product with T and one rref, on the matrix whose rows are the basis.
 The complement is the standard basis vectors that are pivot columns of
 rref([Vb | I]): the deterministic choice of greedy extension of Vb by
 e_0, e_1, ..., made in one elimination, since complements are genuinely
-non-unique.
+non-unique. `wold_decompose` only builds the split; `verify_wold` checks
+it, comparing with im(T^d) for the dimension d rather than with the
+builder's chain.
 
 Strict mode mirrors the injective hypothesis of the underlying theorem
 and rejects maps with nontrivial kernel; on a finite-dimensional space an
@@ -37,14 +39,13 @@ class NotInjective(ValueError):
         self.witness = witness
 
 
-@dataclass
+@dataclass(frozen=True)
 class WoldDecomposition:
     T: Mat
     Vb_basis: list[Vec]
     Vs_basis: list[Vec]
     stabilization_index: int
     mode: str
-    certificates: Report
 
 
 def _row_space(m: Mat) -> Optional[Mat]:
@@ -109,31 +110,28 @@ def wold_decompose(T: Mat, mode: str = EXTENDED) -> WoldDecomposition:
     extended = _stack(basis, Mat.identity(d)).transpose()
     vs_basis = [unit_vec(d, p - k) for p in extended.rref()[1] if p >= k]
 
-    decomposition = WoldDecomposition(
-        T=T,
-        Vb_basis=_vecs(basis),
-        Vs_basis=vs_basis,
-        stabilization_index=index,
-        mode=mode,
-        certificates=Report(suite="wold_verify"),
+    return WoldDecomposition(
+        T=T, Vb_basis=_vecs(basis), Vs_basis=vs_basis, stabilization_index=index, mode=mode
     )
-    decomposition.certificates = verify_wold(decomposition)
-    return decomposition
 
 
 def verify_wold(w: WoldDecomposition) -> Report:
-    """Exact certificates for a claimed splitting.
+    """Exact checks of a claimed splitting.
 
     Checks: the two bases together span the whole space; the bijective
     part is invariant under T; T restricted to it has full rank into it;
-    the claimed bijective part agrees with the eventual image; and the
+    the claimed bijective part agrees with the eventual image; the
     complement meets the eventual image only in zero (the shift
-    certificate). Each is a rank of an integer matrix whose rows are the
-    vectors involved; a witness is looked for only when a check fails.
+    certificate); and the stabilization index is at most the dimension d.
+    The checks are ranks of, or equality with, integer matrices whose rows
+    are the vectors involved; a witness is looked for only when a check
+    fails. The eventual image is taken as im T^d, where the image chain has
+    stabilized (Fitting's lemma): one power and one rref, independent of
+    the builder's chain.
     """
     d = w.T.rows
     report = Report(
-        suite="wold_verify",
+        suite="wold",
         config={"mode": w.mode, "dim": d},
         data={
             "Vb_basis": lambda: [vec_to_json(v) for v in w.Vb_basis],
@@ -170,7 +168,7 @@ def verify_wold(w: WoldDecomposition) -> Report:
         witness=lambda: {"images": mat_to_json(images), "expected_rank": len(w.Vb_basis)},
     )
 
-    ev, _ = _eventual_image(w.T)
+    ev = _row_space((w.T**d).transpose())
     report.add(
         "bijective part equals the eventual image",
         claimed == ev,
@@ -188,4 +186,9 @@ def verify_wold(w: WoldDecomposition) -> Report:
         witness={"joint_rank": joint, "expected": expected},
     )
 
+    report.add(
+        "stabilization index at most the space dimension",
+        w.stabilization_index <= d,
+        witness={"index": w.stabilization_index, "dim": d},
+    )
     return report

@@ -357,6 +357,14 @@ def test_malformed_matrix_is_input_error(capsys, tmp_path):
     assert "denominator" in err
 
 
+def test_non_utf8_file_is_a_parse_error_at_the_root(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, ["halmos", "--T", str(bad)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: $: file is not UTF-8 text\n"
+
+
 # the smallest valid descriptor of each wire kind, all on dimension 1
 MINIMAL_DESCRIPTORS = {
     "embed": {"dim": 1},

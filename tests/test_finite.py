@@ -163,11 +163,29 @@ def test_nonsimilar_trace_zero_inconclusive():
 @given(matrices(max_dim=4))
 def test_first_dilation_always_invertible(T):
     # the commuting-block identity T^2 - (T+I)(T-I) = I guarantees this;
-    # the test only asserts that the dense inverse succeeds
+    # the test multiplies the closed-form inverse out
     pair = nonsimilar_pair(T)
     assert pair.A1 * pair.A1_inv == Mat.identity(2 * T.rows)
     if pair.verdict == NOT_SIMILAR:
         assert pair.trace_a1 != pair.trace_a2
+
+
+def test_nonsimilar_inverses_are_closed_forms(monkeypatch):
+    calls = []
+    inverse = Mat.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Mat, "inverse", counting)
+    T = Mat([[1, 2], [Fraction(1, 3), -1]])
+    eye, zero = Mat.identity(2), Mat.zeros(2, 2)
+    pair = nonsimilar_pair(T)
+    assert calls == []
+    assert pair.A1_inv == Mat.block([[T, eye - T], [-(T + eye), T]])
+    assert pair.A2_inv == Mat.block([[zero, eye], [eye, -T]])
+    assert inverse(pair.A1) == pair.A1_inv and inverse(pair.A2) == pair.A2_inv
 
 
 # ----------------------------------------------------------------------
@@ -187,10 +205,10 @@ def test_ndilation_block_pattern():
 
 def test_ndilation_zero_map():
     nd = ndilation_build(Mat.zeros(2, 2), 3)
-    y = nd.embed((1, 1))
+    y = (1, 1) + (0,) * (3 * 2)
     for _ in range(3):
         y = nd.U.apply(y)
-        assert nd.first_block(y) == (0, 0)
+        assert y[:2] == (0, 0)
 
 
 def test_ndilation_requires_positive_n():
@@ -276,10 +294,10 @@ def test_ndilation_identity_map_still_breaks_beyond_n():
     # (T^{N+1} + I) x, so the compression breaks at N+1 for every nonzero
     # probe, identity map included; the break is recorded, not an error
     nd = ndilation_build(Mat.identity(2), 2)
-    y = nd.embed((1, 0))
+    y = (1, 0) + (0,) * (2 * 2)
     for _ in range(3):
         y = nd.U.apply(y)
-    assert nd.first_block(y) == (2, 0)
+    assert y[:2] == (2, 0)
     rep = ndilation_verify(nd, [(1, 0), (0, 1), (2, 3)], k_max=5)
     assert rep.passed
     assert rep.data["breaks_at_n_plus_1"] is True
@@ -313,12 +331,12 @@ def test_ndilation_compresses_up_to_n(T):
         assert nd.U * nd.U_inv == Mat.identity((n + 1) * T.rows)
         assert nd.U_inv * nd.U == Mat.identity((n + 1) * T.rows)
         x = tuple(Fraction(i + 1) for i in range(T.rows))
-        y = nd.embed(x)
+        y = x + (0,) * (n * T.rows)
         power = Mat.identity(T.rows)
         for _ in range(n):
             y = nd.U.apply(y)
             power = T * power
-        assert nd.first_block(y) == power.apply(x)
+        assert y[: T.rows] == power.apply(x)
 
 
 # ----------------------------------------------------------------------

@@ -7,15 +7,24 @@ from dilatekit import Mat
 from dilatekit.finsupp import Domain, FsVec
 from dilatekit import intertwine
 from dilatekit.intertwine import (
-    HypothesisFailed,
     NotIntertwining,
     certification_report,
-    extract_intertwiner,
     lift_intertwiner,
     make_pair,
     verify_lift,
 )
 from dilatekit.seqops import ColumnBlocks, Componentwise, Compose, ShiftRight
+from dilatekit.serialize import mat_from_json
+
+
+def extracted_map(R, pair, cert_bound):
+    return mat_from_json(certification_report(R, pair.dil1, pair.dil2, cert_bound).data["S"])
+
+
+def failed_certification(R, pair, cert_bound):
+    check = certification_report(R, pair.dil1, pair.dil2, cert_bound).checks[0]
+    assert check.status == "fail"
+    return check.witness
 
 
 def random_mat(rng, dim, bound=9):
@@ -68,12 +77,12 @@ def test_shifted_lift_fails_embedding_relation():
 def test_extract_round_trip_scalar():
     pair = make_pair(Mat([[2]]), Mat([[2]]), Mat([[3]]))
     R = lift_intertwiner(pair)
-    assert extract_intertwiner(R, pair.dil1, pair.dil2, cert_bound=6) == Mat([[3]])
+    assert extracted_map(R, pair, cert_bound=6) == Mat([[3]])
 
 
 def test_extract_componentwise_over_identity():
     pair = make_pair(Mat.identity(1), Mat.identity(1), Mat([[5]]))
-    extracted = extract_intertwiner(Componentwise(Mat([[5]])), pair.dil1, pair.dil2, cert_bound=3)
+    extracted = extracted_map(Componentwise(Mat([[5]])), pair, cert_bound=3)
     assert extracted == Mat([[5]])
 
 
@@ -82,18 +91,16 @@ def test_extract_rejects_bad_column_blocks():
     # and the forward-shift relation fails on the very first basis probe
     pair = make_pair(Mat([[2]]), Mat([[2]]), Mat([[3]]))
     bad = ColumnBlocks({(0, 0): Mat([[3]])}, dim_in=1, dim_out=1)
-    with pytest.raises(HypothesisFailed) as exc:
-        extract_intertwiner(bad, pair.dil1, pair.dil2, cert_bound=5)
-    assert exc.value.relation == "U1 R = R U2"
-    assert exc.value.witness["probe"]["support"][0]["index"] == 0
+    witness = failed_certification(bad, pair, cert_bound=5)
+    assert witness["relation"] == "U1 R = R U2"
+    assert witness["probe"]["support"][0]["index"] == 0
 
 
 def test_extract_rejects_shifted_lift():
     pair = make_pair(Mat([[2]]), Mat([[2]]), Mat([[3]]))
     bad = Compose((ShiftRight(1), Componentwise(pair.S)))
-    with pytest.raises(HypothesisFailed) as exc:
-        extract_intertwiner(bad, pair.dil1, pair.dil2, cert_bound=5)
-    assert exc.value.relation == "R P2 = P1 R"
+    witness = failed_certification(bad, pair, cert_bound=5)
+    assert witness["relation"] == "R P2 = P1 R"
 
 
 def test_extraction_always_intertwines():
@@ -107,7 +114,7 @@ def test_extraction_always_intertwines():
         )
         pair = make_pair(T, T, S)
         R = lift_intertwiner(pair)
-        extracted = extract_intertwiner(R, pair.dil1, pair.dil2, cert_bound=6)
+        extracted = extracted_map(R, pair, cert_bound=6)
         assert extracted == S
         assert pair.T1 * extracted == extracted * pair.T2
 
@@ -124,13 +131,13 @@ def test_block_diagonal_intertwiner_with_unequal_dimensions():
     R = lift_intertwiner(pair)
     rep = verify_lift(R, pair, probes=[], n_max=5)
     assert rep.passed
-    assert extract_intertwiner(R, pair.dil1, pair.dil2, cert_bound=5) == S
+    assert extracted_map(R, pair, cert_bound=5) == S
 
 
 def test_cert_bound_validation():
     pair = make_pair(Mat([[1]]), Mat([[1]]), Mat([[1]]))
     with pytest.raises(ValueError):
-        extract_intertwiner(lift_intertwiner(pair), pair.dil1, pair.dil2, cert_bound=0)
+        certification_report(lift_intertwiner(pair), pair.dil1, pair.dil2, cert_bound=0)
     with pytest.raises(ValueError):
         verify_lift(lift_intertwiner(pair), pair, probes=[], n_max=0)
 
@@ -144,17 +151,16 @@ def test_certification_report_passes_on_the_lift():
 
 
 def test_certification_report_turns_not_intertwining_into_a_failed_check(monkeypatch):
-    # extraction asserts T1 S = S T2 itself; the report takes its outcome
-    # instead of recomputing the defect
-    def extract(*args, **kwargs):
-        raise NotIntertwining(Mat([[1, "-1/2"]]))
-
-    monkeypatch.setattr(intertwine, "extract_intertwiner", extract)
-    pair = make_pair(Mat([[2]]), Mat([[2]]), Mat([[3]]))
+    # the lift certifies, so only a wrong read-off can fail T1 S = S T2;
+    # the report computes the defect and keeps the map out of its data
+    monkeypatch.setattr(intertwine, "read_off_intertwiner", lambda *args: Mat([[1, 0], [0, 0]]))
+    T = Mat([[1, 1], [0, 1]])
+    pair = make_pair(T, T, Mat.identity(2))
     rep = certification_report(lift_intertwiner(pair), pair.dil1, pair.dil2, cert_bound=4)
     assert not rep.passed
     certified, intertwines = rep.checks
     assert certified.status == "pass"
     assert intertwines.name == "extracted map intertwines: T1 S = S T2"
     assert intertwines.status == "fail"
-    assert intertwines.witness == {"defect": [[1, "-1/2"]]}
+    assert intertwines.witness == {"defect": [[0, -1], [0, 0]]}
+    assert "S" not in rep.data

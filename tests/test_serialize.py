@@ -199,6 +199,15 @@ def test_parse_instance_rejects_unknown_shape(tmp_path):
         parse_instance_file(notjson)
 
 
+def test_parse_instance_rejects_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"[[\xff]]")
+    with pytest.raises(ParseError) as exc:
+        parse_instance_file(bad)
+    assert exc.value.where == "$"
+    assert str(exc.value) == "$: file is not UTF-8 text"
+
+
 def test_load_matrix_type_check(tmp_path):
     f = tmp_path / "op.json"
     f.write_text(json.dumps(seqop_to_json(ShiftRight(1))))

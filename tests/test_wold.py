@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from dilatekit import Mat
 from dilatekit.matrix import in_span, span_rank, unit_vec
 from dilatekit.serialize import vec_to_json
+from dilatekit import wold
 from dilatekit.wold import (
     EXTENDED,
     STRICT,
     NotInjective,
     WoldDecomposition,
+    _eventual_image,
+    _row_space,
     eventual_image,
     verify_wold,
     wold_decompose,
@@ -52,7 +55,7 @@ def test_strict_injective_is_trivial():
     w = wold_decompose(Mat([[2, 1], [1, 1]]), STRICT)
     assert w.Vs_basis == []
     assert len(w.Vb_basis) == 2
-    assert w.certificates.passed
+    assert verify_wold(w).passed
     assert w.mode == STRICT
 
 
@@ -61,14 +64,14 @@ def test_extended_nilpotent():
     assert w.Vb_basis == []
     assert w.Vs_basis == [unit_vec(2, 0), unit_vec(2, 1)]
     assert w.stabilization_index == 2
-    assert w.certificates.passed
+    assert verify_wold(w).passed
 
 
 def test_partial_collapse():
     w = wold_decompose(Mat([[1, 0], [0, 0]]), EXTENDED)
     assert w.Vb_basis == [unit_vec(2, 0)]
     assert w.Vs_basis == [unit_vec(2, 1)]
-    assert w.certificates.passed
+    assert verify_wold(w).passed
 
 
 def test_hand_built_bad_complement_fails_direct_sum():
@@ -80,7 +83,6 @@ def test_hand_built_bad_complement_fails_direct_sum():
         Vs_basis=list(w.Vb_basis),  # complement inside the bijective part
         stabilization_index=w.stabilization_index,
         mode=EXTENDED,
-        certificates=w.certificates,
     )
     rep = verify_wold(corrupted)
     assert not rep.passed
@@ -100,7 +102,7 @@ def test_image_chain_monotone_and_certified(T):
     basis, index = eventual_image(T)
     assert index <= T.rows
     w = wold_decompose(T, EXTENDED)
-    assert w.certificates.passed
+    assert verify_wold(w).passed
     assert span_rank(list(w.Vb_basis) + list(w.Vs_basis)) == T.rows
     # T is surjective from the eventual image onto itself
     images = [T.apply(v) for v in w.Vb_basis]
@@ -198,7 +200,7 @@ def test_wold_matches_the_fraction_reference(T):
     assert w.Vs_basis == ref_complement(basis, T.rows)
     assert w.stabilization_index == index
     assert all(type(x) is Fraction for v in w.Vb_basis + w.Vs_basis for x in v)
-    assert w.certificates.passed
+    assert verify_wold(w).passed
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,7 +214,7 @@ def test_a_corrupted_complement_fails_direct_sum_with_the_reference_witness(T):
         vs[-1] = zero
     else:
         vb[-1] = zero
-    corrupted = WoldDecomposition(T, vb, vs, w.stabilization_index, EXTENDED, w.certificates)
+    corrupted = WoldDecomposition(T, vb, vs, w.stabilization_index, EXTENDED)
     checks = {c.name: c for c in verify_wold(corrupted).checks}
     direct_sum = checks["direct sum: combined basis spans the space"]
     assert direct_sum.status == "fail"
@@ -230,7 +232,7 @@ def test_claimed_bijective_parts_get_the_reference_verdicts_and_witnesses(data, 
         st.lists(vectors(d, 5), max_size=d),
         st.just(list(reversed(w.Vb_basis))),
     ))
-    rep = verify_wold(WoldDecomposition(T, claimed, w.Vs_basis, 0, EXTENDED, w.certificates))
+    rep = verify_wold(WoldDecomposition(T, claimed, w.Vs_basis, 0, EXTENDED))
     checks = {c.name: c for c in rep.checks}
     invariance = checks["invariance: T maps the bijective part into itself"]
     assert invariance.witness == ref_invariance_witness(T, claimed)
@@ -252,3 +254,28 @@ def test_claimed_bijective_parts_get_the_reference_verdicts_and_witnesses(data, 
     shift = checks["shift certificate: complement meets the eventual image only in zero"]
     assert shift.witness in (None, {"joint_rank": joint, "expected": len(w.Vs_basis) + len(ev)})
     assert (shift.status == "pass") == (joint == len(w.Vs_basis) + len(ev))
+
+
+@settings(max_examples=120, deadline=None)
+@given(wold_matrices())
+def test_the_image_of_the_dimension_th_power_is_the_eventual_image(T):
+    # the chain stabilizes by index d, so im T^d is its last member
+    assert _row_space((T ** T.rows).transpose()) == _eventual_image(T)[0]
+
+
+def test_verify_wold_builds_no_image_chain(monkeypatch):
+    calls = []
+    chain = wold._eventual_image
+
+    def counting(T):
+        calls.append(T)
+        return chain(T)
+
+    monkeypatch.setattr(wold, "_eventual_image", counting)
+    for T in (NILPOTENT2, Mat([[1, 0], [0, 0]]), Mat([[2, 1], [1, 1]])):
+        w = wold_decompose(T, EXTENDED)
+        assert len(calls) == 1
+        calls.clear()
+        rep = verify_wold(w)
+        assert rep.passed and rep.suite == "wold"
+        assert calls == []
