@@ -269,10 +269,10 @@ def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] 
 
     d = nd.dim
     probes = _probe_vecs(probes, d)
-    starts = [(EmbedI(d).apply(x),) * 2 for x in probes]
+    starts = [(EmbedI(d).apply_block(probes),) * 2]
     U, P = BlockDense(nd.U, d), CoordProj0(d, Domain.UNINAT)
     witnesses = {}  # the first mismatch for each k
-    for k, i, projected, expected in compression_mismatches(nd.T, U, P, starts, k_max):
+    for k, _, i, projected, expected in compression_mismatches(nd.T, U, P, starts, k_max):
         if k not in witnesses:
             witnesses[k] = {
                 "k": k,

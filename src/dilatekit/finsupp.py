@@ -13,6 +13,12 @@ equality and hashing coincide with mathematical equality, and the
 operators in ``seqops`` compute on it directly. ``Fraction`` coordinates
 appear only in the views (``support``, ``coeff``, ``items``) read at the
 boundary: JSON, report witnesses and tests.
+
+A family may also be a block of ``width`` probes, carried through the
+operators together: each index holds one ``(den, nums)`` for the dim x
+width block, column-major, with one gcd for the whole block, so ``==``
+compares all probes at once. Width 1 is the plain family; ``probe(j)``
+reads probe j back as one, and the Fraction views take width 1 only.
 """
 
 from __future__ import annotations
@@ -83,13 +89,14 @@ def accumulate(acc: dict[Index, Column], index: Index, column: Optional[Column])
 
 
 class FsVec:
-    """Immutable finitely supported family of Q^dim columns.
+    """Immutable finitely supported family of Q^dim columns, or a block of
+    ``width`` of them.
 
     ``columns`` maps each index of the support, in sorted order, to the
-    column's canonical integer form ``(den, nums)``.
+    canonical integer form ``(den, nums)`` of the column, or of the block.
     """
 
-    __slots__ = ("domain", "dim", "columns")
+    __slots__ = ("domain", "dim", "width", "columns")
 
     def __init__(
         self,
@@ -115,6 +122,7 @@ class FsVec:
             cleaned[index] = column_of(column)
         _set_domain(self, domain)
         _set_dim(self, dim)
+        _set_width(self, 1)
         # the indices are distinct, so sorting the items compares indices only
         _set_columns(self, dict(sorted((k, c) for k, c in cleaned.items() if c is not None)))
 
@@ -122,13 +130,16 @@ class FsVec:
         raise AttributeError("FsVec is immutable")
 
     @classmethod
-    def _raw(cls, domain: Domain, dim: int, columns: Iterable[tuple[Index, Column]]) -> FsVec:
+    def _raw(
+        cls, domain: Domain, dim: int, columns: Iterable[tuple[Index, Column]], width: int
+    ) -> FsVec:
         # internal: trusts the indices to be valid for the domain, distinct and
         # in sorted order, and every column to be a nonzero canonical
-        # (den, nums) of length dim
+        # (den, nums) of length dim * width
         out = cls.__new__(cls)
         _set_domain(out, domain)
         _set_dim(out, dim)
+        _set_width(out, width)
         _set_columns(out, dict(columns))
         return out
 
@@ -141,30 +152,42 @@ class FsVec:
         """The family supported at one index: e_index tensor value."""
         return cls(domain, dim, [(index, value)])
 
+    def probe(self, j: int) -> FsVec:
+        """Probe j of a block, as a width-1 family."""
+        lo, hi = j * self.dim, (j + 1) * self.dim
+        columns = [(k, reduce_column(c[0], c[1][lo:hi])) for k, c in self.columns.items()]
+        return FsVec._raw(self.domain, self.dim, [(k, c) for k, c in columns if c is not None], 1)
+
     # ------------------------------------------------------------------
     # Fraction views, for the boundary
 
     @property
     def support(self) -> dict[Index, Vec]:
         """Index -> column of Fractions, in sorted index order."""
-        return {k: fractions_of(*c) for k, c in self.columns.items()}
+        return dict(self.items())
 
     def coeff(self, index: Index) -> Vec:
         check_index(self.domain, index)
-        column = self.columns.get(index)
+        column = self._single().get(index)
         return zero_vec(self.dim) if column is None else fractions_of(*column)
 
     def items(self) -> tuple[tuple[Index, Vec], ...]:
-        return tuple((k, fractions_of(*c)) for k, c in self.columns.items())
+        return tuple((k, fractions_of(*c)) for k, c in self._single().items())
+
+    def _single(self) -> dict[Index, Column]:
+        if self.width != 1:
+            raise FinsuppError(f"a block of {self.width} probes has no Fraction view")
+        return self.columns
 
     # ------------------------------------------------------------------
 
+    def _space(self) -> str:
+        width = "" if self.width == 1 else f", width {self.width}"
+        return f"({self.domain.value}, dim {self.dim}{width})"
+
     def _require_compatible(self, other: FsVec) -> None:
-        if self.domain is not other.domain or self.dim != other.dim:
-            raise DomainMismatch(
-                f"incompatible spaces: ({self.domain.value}, dim {self.dim}) vs "
-                f"({other.domain.value}, dim {other.dim})"
-            )
+        if (self.domain, self.dim, self.width) != (other.domain, other.dim, other.width):
+            raise DomainMismatch(f"incompatible spaces: {self._space()} vs {other._space()}")
 
     def indices(self) -> tuple[Index, ...]:
         return tuple(self.columns)
@@ -179,7 +202,7 @@ class FsVec:
         acc = dict(self.columns)
         for index, column in other.columns.items():
             accumulate(acc, index, column)
-        return FsVec._raw(self.domain, self.dim, sorted(acc.items()))
+        return FsVec._raw(self.domain, self.dim, sorted(acc.items()), self.width)
 
     def __sub__(self, other: FsVec) -> FsVec:
         return self + other.scale(-1)
@@ -197,6 +220,7 @@ class FsVec:
                 (k, reduce_column(den * q, [p * n for n in nums]))
                 for k, (den, nums) in self.columns.items()
             ],
+            self.width,
         )
 
     def __eq__(self, other) -> bool:
@@ -206,9 +230,11 @@ class FsVec:
         return self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash((self.domain, self.dim, tuple(self.columns.items())))
+        return hash((self.domain, self.dim, self.width, tuple(self.columns.items())))
 
     def __repr__(self) -> str:
+        if self.width != 1:
+            return f"FsVec({self.domain.value}, dim={self.dim}, width={self.width}, {self.columns})"
         if self.is_zero():
             return f"FsVec({self.domain.value}, dim={self.dim}, 0)"
         parts = ", ".join(
@@ -219,8 +245,9 @@ class FsVec:
 
 # the slots' own setters, which go around the __setattr__ that keeps FsVec
 # immutable, and cost less than object.__setattr__
-_set_domain, _set_dim, _set_columns = (
+_set_domain, _set_dim, _set_width, _set_columns = (
     FsVec.domain.__set__,
     FsVec.dim.__set__,
+    FsVec.width.__set__,
     FsVec.columns.__set__,
 )

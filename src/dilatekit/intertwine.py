@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .finsupp import Domain, FsVec
-from .matrix import Mat, NonSquareMatrix, require_square, unit_vec, vec
+from .finsupp import FsVec
+from .matrix import Mat, NonSquareMatrix, require_square
 from .report import Report
 from .seqops import Componentwise, SeqOp
-from .sequence import StandardDilation, standard_build
+from .sequence import StandardDilation, basis_block, differing_probes, standard_build
 from .serialize import fsvec_to_json, mat_to_json, vec_to_json
 
 
@@ -87,12 +87,12 @@ def lift_relations(R: SeqOp, dil1: StandardDilation, dil2: StandardDilation):
 
 
 def relation_witness(lhs, rhs, probes: Sequence[FsVec]) -> Optional[dict]:
-    """The first probe on which lhs and rhs differ, as a JSON witness."""
+    """The first probe on which lhs and rhs differ, as a JSON witness; a
+    block of probes runs in the order of its probes."""
     for x in probes:
-        left, right = lhs(x), rhs(x)
-        if left != right:
+        for j, left, right in differing_probes(lhs(x), rhs(x)):
             return {
-                "probe": fsvec_to_json(x),
+                "probe": fsvec_to_json(x.probe(j)),
                 "lhs": fsvec_to_json(left),
                 "rhs": fsvec_to_json(right),
             }
@@ -101,14 +101,10 @@ def relation_witness(lhs, rhs, probes: Sequence[FsVec]) -> Optional[dict]:
 
 def _basis_probes(dim: int, n_max: int) -> list[FsVec]:
     """Basis elements supported at indices 0..n_max, the certification
-    bound, which must be at least 1."""
+    bound, which must be at least 1: one block per index."""
     if n_max < 1:
         raise ValueError(f"certification bound must be >= 1, got {n_max}")
-    return [
-        FsVec.single(Domain.UNINAT, dim, n, unit_vec(dim, i))
-        for n in range(n_max + 1)
-        for i in range(dim)
-    ]
+    return [basis_block(dim, n) for n in range(n_max + 1)]
 
 
 def verify_lift(
@@ -129,26 +125,22 @@ def verify_lift(
 
     report = Report(
         suite="intertwine_verify",
-        config={"n_max": n_max, "probes": len(all_probes)},
+        config={"n_max": n_max, "probes": sum(x.width for x in all_probes)},
     )
     for label, relation, lhs, rhs in lift_relations(R, pair.dil1, pair.dil2):
         witness = relation_witness(lhs, rhs, all_probes)
         report.add(f"{label}: {relation}", witness is None, bound=n_max, witness=witness)
 
-    witness = None
-    vec_probes = [unit_vec(d2, i) for i in range(d2)] + [
-        x.coeff(0) for x in probes if not x.is_zero()
-    ]
-    for v in vec_probes:
-        left = R.apply(pair.dil2.I.apply(v))
-        right = pair.dil1.I.apply(pair.S.apply(v))
-        if left != right:
-            witness = {
-                "vector": vec_to_json(vec(v)),
-                "lhs": fsvec_to_json(left),
-                "rhs": fsvec_to_json(right),
-            }
-            break
+    vec_probes = [*Mat.identity(d2).entries, *(x.coeff(0) for x in probes if not x.is_zero())]
+    left = R.apply(pair.dil2.I.apply_block(vec_probes))
+    right = pair.dil1.I.apply_block([pair.S.apply(v) for v in vec_probes])
+    witness = next(
+        (
+            {"vector": vec_to_json(vec_probes[j]), "lhs": fsvec_to_json(l), "rhs": fsvec_to_json(r)}
+            for j, l, r in differing_probes(left, right)
+        ),
+        None,
+    )
     report.add(
         "embeddings intertwine: R I2 = I1 S",
         witness is None,
@@ -159,27 +151,22 @@ def verify_lift(
 
 
 def read_off_intertwiner(R: SeqOp, dil1: StandardDilation, dil2: StandardDilation) -> Mat:
-    """The map whose column i is the origin coordinate of P1 R I2 e_i.
+    """The map whose column i is the origin coordinate of P1 R I2 e_i, all i
+    in one block.
 
     Only meaningful once U1 R = R U2 and R P2 = P1 R are certified; an
     image supported off the origin, or of the wrong length, raises
     RangeViolation.
     """
     d1, d2 = dil1.dim, dil2.dim
-    columns = []
-    for i in range(d2):
-        projected = dil1.P.apply(R.apply(dil2.I.apply(unit_vec(d2, i))))
-        if any(k != 0 for k in projected.indices()):
-            raise RangeViolation(
-                f"P1 R I2 e_{i} is supported outside the origin: {projected!r}"
-            )
-        column = projected.coeff(0)
-        if len(column) != d1:
-            raise RangeViolation(
-                f"extracted column {i} has length {len(column)}, expected {d1}"
-            )
-        columns.append(column)
-    return Mat.from_columns(columns)
+    projected = dil1.P.apply(R.apply(dil2.I.apply_block(Mat.identity(d2).entries)))
+    if any(k != 0 for k in projected.indices()):
+        raise RangeViolation(f"P1 R I2 e_i is supported outside the origin: {projected!r}")
+    if projected.dim != d1:
+        raise RangeViolation(f"extracted columns have length {projected.dim}, expected {d1}")
+    # the block's probes are the columns, so its numerators are the rows of S^T
+    den, nums = projected.columns.get(0, (1, (0,) * (d1 * d2)))
+    return Mat._reduced(den, nums, d1).transpose()
 
 
 def certification_report(

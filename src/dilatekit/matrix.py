@@ -15,6 +15,9 @@ gcd per result; elimination is fraction-free (Bareiss 1968, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination").
 ``Fraction`` entries appear only in the views read at the boundary:
 ``entries``, ``m[i, j]``, ``apply``, ``trace`` and the bases.
+
+``_apply_ints`` also multiplies a block of probes, stored column-major over
+one denominator as ``finsupp.FsVec`` keeps it, in one call.
 """
 
 from __future__ import annotations
@@ -352,13 +355,16 @@ class Mat:
         return fractions_of(*self._apply_ints(*column))
 
     def _apply_ints(self, den: int, nums: Sequence[int]) -> tuple[int, list[int]]:
-        """The product with the vector nums / den, in the same integer form.
+        """The product with the vector nums / den, or with each of the
+        column-major columns of a block, in the same integer form.
 
-        Internal: trusts nums to have length self.cols. The denominator is
-        the product of the two, not reduced, so chains of products stay in
-        integers and are reduced once, by the caller.
+        Internal: trusts the length of nums to be a multiple of self.cols.
+        The denominator is the product of the two, not reduced, so chains
+        of products stay in integers and are reduced once, by the caller.
         """
-        return self.den * den, [sum(map(mul, row, nums)) for row in self.nums]
+        cols = self.cols
+        columns = [nums[j : j + cols] for j in range(0, len(nums), cols)]
+        return self.den * den, [sum(map(mul, row, x)) for x in columns for row in self.nums]
 
     def transpose(self) -> Mat:
         return Mat._raw(self.den, tuple(zip(*self.nums)))

@@ -22,6 +22,12 @@ Every ``apply`` reads and writes the canonical integer columns of
 ``FsVec`` directly: shifts move columns without touching a number, and a
 matrix action is an integer matrix-vector product followed by one gcd per
 output column.
+
+Every operator also acts on a block of probes (``FsVec.width`` > 1), with
+one application for all: the matrix-vector product runs over the block's
+column-major columns, and one gcd reduces each output block. The image of
+a block is the block of its probes' images; ``EmbedI.apply_block`` builds
+a block from ambient vectors.
 """
 
 from __future__ import annotations
@@ -72,15 +78,12 @@ def _at(index: Index, column: Optional[Column]) -> list[tuple[Index, Column]]:
     return [] if column is None else [(index, column)]
 
 
-def _sum_ints(terms: Sequence[tuple[int, Sequence[int]]], dim: int) -> Optional[Column]:
-    """The sum of columns given as (den, nums) in any scale, added over the
-    lcm of the denominators: canonical, or None if it is zero."""
+def _sum_ints(terms: Sequence[tuple[int, Sequence[int]]]) -> Optional[Column]:
+    """The sum of columns or blocks given as (den, nums) in any scale, added
+    over the lcm of the denominators: canonical, or None if it is zero."""
     den = lcm(*(d for d, _ in terms))
-    sums = [0] * dim
-    for d, nums in terms:
-        f = den // d
-        sums = [s + f * n for s, n in zip(sums, nums)]
-    return reduce_column(den, sums)
+    scaled = ([den // d * n for n in nums] for d, nums in terms)
+    return reduce_column(den, [sum(entries) for entries in zip(*scaled)])
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,16 @@ class EmbedI(SeqOp):
     domain: Domain = Domain.UNINAT
 
     def apply(self, x: Sequence[Scalar]) -> FsVec:
-        if not isinstance(x, (tuple, list)):
-            raise DomainMismatch(
-                f"EmbedI expects an ambient vector of length {self.dim}, got {type(x).__name__}"
-            )
-        if len(x) != self.dim:
-            raise DomainMismatch(f"expected a vector of length {self.dim}, got {len(x)}")
-        return FsVec._raw(self.domain, self.dim, _at(self.domain.origin, column_of(x)))
+        return self.apply_block([x])
+
+    def apply_block(self, vectors: Sequence[Sequence[Scalar]]) -> FsVec:
+        """The block whose probe j is the embedding of vectors[j]."""
+        for x in vectors:
+            if not isinstance(x, (tuple, list)) or len(x) != self.dim:
+                got = f"length {len(x)}" if isinstance(x, (tuple, list)) else type(x).__name__
+                raise DomainMismatch(f"EmbedI: ambient vectors have length {self.dim}, got {got}")
+        column = column_of(v for x in vectors for v in x)
+        return FsVec._raw(self.domain, self.dim, _at(self.domain.origin, column), len(vectors))
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ class CoordProj0(SeqOp):
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, self.domain)
         origin = self.domain.origin
-        return FsVec._raw(self.domain, self.dim, _at(origin, x.columns.get(origin)))
+        return FsVec._raw(self.domain, self.dim, _at(origin, x.columns.get(origin)), x.width)
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,8 @@ class _Shift(SeqOp):
         self._check_input(x, self.dim, self.domain)
         # every step is increasing in the index order, so the order is kept
         step = self._step
-        return FsVec._raw(self.domain, self.dim, [(step(k), c) for k, c in x.columns.items()])
+        columns = [(step(k), c) for k, c in x.columns.items()]
+        return FsVec._raw(self.domain, self.dim, columns, x.width)
 
 
 class ShiftRight(_Shift):
@@ -180,7 +187,7 @@ class SchafferU(SeqOp):
         x_0 = x.columns.get(0)
         if x_0 is not None:
             accumulate(acc, 0, reduce_column(*self.T._apply_ints(*x_0)))
-        return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()))
+        return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()), x.width)
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,7 @@ class SchafferVInv(SeqOp):
         x_minus = x.columns.get(-1)
         if x_minus is not None:
             accumulate(acc, 1, reduce_column(*self._neg_T._apply_ints(*x_minus)))
-        return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()))
+        return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()), x.width)
 
 
 class _PowerCache:
@@ -258,7 +265,7 @@ class ProjStd(SeqOp):
         self._check_input(x, self.dim, Domain.UNINAT)
         powers = self._powers
         terms = [powers.get(n)._apply_ints(*c) for n, c in x.columns.items()]
-        return FsVec._raw(Domain.UNINAT, self.dim, _at(0, _sum_ints(terms, self.dim)))
+        return FsVec._raw(Domain.UNINAT, self.dim, _at(0, _sum_ints(terms)), x.width)
 
 
 @dataclass(frozen=True)
@@ -290,7 +297,7 @@ class ProjAndo(SeqOp):
             t_powers.get(n)._apply_ints(*s_powers.get(m)._apply_ints(*c))
             for (n, m), c in x.columns.items()
         ]
-        return FsVec._raw(Domain.GRID, self.dim, _at((0, 0), _sum_ints(terms, self.dim)))
+        return FsVec._raw(Domain.GRID, self.dim, _at((0, 0), _sum_ints(terms)), x.width)
 
 
 @dataclass(frozen=True)
@@ -299,6 +306,8 @@ class BlockDense(SeqOp):
 
     The matrix is (K*dim) x (K*dim); inputs supported outside {0..K-1} are
     rejected because the operator is only defined on that finite block.
+    Inside it, this is the ``ColumnBlocks`` of the matrix's nonzero
+    dim x dim blocks.
     """
 
     matrix: Mat
@@ -312,6 +321,15 @@ class BlockDense(SeqOp):
                 "matrix",
                 f"matrix size {self.matrix.rows} is not a multiple of block dim {self.dim}",
             )
+        d, k = self.dim, self.blocks_count
+        blocks = {}
+        for r in range(k):
+            rows = self.matrix.nums[r * d : (r + 1) * d]
+            for c in range(k):
+                flat = [n for row in rows for n in row[c * d : (c + 1) * d]]
+                if any(flat):
+                    blocks[(r, c)] = Mat._reduced(self.matrix.den, flat, d)
+        object.__setattr__(self, "_blocks", ColumnBlocks(blocks, dim_in=d, dim_out=d))
 
     @property
     def blocks_count(self) -> int:
@@ -324,18 +342,7 @@ class BlockDense(SeqOp):
             raise DomainMismatch(
                 f"input supported outside the {k} coordinates this operator acts on"
             )
-        d = self.dim
-        # the k blocks stacked over one common denominator
-        den = lcm(*(c[0] for c in x.columns.values()))
-        zero = (1, (0,) * d)
-        stacked = []
-        for b in range(k):
-            block_den, nums = x.columns.get(b, zero)
-            f = den // block_den
-            stacked.extend(f * n for n in nums)
-        image_den, image = self.matrix._apply_ints(den, stacked)
-        columns = [(b, reduce_column(image_den, image[b * d : (b + 1) * d])) for b in range(k)]
-        return FsVec._raw(Domain.UNINAT, d, [(b, c) for b, c in columns if c is not None])
+        return self._blocks.apply(x)
 
 
 @dataclass(frozen=True)
@@ -357,7 +364,7 @@ class Componentwise(SeqOp):
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim_in, self.domain)
         columns = [(k, reduce_column(*self.S._apply_ints(*c))) for k, c in x.columns.items()]
-        return FsVec._raw(self.domain, self.dim_out, [(k, c) for k, c in columns if c is not None])
+        return FsVec._raw(self.domain, self.dim_out, [(k, c) for k, c in columns if c], x.width)
 
 
 class ColumnBlocks(SeqOp):
@@ -396,7 +403,7 @@ class ColumnBlocks(SeqOp):
             column = x.columns.get(c)
             if column is not None:
                 accumulate(acc, r, reduce_column(*b._apply_ints(*column)))
-        return FsVec._raw(Domain.UNINAT, self.dim_out, sorted(acc.items()))
+        return FsVec._raw(Domain.UNINAT, self.dim_out, sorted(acc.items()), x.width)
 
 
 @dataclass(frozen=True)

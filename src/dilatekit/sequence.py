@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .finsupp import Domain, FsVec
-from .matrix import Mat, NonSquareMatrix, Vec, require_square, unit_vec, vec
+from .matrix import Mat, NonSquareMatrix, Vec, require_square, vec
 from .report import Report
 from .seqops import (
     Componentwise,
@@ -55,16 +55,34 @@ def _probe_vecs(probes: Sequence[Sequence], dim: int) -> list[Vec]:
     return out
 
 
+def differing_probes(a: FsVec, b: FsVec) -> Iterator[tuple[int, FsVec, FsVec]]:
+    """Every (j, a_j, b_j), in order, with probe j of the block a not equal
+    to probe j of the block b."""
+    if a != b:
+        for j in range(a.width):
+            a_j, b_j = a.probe(j), b.probe(j)
+            if a_j != b_j:
+                yield j, a_j, b_j
+
+
+def basis_block(dim: int, n: int) -> FsVec:
+    """The one-sided block whose probe i is the basis element e_n (x) e_i."""
+    identity = tuple(int(r == c) for c in range(dim) for r in range(dim))
+    return FsVec._raw(Domain.UNINAT, dim, [(n, (1, identity))], dim)
+
+
 def compression_mismatches(
     T: Mat, U: SeqOp, P: SeqOp, starts: Sequence[tuple[FsVec, FsVec]], n_max: int
-) -> Iterator[tuple[int, int, FsVec, FsVec]]:
-    """Every (n, i, projected, expected) with P U^n y_i != T^n z_i for
-    0 <= n <= n_max, in (n, i) order, over the start pairs (y_i, z_i).
+) -> Iterator[tuple[int, int, int, FsVec, FsVec]]:
+    """Every (n, i, j, projected, expected) with P U^n y_i != T^n z_i on
+    probe j, for 0 <= n <= n_max, in (n, i, j) order, over the start pairs
+    of blocks (y_i, z_i).
 
     This is the compression identity of every dilation here: with
     y = z = I x it reads P U^n I x = I T^n x. Both sides are carried forward
     one step per n: y by U, and z by T acting componentwise on P's domain,
-    independently of U and P."""
+    independently of U and P. Each step applies each operator once to a
+    whole block of probes, compared with one ``==``."""
     t_step = Componentwise(T, P.domain)
     ys, zs = [y for y, _ in starts], [z for _, z in starts]
     for n in range(n_max + 1):
@@ -72,20 +90,19 @@ def compression_mismatches(
             if n > 0:
                 ys[i] = y = U.apply(y)
                 zs[i] = z = t_step.apply(z)
-            projected = P.apply(y)
-            if projected != z:
-                yield n, i, projected, z
+            for j, projected, expected in differing_probes(P.apply(y), z):
+                yield n, i, j, projected, expected
 
 
 def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Optional[dict]:
     """The first (n, x), in that order, with P U^n I x != I T^n x for
     first_n <= n <= n_max, as a JSON witness."""
-    starts = [(dil.I.apply(x),) * 2 for x in vecs]
-    for n, i, projected, expected in compression_mismatches(dil.T, dil.U, dil.P, starts, n_max):
+    starts = [(dil.I.apply_block(vecs),) * 2]
+    for n, _, j, projected, expected in compression_mismatches(dil.T, dil.U, dil.P, starts, n_max):
         if n >= first_n:
             return {
                 "n": n,
-                "probe": vec_to_json(vecs[i]),
+                "probe": vec_to_json(vecs[j]),
                 "projected": fsvec_to_json(projected),
                 "expected": fsvec_to_json(expected),
             }
@@ -212,12 +229,8 @@ def standard_verify(
         config={"n_max": n_max, "probes": len(vecs), "seq_probes": len(seq_probes)},
     )
 
-    witness = None
-    for i in range(sd.dim):
-        image = sd.I.apply(unit_vec(sd.dim, i))
-        if image.is_zero():
-            witness = {"basis_index": i}
-            break
+    basis = sd.I.apply_block(Mat.identity(sd.dim).entries)
+    witness = next(({"basis_index": i} for i in range(sd.dim) if basis.probe(i).is_zero()), None)
     report.add(
         "embedding injective (nonzero on basis; structural for index placement)",
         witness is None,
@@ -245,18 +258,17 @@ def standard_verify(
             break
     report.add("projection idempotent on probes", witness is None, bound=len(seq_probes), witness=witness)
 
+    # the dilation equation at n = 0 is P I x = I x, so its first witness,
+    # if at n = 0, is the first embedded vector that P does not fix
+    dilation = _compression_witness(sd, vecs, 0, n_max)
     witness = None
     for x in seq_probes:
         image = sd.P.apply(x)
         if any(k != 0 for k in image.indices()):
             witness = {"probe": fsvec_to_json(x), "projected": fsvec_to_json(image)}
             break
-    if witness is None:
-        for x in vecs:
-            embedded = sd.I.apply(x)
-            if sd.P.apply(embedded) != embedded:
-                witness = {"vector": vec_to_json(x)}
-                break
+    if witness is None and dilation is not None and dilation["n"] == 0:
+        witness = {"vector": dilation["probe"]}
     report.add(
         "range: projection lands at index 0 and fixes embedded vectors",
         witness is None,
@@ -264,12 +276,11 @@ def standard_verify(
         witness=witness,
     )
 
-    witness = _compression_witness(sd, vecs, 0, n_max)
     report.add(
         "dilation equation I T^n x = P U^n I x (0 <= n <= bound)",
-        witness is None,
+        dilation is None,
         bound=n_max,
-        witness=witness,
+        witness=dilation,
     )
     return report
 
@@ -285,28 +296,25 @@ def standard_minimality_check(sd: StandardDilation, n_max: int) -> Report:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     report = Report(suite="standard_minimality", config={"n_max": n_max, "dim": sd.dim})
-    witness = None
-    certified = 0
-    for i in range(sd.dim):
-        e_i = unit_vec(sd.dim, i)
-        image = sd.I.apply(e_i)
-        for n in range(0, n_max + 1):
-            expected = FsVec.single(Domain.UNINAT, sd.dim, n, e_i)
-            if witness is None and image != expected:
-                witness = {
-                    "n": n,
-                    "basis_index": i,
-                    "got": fsvec_to_json(image),
-                    "expected": fsvec_to_json(expected),
-                }
-            certified += 1
-            image = sd.U.apply(image)
+    image = sd.I.apply_block(Mat.identity(sd.dim).entries)
+    mismatches = []
+    for n in range(n_max + 1):
+        expected = basis_block(sd.dim, n)
+        mismatches += [(i, n, got, want) for i, got, want in differing_probes(image, expected)]
+        image = sd.U.apply(image)
+    # the witness runs basis index first, then n
+    first = min(mismatches, key=lambda m: m[:2], default=None)
     report.add(
         "minimality: U^n I e_i equals the basis element at index n",
-        witness is None,
+        first is None,
         bound=n_max,
-        witness=witness,
-        detail=f"{certified} basis elements certified",
+        witness=lambda: {
+            "n": first[1],
+            "basis_index": first[0],
+            "got": fsvec_to_json(first[2]),
+            "expected": fsvec_to_json(first[3]),
+        },
+        detail=f"{(n_max + 1) * sd.dim} basis elements certified",
     )
     return report
 
@@ -379,30 +387,31 @@ def ando_verify(
         },
     )
 
-    # The starts of a probe are its cells (V^m I x, I S^m x) for m <= m_max,
-    # so the witnesses run probe first, then n, then m; the
-    # single-parameter compressions are the cells with m = 0 < n and with
-    # n = 0 < m.
+    # The starts are the cells (V^m I x, I S^m x) for m <= m_max, on the
+    # block of all probes; the witnesses run probe first, then n, then m.
+    # The single-parameter compressions are the cells with m = 0 < n and
+    # with n = 0 < m.
     s_step = Componentwise(av.S, Domain.GRID)
+    starts = [(av.I.apply_block(vecs),) * 2]
+    for _ in range(m_max):
+        y, z = starts[-1]
+        starts.append((av.V.apply(y), s_step.apply(z)))
+    mismatches = compression_mismatches(av.T, av.U, av.P, starts, n_max)
     witness = u_witness = v_witness = None
-    for x in vecs:
-        starts = [(av.I.apply(x),) * 2]
-        for _ in range(m_max):
-            y, z = starts[-1]
-            starts.append((av.V.apply(y), s_step.apply(z)))
-        for n, m, projected, expected in compression_mismatches(av.T, av.U, av.P, starts, n_max):
-            if witness is None:
-                witness = {
-                    "n": n,
-                    "m": m,
-                    "probe": vec_to_json(x),
-                    "projected": fsvec_to_json(projected),
-                    "expected": fsvec_to_json(expected),
-                }
-            if u_witness is None and m == 0 < n:
-                u_witness = {"n": n, "probe": vec_to_json(x)}
-            if v_witness is None and n == 0 < m:
-                v_witness = {"m": m, "probe": vec_to_json(x)}
+    for n, m, j, projected, expected in sorted(mismatches, key=lambda t: (t[2], t[0], t[1])):
+        x = vecs[j]
+        if witness is None:
+            witness = {
+                "n": n,
+                "m": m,
+                "probe": vec_to_json(x),
+                "projected": fsvec_to_json(projected),
+                "expected": fsvec_to_json(expected),
+            }
+        if u_witness is None and m == 0 < n:
+            u_witness = {"n": n, "probe": vec_to_json(x)}
+        if v_witness is None and n == 0 < m:
+            v_witness = {"m": m, "probe": vec_to_json(x)}
     report.add(
         "two-parameter compression I T^n S^m x = P U^n V^m I x",
         witness is None,

@@ -162,7 +162,9 @@ def fsvec_from_json(value: Any, where: str = "$") -> FsVec:
 # operator descriptors: one table maps each wire kind to its class and its
 # fields; a field's wire key is the constructor argument of the same name
 
-MAX_POWER = 1000  # largest n accepted for kind "power"
+# largest n of a "power", of the applications it makes of its base, and of
+# a column_blocks position: each ends up as an exponent of T in a projection
+MAX_POWER = 1000
 MAX_DEPTH = 64  # deepest nesting of operators inside operators
 
 # caps on the sizes a caller picks, so that no flag asks for unbounded work
@@ -217,6 +219,8 @@ def _read_blocks(value: Any, where: str, depth: int) -> dict:
         for label, k in (("row", r), ("col", c)):
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ParseError(f"bad {label} {k!r}", f"{loc}.{label}")
+            if k > MAX_POWER:
+                raise ParseError(f"{label} {k} exceeds the cap of {MAX_POWER}", f"{loc}.{label}")
         blocks[(r, c)] = mat_from_json(entry.get("block"), f"{loc}.block")
     return blocks
 
@@ -258,6 +262,22 @@ _KINDS = {
 _KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 
+def _applications(op, where: str) -> int:
+    """How many operators of a non-nesting kind one application of op runs,
+    each counted at least once: exponents multiply and compose factors add.
+    A power that runs its base more than MAX_POWER times is a ParseError."""
+    if isinstance(op, so.Compose):
+        factors = enumerate(op.factors)
+        return max(1, sum(_applications(f, f"{where}.factors[{i}]") for i, f in factors))
+    if not isinstance(op, so.PowerOp):
+        return 1
+    count = max(1, op.n) * _applications(op.base, f"{where}.base")
+    if count > MAX_POWER:
+        message = f"power applies its base {count} times, over the cap of {MAX_POWER}"
+        raise ParseError(message, f"{where}.n")
+    return count
+
+
 def seqop_to_json(op) -> dict:
     kind = _KIND_OF.get(type(op))
     # the wire format has no domain for componentwise, so it reads back one-sided
@@ -281,9 +301,12 @@ def seqop_from_json(value: Any, where: str = "$", depth: int = 0):
         for key, field in fields
     }
     try:
-        return cls(**args)
+        op = cls(**args)
     except so.OperandError as exc:
         raise ParseError(str(exc), f"{where}.{exc.field}") from exc
+    if depth == 0:  # once, for the whole descriptor
+        _applications(op, where)
+    return op
 
 
 # ----------------------------------------------------------------------

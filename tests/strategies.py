@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies: small exact rationals and matrices."""
+"""Shared hypothesis strategies (small exact rationals and matrices) and
+test doubles."""
 
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from dilatekit import Mat
 from dilatekit.finsupp import Domain, FsVec
+from dilatekit.matrix import column_of
+from dilatekit.seqops import SeqOp
 
 
 def rationals(bound: int = 9):
@@ -57,3 +60,35 @@ def fsvecs(domain: Domain, dim: int, bound: int = 9):
     return st.dictionaries(index, vectors(dim, bound), max_size=5).map(
         lambda support: FsVec(domain, dim, support)
     )
+
+
+class SumOp(SeqOp):
+    """The operator x -> a x + b x: a faulty copy of a, when b is a small
+    linear defect. Being linear, it acts on every probe on its own."""
+
+    def __init__(self, a: SeqOp, b: SeqOp):
+        self.a, self.b = a, b
+
+    def apply(self, x):
+        return self.a.apply(x) + self.b.apply(x)
+
+
+def coordinate(dim: int, j: int) -> Mat:
+    """The projection onto coordinate j: a defect that moves only the
+    probes with a nonzero coordinate j at the index it reads."""
+    return Mat([[int(r == c == j) for c in range(dim)] for r in range(dim)])
+
+
+def stack(families):
+    """The block whose probe j is families[j], all width-1 families on one
+    space, built from their Fraction views."""
+    first = families[0]
+    indices = sorted({k for f in families for k in f.columns})
+    columns = [(k, column_of(q for f in families for q in f.coeff(k))) for k in indices]
+    return FsVec._raw(first.domain, first.dim, columns, len(families))
+
+
+def per_probe(apply, x):
+    """The block of apply's images of the probes of x: how a test double
+    whose defect reads one probe acts on a block."""
+    return stack([apply(x.probe(j)) for j in range(x.width)])

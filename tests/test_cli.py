@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,24 @@ def test_operator_input_errors_exit_two(capsys, tmp_path):
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith(f"error: {where}")
+
+
+def test_descriptors_that_reach_too_far_exit_two_at_once(capsys, tmp_path):
+    # each would run for minutes or hours: a power of a power multiplies the
+    # applications, and a far block position is a high power of T
+    t_file = write(tmp_path, "t.json", [[2]])
+    shift = {"kind": "shift_right", "dim": 1}
+    nested = {"kind": "power", "n": 1000, "base": {"kind": "power", "n": 1000, "base": shift}}
+    block = {"row": 10**7, "col": 0, "block": [[1]]}
+    far = {"kind": "column_blocks", "dim_in": 1, "dim_out": 1, "blocks": [block]}
+    for name, descriptor, where in (("nested", nested, "$.n"), ("far", far, "$.blocks[0].row")):
+        r_file = write(tmp_path, f"{name}.json", descriptor)
+        argv = ["intertwine", "extract", "--R", r_file, "--T1", t_file, "--T2", t_file]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv + ["--certbound", "2"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
 
 
 def test_missing_file_is_input_error(capsys):

@@ -10,7 +10,7 @@ from dilatekit.finsupp import BadIndex, Domain, DomainMismatch, FinsuppError, Fs
 from dilatekit.seqops import Componentwise
 from dilatekit.serialize import ParseError, fsvec_from_json, fsvec_to_json
 
-from strategies import fsvecs
+from strategies import fsvecs, stack
 
 
 def test_disjoint_support_addition():
@@ -181,3 +181,17 @@ def test_columns_are_canonical_and_the_view_holds_fractions(data):
             assert den >= 1 and gcd(den, *nums) == 1 and any(nums)
         assert all(type(q) is Fraction for column in x.support.values() for q in column)
         assert list(x.support) == list(x.indices()) == sorted(x.indices())
+
+
+def test_a_block_is_its_own_space_and_has_no_fraction_view():
+    x = FsVec(Domain.GRID, 2, {(0, 1): (1, 2)})
+    block = stack([x, FsVec.zero(Domain.GRID, 2), x.scale(3)])
+    assert (block.width, block.columns) == (3, {(0, 1): (1, (1, 2, 0, 0, 3, 6))})
+    assert block.probe(1).is_zero() and block.probe(2) == x.scale(3)
+    with pytest.raises(DomainMismatch, match=r"\(grid, dim 2, width 3\) vs \(grid, dim 2\)"):
+        block == x
+    for view in (lambda: block.support, lambda: block.coeff((0, 1)), block.items):
+        with pytest.raises(FinsuppError, match="block of 3 probes"):
+            view()
+    assert "width=3" in repr(block)
+    assert block + block == block.scale(2) and hash(block + block) == hash(block.scale(2))

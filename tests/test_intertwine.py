@@ -10,11 +10,15 @@ from dilatekit.intertwine import (
     NotIntertwining,
     certification_report,
     lift_intertwiner,
+    lift_relations,
     make_pair,
     verify_lift,
 )
 from dilatekit.seqops import ColumnBlocks, Componentwise, Compose, ShiftRight
-from dilatekit.serialize import mat_from_json
+from dilatekit.report import Report
+from dilatekit.serialize import fsvec_to_json, mat_from_json, mat_to_json, vec_to_json
+
+from strategies import SumOp, coordinate
 
 
 def extracted_map(R, pair, cert_bound):
@@ -164,3 +168,101 @@ def test_certification_report_turns_not_intertwining_into_a_failed_check(monkeyp
     assert intertwines.status == "fail"
     assert intertwines.witness == {"defect": [[0, -1], [0, 0]]}
     assert "S" not in rep.data
+
+
+# ----------------------------------------------------------------------
+# verify_lift and certification_report against copies of their per-probe
+# loops over basis elements built one at a time. The injected defect
+# breaks U1 R = R U2 on e_1 at index 0 and on e_0 only at index 2, which
+# pins the order of the witnesses: caller probes first, then (index, basis
+# index).
+
+
+def _reference_basis(dim, n_max):
+    return [
+        FsVec.single(Domain.UNINAT, dim, n, tuple(int(i == j) for j in range(dim)))
+        for n in range(n_max + 1)
+        for i in range(dim)
+    ]
+
+
+def _reference_relation_witness(lhs, rhs, probes):
+    for x in probes:
+        left, right = lhs(x), rhs(x)
+        if left != right:
+            return {"probe": fsvec_to_json(x), "lhs": fsvec_to_json(left), "rhs": fsvec_to_json(right)}
+    return None
+
+
+def _reference_lift_report(R, pair, probes, n_max):
+    d2 = pair.T2.rows
+    all_probes = list(probes) + _reference_basis(d2, n_max)
+    report = Report(suite="intertwine_verify", config={"n_max": n_max, "probes": len(all_probes)})
+    for label, relation, lhs, rhs in lift_relations(R, pair.dil1, pair.dil2):
+        witness = _reference_relation_witness(lhs, rhs, all_probes)
+        report.add(f"{label}: {relation}", witness is None, bound=n_max, witness=witness)
+    witness = None
+    vec_probes = [tuple(Fraction(int(i == j)) for j in range(d2)) for i in range(d2)]
+    vec_probes += [x.coeff(0) for x in probes if not x.is_zero()]
+    for v in vec_probes:
+        left = R.apply(pair.dil2.I.apply(v))
+        right = pair.dil1.I.apply(pair.S.apply(v))
+        if left != right:
+            witness = {"vector": vec_to_json(v), "lhs": fsvec_to_json(left), "rhs": fsvec_to_json(right)}
+            break
+    report.add(
+        "embeddings intertwine: R I2 = I1 S",
+        witness is None,
+        bound=len(vec_probes),
+        witness=witness,
+    )
+    return report
+
+
+def _reference_certification_report(R, dil1, dil2, cert_bound):
+    report = Report(suite="intertwine_extract", config={"cert_bound": cert_bound})
+    certified = "extraction: relations certified on basis elements up to the bound"
+    for _, relation, lhs, rhs in lift_relations(R, dil1, dil2):
+        witness = _reference_relation_witness(lhs, rhs, _reference_basis(dil2.dim, cert_bound))
+        if witness is not None:
+            report.add(certified, False, bound=cert_bound, witness={"relation": relation, **witness})
+            return report
+    S = intertwine.read_off_intertwiner(R, dil1, dil2)
+    report.data["S"] = mat_to_json(S)
+    report.add(certified, True, bound=cert_bound)
+    report.add("extracted map intertwines: T1 S = S T2", dil1.T * S == S * dil2.T)
+    return report
+
+
+def _diagonal_pair_and_defective_lift():
+    T = Mat([[2, 0], [0, 3]])
+    pair = make_pair(T, T, Mat([[5, 0], [0, 7]]))
+    # coordinate 1 of x_1 and coordinate 0 of x_3 are added at index 0
+    defect = ColumnBlocks({(0, 1): coordinate(2, 1), (0, 3): coordinate(2, 0)}, dim_in=2, dim_out=2)
+    return pair, SumOp(lift_intertwiner(pair), defect)
+
+
+def test_verify_lift_matches_the_per_probe_loop():
+    pair, wrong = _diagonal_pair_and_defective_lift()
+    clean = [FsVec(Domain.UNINAT, 2, {5: (1, 2)}), FsVec(Domain.UNINAT, 2, {})]
+    for R in (lift_intertwiner(pair), wrong):
+        got = verify_lift(R, pair, clean, n_max=4)
+        assert got.to_json() == _reference_lift_report(R, pair, clean, 4).to_json()
+    forward = got.failed_checks()[0]
+    assert forward.name == "forward shifts intertwine: U1 R = R U2"
+    assert forward.witness["probe"] == fsvec_to_json(FsVec.single(Domain.UNINAT, 2, 0, (0, 1)))
+    # a caller probe that fails comes before every basis element
+    failing = [FsVec(Domain.UNINAT, 2, {2: (1, 1)})]
+    got = verify_lift(wrong, pair, clean + failing, n_max=4)
+    assert got.to_json() == _reference_lift_report(wrong, pair, clean + failing, 4).to_json()
+    assert got.failed_checks()[0].witness["probe"] == fsvec_to_json(failing[0])
+
+
+def test_certification_report_matches_the_per_probe_loop():
+    pair, wrong = _diagonal_pair_and_defective_lift()
+    for R in (lift_intertwiner(pair), wrong):
+        got = certification_report(R, pair.dil1, pair.dil2, 4)
+        assert got.to_json() == _reference_certification_report(R, pair.dil1, pair.dil2, 4).to_json()
+    witness = got.checks[0].witness
+    assert witness["relation"] == "U1 R = R U2"
+    assert witness["probe"] == fsvec_to_json(FsVec.single(Domain.UNINAT, 2, 0, (0, 1)))

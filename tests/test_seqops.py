@@ -27,7 +27,7 @@ from dilatekit.seqops import (
 )
 from dilatekit.serialize import fsvec_to_json
 
-from strategies import fsvecs, rationals
+from strategies import fsvecs, rationals, stack
 
 
 def proj_std_oracle(T, x):
@@ -501,3 +501,92 @@ def test_oracle_block_dense(data, dim, k):
     image = ref_matvec(matrix, stacked)
     expected = {b: image[b * dim : (b + 1) * dim] for b in range(k)}
     assert_matches_reference(BlockDense(matrix, dim).apply(x), Domain.UNINAT, dim, expected)
+
+
+# ----------------------------------------------------------------------
+# blocks of probes: every operator applied to a block of w probes must
+# give the block of its w width-1 images, probe by probe, including a zero
+# probe inside a nonzero block and a block whose image cancels to zero,
+# which is pruned from the support
+
+BLOCK_DENSE_SPAN = 7  # covers every one-sided index that INDICES draws
+
+
+def block_operators(data, domain, dim):
+    """One operator of every kind that acts on (domain, dim), Compose and
+    PowerOp included."""
+    T, S = draw_matrix(data, dim, dim), draw_matrix(data, dim, dim)
+    dim_out = data.draw(st.integers(min_value=1, max_value=3), label="dim_out")
+    rect = draw_matrix(data, dim_out, dim)
+    ops = [CoordProj0(dim, domain), Componentwise(rect, domain), Componentwise(S, domain)]
+    if domain is Domain.UNINAT:
+        spots = st.tuples(st.integers(0, 4), st.integers(0, 6))
+        positions = data.draw(st.lists(spots, max_size=3, unique=True), label="blocks")
+        blocks = {p: draw_matrix(data, dim_out, dim) for p in positions}
+        entries = st.lists(st.sampled_from([ZERO, Fraction(1), Fraction(-2, 3)]), min_size=49 * dim * dim)
+        flat = data.draw(entries.map(lambda xs: xs[: 49 * dim * dim]), label="dense")
+        dense = Mat([flat[r * 7 * dim : (r + 1) * 7 * dim] for r in range(7 * dim)])
+        ops += [
+            ShiftRight(dim),
+            ProjStd(T),
+            ColumnBlocks(blocks, dim_in=dim, dim_out=dim_out),
+            BlockDense(dense, dim),
+            Compose((ProjStd(T), ShiftRight(dim), Componentwise(S))),
+            PowerOp(Compose((ShiftRight(dim), ProjStd(T))), 2),
+        ]
+    elif domain is Domain.BIINT:
+        ops += [
+            ShiftBilat(dim),
+            SchafferU(T),
+            SchafferVInv(T),
+            Compose((SchafferVInv(T), SchafferU(T))),
+            PowerOp(SchafferU(T), 3),
+        ]
+    else:
+        ops += [
+            GridDown(dim),
+            GridRight(dim),
+            ProjAndo(T, S),
+            Compose((ProjAndo(T, S), GridDown(dim))),
+            PowerOp(Compose((GridRight(dim), ProjAndo(T, S))), 2),
+        ]
+    return ops
+
+
+def assert_acts_probe_by_probe(op, families):
+    block = stack(families)
+    assert [block.probe(j) for j in range(block.width)] == families
+    image = op.apply(block)
+    images = [op.apply(x) for x in families]
+    assert image.width == len(families)
+    assert [image.probe(j) for j in range(image.width)] == images
+    assert image == stack(images)
+    assert all(any(nums) for _, nums in image.columns.values())
+
+
+@ORACLE
+@given(st.data(), st.sampled_from(list(Domain)), st.integers(min_value=1, max_value=2))
+def test_every_operator_acts_on_a_block_probe_by_probe(data, domain, dim):
+    families = [FsVec(domain, dim, draw_columns(data, domain, dim)) for _ in range(data.draw(st.integers(1, 3)))]
+    # a zero probe somewhere in the block
+    families.insert(data.draw(st.integers(0, len(families))), FsVec.zero(domain, dim))
+    for op in block_operators(data, domain, dim):
+        assert_acts_probe_by_probe(op, families)
+    vectors = [draw_vector(data, dim) for _ in range(len(families))]
+    embed = EmbedI(dim, domain)
+    block = embed.apply_block(vectors)
+    assert [block.probe(j) for j in range(len(vectors))] == [embed.apply(v) for v in vectors]
+
+
+@ORACLE
+@given(st.data(), st.integers(min_value=1, max_value=2))
+def test_a_block_that_cancels_to_zero_is_pruned(data, dim):
+    # x_0 = -T x_1 in every probe: the projected block is zero
+    T = draw_matrix(data, dim, dim)
+    families = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        x1 = draw_vector(data, dim)
+        families.append(FsVec(Domain.UNINAT, dim, {1: x1, 0: tuple(-q for q in ref_matvec(T, x1))}))
+    assert_acts_probe_by_probe(ProjStd(T), families)
+    image = ProjStd(T).apply(stack(families))
+    assert image.is_zero() and image.columns == {}

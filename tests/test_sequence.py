@@ -19,11 +19,23 @@ from dilatekit.sequence import (
     standard_minimality_check,
     standard_verify,
 )
-from dilatekit.seqops import GridDown, GridRight, ProjAndo, ProjStd, SchafferU, _PowerCache
+from dilatekit.seqops import (
+    ColumnBlocks,
+    Componentwise,
+    Compose,
+    CoordProj0,
+    GridDown,
+    GridRight,
+    ProjAndo,
+    ProjStd,
+    SchafferU,
+    ShiftBilat,
+    _PowerCache,
+)
 from dilatekit.report import Report
 from dilatekit.serialize import fsvec_to_json, vec_to_json
 
-from strategies import fsvecs, matrices, rationals, vectors
+from strategies import SumOp, coordinate, fsvecs, matrices, per_probe, rationals, vectors
 
 
 def random_mat(rng, dim, bound=9):
@@ -340,6 +352,9 @@ class _SchafferUWrongOnThirdStep(SchafferU):
     does first at n = 2, so P U^n I x is wrong from n = 3 on."""
 
     def apply(self, x):
+        return per_probe(self._apply_probe, x)
+
+    def _apply_probe(self, x):
         y = super().apply(x)
         if x.support and min(x.support) == -2:
             y = y + FsVec.single(Domain.BIINT, self.dim, 0, (1,) * self.dim)
@@ -442,6 +457,9 @@ class _ProjAndoWrongAtCells(ProjAndo):
         object.__setattr__(self, "faults", faults)
 
     def apply(self, x):
+        return per_probe(self._apply_probe, x)
+
+    def _apply_probe(self, x):
         y = super().apply(x)
         for cell, j in self.faults:
             if x.coeff(cell)[j]:
@@ -491,3 +509,189 @@ def test_ando_verify_matches_the_fraction_loop(data):
     got = ando_verify(av, probes, n_max, m_max, seq_probes=seq_probes)
     want = _reference_ando_report(av, probes, n_max, m_max, seq_probes)
     assert got.to_json() == want.to_json()
+
+
+# ----------------------------------------------------------------------
+# schaffer_verify, standard_verify and the minimality check against copies
+# of their per-probe loops, with the expected side formed by plain-Fraction
+# matrix-vector products. The injected defect breaks the second probe at
+# n = 1 and the first only at n = 3, which pins the order of the witnesses:
+# (n, probe) for the compressions, (basis index, n) for minimality.
+
+SCHAFFER_COMPRESSION = "compression: coordinate 0 of U^n(I x) equals T^n x (1 <= n <= bound)"
+DILATION_EQUATION = "dilation equation I T^n x = P U^n I x (0 <= n <= bound)"
+
+
+def _reference_inverse_pair(report, a, b, seq_probes):
+    for name, first, second in (("a(b(x)) = x", b, a), ("b(a(x)) = x", a, b)):
+        witness = None
+        for x in seq_probes:
+            y = second.apply(first.apply(x))
+            if y != x:
+                witness = {"probe": fsvec_to_json(x), "result": fsvec_to_json(y)}
+                break
+        report.add(f"inverse pair: {name}", witness is None, bound=len(seq_probes), witness=witness)
+
+
+def _reference_compression(dil, probes, first_n, n_max):
+    """The first (n, probe), in that order, with P U^n I x != I T^n x."""
+    T = dil.T.entries
+    images = [dil.I.apply(x) for x in probes]
+    values = [tuple(Fraction(v) for v in x) for x in probes]
+    for n in range(n_max + 1):
+        for i, x in enumerate(probes):
+            if n > 0:
+                images[i] = dil.U.apply(images[i])
+                values[i] = _fraction_apply(T, values[i])
+            projected = dil.P.apply(images[i])
+            expected = FsVec.single(projected.domain, dil.dim, 0, values[i])
+            if n >= first_n and projected != expected:
+                return {
+                    "n": n,
+                    "probe": vec_to_json(tuple(Fraction(v) for v in x)),
+                    "projected": fsvec_to_json(projected),
+                    "expected": fsvec_to_json(expected),
+                }
+    return None
+
+
+def _reference_schaffer_report(sd, probes, n_max, seq_probes):
+    report = Report(
+        suite="schaffer_verify",
+        config={"n_max": n_max, "probes": len(probes), "seq_probes": len(seq_probes)},
+    )
+    _reference_inverse_pair(report, sd.U, sd.U_inv, seq_probes)
+    witness = _reference_compression(sd, probes, 1, n_max)
+    report.add(SCHAFFER_COMPRESSION, witness is None, bound=n_max, witness=witness)
+    return report
+
+
+def _reference_standard_report(sd, probes, n_max, seq_probes):
+    report = Report(
+        suite="standard_verify",
+        config={"n_max": n_max, "probes": len(probes), "seq_probes": len(seq_probes)},
+    )
+    basis = [tuple(Fraction(int(i == j)) for j in range(sd.dim)) for i in range(sd.dim)]
+    witness = next(
+        ({"basis_index": i} for i, e in enumerate(basis) if sd.I.apply(e).is_zero()), None
+    )
+    report.add(
+        "embedding injective (nonzero on basis; structural for index placement)",
+        witness is None,
+        bound=sd.dim,
+        witness=witness,
+    )
+    witness = next(
+        (
+            {"probe": fsvec_to_json(x)}
+            for x in seq_probes
+            if not x.is_zero() and sd.U.apply(x).is_zero()
+        ),
+        None,
+    )
+    report.add(
+        "forward map injective on probes (structural for the shift)",
+        witness is None,
+        bound=len(seq_probes),
+        witness=witness,
+    )
+    witness = None
+    for x in seq_probes:
+        once = sd.P.apply(x)
+        if sd.P.apply(once) != once:
+            witness = {"probe": fsvec_to_json(x), "projected": fsvec_to_json(once)}
+            break
+    report.add("projection idempotent on probes", witness is None, bound=len(seq_probes), witness=witness)
+    witness = None
+    for x in seq_probes:
+        image = sd.P.apply(x)
+        if any(k != 0 for k in image.indices()):
+            witness = {"probe": fsvec_to_json(x), "projected": fsvec_to_json(image)}
+            break
+    if witness is None:
+        for x in probes:
+            embedded = sd.I.apply(x)
+            if sd.P.apply(embedded) != embedded:
+                witness = {"vector": vec_to_json(tuple(Fraction(v) for v in x))}
+                break
+    report.add(
+        "range: projection lands at index 0 and fixes embedded vectors",
+        witness is None,
+        bound=len(seq_probes) + len(probes),
+        witness=witness,
+    )
+    witness = _reference_compression(sd, probes, 0, n_max)
+    report.add(DILATION_EQUATION, witness is None, bound=n_max, witness=witness)
+    return report
+
+
+def _reference_minimality_report(sd, n_max):
+    report = Report(suite="standard_minimality", config={"n_max": n_max, "dim": sd.dim})
+    witness = None
+    for i in range(sd.dim):
+        e_i = tuple(Fraction(int(i == j)) for j in range(sd.dim))
+        image = sd.I.apply(e_i)
+        for n in range(n_max + 1):
+            expected = FsVec.single(Domain.UNINAT, sd.dim, n, e_i)
+            if witness is None and image != expected:
+                witness = {
+                    "n": n,
+                    "basis_index": i,
+                    "got": fsvec_to_json(image),
+                    "expected": fsvec_to_json(expected),
+                }
+            image = sd.U.apply(image)
+    report.add(
+        "minimality: U^n I e_i equals the basis element at index n",
+        witness is None,
+        bound=n_max,
+        witness=witness,
+        detail=f"{(n_max + 1) * sd.dim} basis elements certified",
+    )
+    return report
+
+
+# a diagonal T keeps each basis probe on its own coordinate, so that a
+# defect reading coordinate j moves only the probes that have one
+DIAGONAL = Mat([[2, 0], [0, 3]])
+BASIS_FIRST = [(1, 0), (0, 1), (3, 0), (2, 5)]
+
+
+def test_schaffer_verify_matches_the_per_probe_loop():
+    sd = schaffer_build(DIAGONAL)
+    # coordinate 1 of x_0 and coordinate 0 of x_-2 are added into index 0:
+    # U^n I e_1 is wrong from n = 1 on, U^n I e_0 from n = 3 on
+    defect = SumOp(
+        Compose((Componentwise(coordinate(2, 1), Domain.BIINT), CoordProj0(2, Domain.BIINT))),
+        Compose(
+            (
+                Componentwise(coordinate(2, 0), Domain.BIINT),
+                CoordProj0(2, Domain.BIINT),
+                ShiftBilat(2),
+                ShiftBilat(2),
+            )
+        ),
+    )
+    wrong = dataclasses.replace(sd, U=SumOp(sd.U, defect))
+    seq_probes = [FsVec(Domain.BIINT, 2, {-3: (1, 0), 2: (0, 4)}), FsVec(Domain.BIINT, 2, {5: (1, 1)})]
+    for dil in (sd, wrong):
+        got = schaffer_verify(dil, BASIS_FIRST, 5, seq_probes=seq_probes)
+        assert got.to_json() == _reference_schaffer_report(dil, BASIS_FIRST, 5, seq_probes).to_json()
+    assert _failed(got)[SCHAFFER_COMPRESSION]["n"] == 1
+    assert _failed(got)[SCHAFFER_COMPRESSION]["probe"] == [0, 1]
+
+
+def test_standard_verify_and_minimality_match_the_per_probe_loops():
+    sd = standard_build(DIAGONAL)
+    # coordinate 1 of x_0 is added at index 1, coordinate 0 of x_2 at index 3
+    defect = ColumnBlocks({(1, 0): coordinate(2, 1), (3, 2): coordinate(2, 0)}, dim_in=2, dim_out=2)
+    wrong = dataclasses.replace(sd, U=SumOp(sd.U, defect))
+    seq_probes = [FsVec(Domain.UNINAT, 2, {0: (1, 0), 4: (0, 4)}), FsVec(Domain.UNINAT, 2, {2: (1, 1)})]
+    for dil in (sd, wrong):
+        got = standard_verify(dil, BASIS_FIRST, 5, seq_probes=seq_probes)
+        assert got.to_json() == _reference_standard_report(dil, BASIS_FIRST, 5, seq_probes).to_json()
+        got_minimality = standard_minimality_check(dil, 5)
+        assert got_minimality.to_json() == _reference_minimality_report(dil, 5).to_json()
+    assert (_failed(got)[DILATION_EQUATION]["n"], _failed(got)[DILATION_EQUATION]["probe"]) == (1, [0, 1])
+    minimality = got_minimality.checks[0].witness
+    assert (minimality["basis_index"], minimality["n"]) == (0, 3)

@@ -242,6 +242,37 @@ def test_seqop_power_is_capped():
     assert exc.value.where == "$.n"
 
 
+def test_seqop_base_applications_are_capped():
+    shift = {"kind": "shift_right", "dim": 1}
+
+    def power(base, n):
+        return {"kind": "power", "base": base, "n": n}
+
+    # exponents multiply through nested powers and add across compose factors
+    assert seqop_from_json(power(power(shift, 10), MAX_POWER // 10)).n == MAX_POWER // 10
+    cases = [
+        (power(power(shift, 10), MAX_POWER // 10 + 1), "$.n"),
+        (power({"kind": "compose", "factors": [shift, power(shift, 2)]}, MAX_POWER // 3 + 1), "$.n"),
+        ({"kind": "compose", "factors": [shift, power(power(power(shift, 0), 1000), 2)]}, "$.factors[1].n"),
+    ]
+    for doc, where in cases:
+        with pytest.raises(ParseError) as exc:
+            seqop_from_json(doc)
+        assert exc.value.where == where
+
+
+def test_column_blocks_positions_are_capped():
+    def blocks(row, col):
+        block = {"row": row, "col": col, "block": [[1]]}
+        return {"kind": "column_blocks", "dim_in": 1, "dim_out": 1, "blocks": [block]}
+
+    assert len(seqop_from_json(blocks(MAX_POWER, MAX_POWER)).blocks) == 1
+    for doc, where in ((blocks(MAX_POWER + 1, 0), "row"), (blocks(0, MAX_POWER + 1), "col")):
+        with pytest.raises(ParseError) as exc:
+            seqop_from_json(doc)
+        assert exc.value.where == f"$.blocks[0].{where}"
+
+
 def test_seqop_nesting_is_capped():
     doc = {"kind": "shift_right", "dim": 1}
     for _ in range(MAX_DEPTH + 1):
