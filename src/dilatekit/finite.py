@@ -103,46 +103,34 @@ def schur_build(class_tag: str, T: Mat, B: Mat, C: Mat, D: Mat) -> SchurFamily:
 
     if class_tag == "i":
         Ti = _inv_or_fail(T, "T")
-        schur = D - C * Ti * B
+        TiB, CTi = Ti * B, C * Ti
+        schur = D - CTi * B
         Si = _inv_or_fail(schur, "D - C T^-1 B")
+        TiBSi = TiB * Si
         # Top-left entry carries the full sandwich T^-1 B (..)^-1 C T^-1;
         # truncating the trailing C T^-1 factor breaks U * U_inv = I.
-        U_inv = Mat.block(
-            [
-                [Ti + Ti * B * Si * C * Ti, -(Ti * B * Si)],
-                [-(Si * C * Ti), Si],
-            ]
-        )
+        U_inv = Mat.block([[Ti + TiBSi * CTi, -TiBSi], [-(Si * CTi), Si]])
     elif class_tag == "ii":
         Di = _inv_or_fail(D, "D")
-        schur = T - B * Di * C
+        BDi, DiC = B * Di, Di * C
+        schur = T - BDi * C
         Si = _inv_or_fail(schur, "T - B D^-1 C")
-        U_inv = Mat.block(
-            [
-                [Si, -(Si * B * Di)],
-                [-(Di * C * Si), Di + Di * C * Si * B * Di],
-            ]
-        )
+        DiCSi = DiC * Si
+        U_inv = Mat.block([[Si, -(Si * BDi)], [-DiCSi, Di + DiCSi * BDi]])
     elif class_tag == "iii":
         Bi = _inv_or_fail(B, "B")
-        schur = C - D * Bi * T
+        DBi, BiT = D * Bi, Bi * T
+        schur = C - DBi * T
         Si = _inv_or_fail(schur, "C - D B^-1 T")
-        U_inv = Mat.block(
-            [
-                [-(Si * D * Bi), Si],
-                [Bi + Bi * T * Si * D * Bi, -(Bi * T * Si)],
-            ]
-        )
+        BiTSi = BiT * Si
+        U_inv = Mat.block([[-(Si * DBi), Si], [Bi + BiTSi * DBi, -BiTSi]])
     else:
         Ci = _inv_or_fail(C, "C")
-        schur = B - T * Ci * D
+        TCi, CiD = T * Ci, Ci * D
+        schur = B - TCi * D
         Si = _inv_or_fail(schur, "B - T C^-1 D")
-        U_inv = Mat.block(
-            [
-                [-(Ci * D * Si), Ci + Ci * D * Si * T * Ci],
-                [Si, -(Si * T * Ci)],
-            ]
-        )
+        CiDSi = CiD * Si
+        U_inv = Mat.block([[-CiDSi, Ci + CiDSi * TCi], [Si, -(Si * TCi)]])
 
     U = Mat.block([[T, B], [C, D]])
     return SchurFamily(class_tag=class_tag, T=T, B=B, C=C, D=D, schur=schur, U=U, U_inv=U_inv)
@@ -248,8 +236,9 @@ def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] 
 
     Past the guaranteed range, N < k <= k_max (N + 1 when None), the outcome
     per k is recorded as inconclusive data under `beyond_range`, and
-    `breaks_at_n_plus_1` says whether the identity broke at N + 1: it
-    usually does there but is not required to. The stacked space is read as
+    `breaks_at_n_plus_1` says whether the identity broke at N + 1: on
+    any nonzero probe x it always does, since the first block of
+    U^(N+1) I x is T^(N+1) x + x. The stacked space is read as
     one-sided families supported on {0..N}, so this is the compression
     identity of the sequence layer with U acting blockwise and P reading
     coordinate 0.

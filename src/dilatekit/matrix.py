@@ -217,10 +217,6 @@ class Mat:
         return cls._raw(1, ((0,) * cols,) * rows)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]]) -> Mat:
-        return cls(columns).transpose()
-
-    @classmethod
     def block(cls, grid: Sequence[Sequence[Mat]]) -> Mat:
         """Assemble a matrix from a grid of conforming blocks.
 
@@ -258,9 +254,6 @@ class Mat:
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return Fraction(self.nums[i][j], self.den)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)

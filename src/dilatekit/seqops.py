@@ -80,7 +80,10 @@ def _at(index: Index, column: Optional[Column]) -> list[tuple[Index, Column]]:
 
 def _sum_ints(terms: Sequence[tuple[int, Sequence[int]]]) -> Optional[Column]:
     """The sum of columns or blocks given as (den, nums) in any scale, added
-    over the lcm of the denominators: canonical, or None if it is zero."""
+    over the lcm of the denominators: canonical, or None if it is zero.
+    A single term is only reduced."""
+    if len(terms) == 1:
+        return reduce_column(*terms[0])
     den = lcm(*(d for d, _ in terms))
     scaled = ([den // d * n for n in nums] for d, nums in terms)
     return reduce_column(den, [sum(entries) for entries in zip(*scaled)])

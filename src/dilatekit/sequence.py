@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .finsupp import Domain, FsVec
-from .matrix import Mat, NonSquareMatrix, Vec, require_square, vec
+from .matrix import Mat, NonSquareMatrix, Vec, reduce_column, require_square, vec
 from .report import Report
 from .seqops import (
     Componentwise,
@@ -82,16 +82,26 @@ def compression_mismatches(
     y = z = I x it reads P U^n I x = I T^n x. Both sides are carried forward
     one step per n: y by U, and z by T acting componentwise on P's domain,
     independently of U and P. Each step applies each operator once to a
-    whole block of probes, compared with one ``==``."""
-    t_step = Componentwise(T, P.domain)
-    ys, zs = [y for y, _ in starts], [z for _, z in starts]
+    whole block of probes. z is carried as its canonical integer columns,
+    compared with those of P U^n y by one dict ``==`` and with its shape;
+    an ``FsVec`` is built for z only where they differ."""
+    domain, d = P.domain, T.rows
+    for _, z in starts:  # T acts on z as Componentwise(T, domain) would
+        Componentwise(T, domain)._check_input(z, T.cols, domain)
+    ys = [y for y, _ in starts]
+    zs = [z.columns for _, z in starts]
+    shapes = [(domain, d, z.width) for _, z in starts]
     for n in range(n_max + 1):
-        for i, (y, z) in enumerate(zip(ys, zs)):
+        for i, (y, z, shape) in enumerate(zip(ys, zs, shapes)):
             if n > 0:
                 ys[i] = y = U.apply(y)
-                zs[i] = z = t_step.apply(z)
-            for j, projected, expected in differing_probes(P.apply(y), z):
-                yield n, i, j, projected, expected
+                stepped = ((k, reduce_column(*T._apply_ints(*c))) for k, c in z.items())
+                zs[i] = z = {k: c for k, c in stepped if c is not None}
+            projected = P.apply(y)
+            if projected.columns != z or (projected.domain, projected.dim, projected.width) != shape:
+                expected = FsVec._raw(domain, d, z.items(), shape[2])
+                for j, got, want in differing_probes(projected, expected):
+                    yield n, i, j, got, want
 
 
 def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Optional[dict]:

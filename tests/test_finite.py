@@ -136,6 +136,25 @@ def test_all_classes_match_dense_oracle(tag):
         built += 1
 
 
+def test_schur_build_forms_each_sub_product_once(monkeypatch):
+    calls = []
+    product = Mat.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counting)
+    blocks = Mat([[2, 1], [0, 3]]), Mat([[1, 0], [1, 1]]), Mat([[1, 2], [0, 1]]), Mat([[5, 0], [1, 4]])
+    counts, families = [], []
+    for tag in SCHUR_CLASSES:
+        calls.clear()
+        families.append(schur_build(tag, *blocks))
+        counts.append(len(calls))
+    assert counts == [6, 6, 6, 6]
+    assert all(fam.U * fam.U_inv == Mat.identity(4) for fam in families)
+
+
 # ----------------------------------------------------------------------
 # non-similar pair
 
@@ -301,6 +320,27 @@ def test_ndilation_identity_map_still_breaks_beyond_n():
     rep = ndilation_verify(nd, [(1, 0), (0, 1), (2, 3)], k_max=5)
     assert rep.passed
     assert rep.data["breaks_at_n_plus_1"] is True
+
+
+def _special_or_random(data, dim):
+    kind = data.draw(st.sampled_from(["zero", "nilpotent", "identity", "random"]), label="kind")
+    if kind == "zero":
+        return Mat.zeros(dim, dim)
+    if kind == "nilpotent":  # strictly upper triangular
+        return Mat([[data.draw(rationals(5)) if c > r else 0 for c in range(dim)] for r in range(dim)])
+    if kind == "identity":
+        return Mat.identity(dim)
+    return Mat([list(data.draw(vectors(dim, 5))) for _ in range(dim)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ndilation_always_breaks_at_n_plus_1_on_a_nonzero_probe(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    T = _special_or_random(data, dim)
+    N = data.draw(st.integers(1, 4), label="N")
+    probe = data.draw(vectors(dim, 5).filter(any), label="probe")
+    assert ndilation_verify(ndilation_build(T, N), [probe]).data["breaks_at_n_plus_1"] is True
 
 
 def test_ndilation_verify_empty_probes_vacuous():

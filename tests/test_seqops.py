@@ -354,7 +354,7 @@ def draw_columns(data, domain, dim, indices=None):
 
 
 def ref_matvec(m, v):
-    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in m.to_lists()]
+    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in m.entries]
 
 
 def ref_power_apply(m, n, v):
@@ -479,7 +479,7 @@ def test_oracle_componentwise_and_column_blocks(data, dim_in, dim_out, cancel):
     blocks = {p: draw_matrix(data, dim_out, dim_in) for p in positions}
     if cancel:  # blocks S and -S read equal columns 0 and 1 into row 2
         columns[0] = columns[1] = draw_vector(data, dim_in)
-        blocks[(2, 0)], blocks[(2, 1)] = S, Mat([[-q for q in row] for row in S.to_lists()])
+        blocks[(2, 0)], blocks[(2, 1)] = S, Mat([[-q for q in row] for row in S.entries])
     x = FsVec(Domain.UNINAT, dim_in, columns)
     expected = {k: ref_matvec(S, v) for k, v in columns.items()}
     assert_matches_reference(Componentwise(S).apply(x), Domain.UNINAT, dim_out, expected)

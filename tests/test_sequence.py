@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatekit import Mat
-from dilatekit.finsupp import Domain, FsVec
+from dilatekit import sequence
+from dilatekit.finsupp import Domain, DomainMismatch, FsVec
+from dilatekit.matrix import reduce_column
 from dilatekit.sequence import (
     NonCommuting,
     SchafferDilation,
@@ -29,8 +31,10 @@ from dilatekit.seqops import (
     ProjAndo,
     ProjStd,
     SchafferU,
+    SeqOp,
     ShiftBilat,
     _PowerCache,
+    _sum_ints,
 )
 from dilatekit.report import Report
 from dilatekit.serialize import fsvec_to_json, vec_to_json
@@ -695,3 +699,138 @@ def test_standard_verify_and_minimality_match_the_per_probe_loops():
     assert (_failed(got)[DILATION_EQUATION]["n"], _failed(got)[DILATION_EQUATION]["probe"]) == (1, [0, 1])
     minimality = got_minimality.checks[0].witness
     assert (minimality["basis_index"], minimality["n"]) == (0, 3)
+
+
+# ----------------------------------------------------------------------
+# the compression loop carries T^n z as integer columns; a reference that
+# steps z as FsVecs by Componentwise(T, P.domain) yields the same
+
+
+def _reference_compression_mismatches(T, U, P, starts, n_max):
+    t_step = Componentwise(T, P.domain)
+    ys, zs = [y for y, _ in starts], [z for _, z in starts]
+    for n in range(n_max + 1):
+        for i, (y, z) in enumerate(zip(ys, zs)):
+            if n > 0:
+                ys[i] = y = U.apply(y)
+                zs[i] = z = t_step.apply(z)
+            for j, projected, expected in sequence.differing_probes(P.apply(y), z):
+                yield n, i, j, projected, expected
+
+
+def _outcome(mismatches):
+    """What a run yields, as comparable keys, and the error it ends with."""
+    got = []
+    try:
+        for n, i, j, projected, expected in mismatches:
+            got.append((n, i, j) + tuple(
+                (f.domain, f.dim, f.width, tuple(f.columns.items())) for f in (projected, expected)
+            ))
+    except DomainMismatch as exc:
+        return got, str(exc)
+    return got, None
+
+
+class _FaultyP(SeqOp):
+    """P, made wrong from its `after`-th call on by `fault`: a unit block
+    added at the origin, a unit block added at another index, or a width
+    one larger than its columns."""
+
+    def __init__(self, P, fault, after=0):
+        self.P, self.fault, self.after, self.calls = P, fault, after, 0
+        self.domain = P.domain
+
+    def apply(self, y):
+        self.calls += 1
+        out = self.P.apply(y)
+        if self.calls <= self.after:
+            return out
+        if self.fault == "width":
+            return FsVec._raw(out.domain, out.dim, out.columns.items(), out.width + 1)
+        index = {Domain.UNINAT: 1, Domain.BIINT: -1, Domain.GRID: (0, 1)}[self.domain]
+        index = self.domain.origin if self.fault == "late" else index
+        unit = (1, (1,) * (out.dim * out.width))
+        return out + FsVec._raw(out.domain, out.dim, [(index, unit)], out.width)
+
+
+def _dilation_and_starts(domain, T, vecs):
+    """(U, P, starts) of the dilation of T on `domain`: the embedded probes,
+    and for ando the m-starts with S a polynomial in T."""
+    if domain is Domain.GRID:
+        av = ando_build(T, T * T + Mat.identity(T.rows))
+        starts = [(av.I.apply_block(vecs),) * 2]
+        s_step = Componentwise(av.S, Domain.GRID)
+        for _ in range(2):
+            y, z = starts[-1]
+            starts.append((av.V.apply(y), s_step.apply(z)))
+        U, P = av.U, av.P
+    else:
+        dil = standard_build(T) if domain is Domain.UNINAT else schaffer_build(T)
+        starts = [(dil.I.apply_block(vecs),) * 2]
+        U, P = dil.U, dil.P
+    return U, P, starts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_compression_mismatches_match_the_fsvec_stepping_reference(data):
+    domain = data.draw(st.sampled_from(list(Domain)), label="domain")
+    T = data.draw(matrices(max_dim=2, bound=4), label="T")
+    vecs = data.draw(st.lists(vectors(T.rows, 4), min_size=1, max_size=3), label="probes")
+    U, P, starts = _dilation_and_starts(domain, T, vecs)
+    random_start = data.draw(st.booleans(), label="random start")
+    if random_start:  # a pair (y, z) that need not satisfy the identity
+        starts.append((data.draw(fsvecs(domain, T.rows, 4)), data.draw(fsvecs(domain, T.rows, 4))))
+    n_max = data.draw(st.integers(0, 4), label="n_max")
+    fault = data.draw(st.sampled_from([None, "late", "extra index", "width"]), label="fault")
+    late = data.draw(st.integers(0, n_max), label="late n") * len(starts)
+
+    def faulty():
+        return P if fault is None else _FaultyP(P, fault, late)
+
+    got = _outcome(sequence.compression_mismatches(T, U, faulty(), starts, n_max))
+    want = _outcome(_reference_compression_mismatches(T, U, faulty(), starts, n_max))
+    assert got == want
+    if fault == "width":
+        assert got[1] is not None
+    if fault is None and not random_start:
+        assert got == ([], None)
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+def test_compression_mismatches_build_no_fsvec_where_the_sides_agree(domain, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sequence, "differing_probes", lambda a, b: calls.append(1) or iter(()))
+    # a denominator, a gcd to take out at each step, and a nilpotent part
+    for T in (Mat([["1/2", 1], [0, "2/3"]]), Mat([[2, 4], [0, 0]]), Mat([[0, 1], [0, 0]])):
+        vecs = [(1, 0), (3, -6), (0, "1/5")]
+        if domain is Domain.GRID:
+            dil = ando_build(T, T)
+        else:
+            dil = standard_build(T) if domain is Domain.UNINAT else schaffer_build(T)
+        starts = [(dil.I.apply_block(vecs),) * 2]
+        assert list(sequence.compression_mismatches(T, dil.U, dil.P, starts, 6)) == []
+    assert calls == []
+
+
+def test_compression_mismatches_reject_a_start_of_the_wrong_space():
+    T = Mat([[2, 1], [0, 1]])
+    sd = standard_build(T)
+    y = sd.I.apply((1, 2))
+    for z, got in (
+        (FsVec.single(Domain.UNINAT, 1, 0, (1,)), "(uninat, dim 1)"),
+        (FsVec.single(Domain.BIINT, 2, 0, (1, 2)), "(biint, dim 2)"),
+    ):
+        with pytest.raises(DomainMismatch) as exc:
+            next(sequence.compression_mismatches(T, sd.U, sd.P, [(y, y), (y, z)], 0))
+        assert str(exc.value) == f"Componentwise expects (uninat, dim 2), got {got}"
+
+
+@given(
+    st.integers(1, 60),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+)
+def test_sum_of_one_term_equals_the_lcm_path(den, nums):
+    zero = (1, [0] * len(nums))
+    assert _sum_ints([(den, nums)]) == _sum_ints([(den, nums), zero])
+    assert _sum_ints([(den, nums)]) == reduce_column(den, nums)

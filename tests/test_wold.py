@@ -141,7 +141,7 @@ def ref_eventual_image(T):
     index = 0
     while True:
         image = [T.apply(v) for v in basis]
-        next_basis = Mat.from_columns(image).column_space_basis() if any(map(any, image)) else []
+        next_basis = Mat(image).transpose().column_space_basis() if any(map(any, image)) else []
         if len(next_basis) == len(basis):
             return basis, index
         basis = next_basis
@@ -246,7 +246,7 @@ def test_claimed_bijective_parts_get_the_reference_verdicts_and_witnesses(data, 
             "images": [vec_to_json(v) for v in images], "expected_rank": len(claimed)
         }
     ev, _ = ref_eventual_image(T)
-    canonical = Mat.from_columns(claimed).column_space_basis() if claimed else []
+    canonical = Mat(claimed).transpose().column_space_basis() if claimed else []
     assert (checks["bijective part equals the eventual image"].status == "pass") == (
         canonical == ev
     )
