@@ -747,8 +747,8 @@ class _FaultyP(SeqOp):
             return out
         if self.fault == "width":
             return FsVec._raw(out.domain, out.dim, out.columns.items(), out.width + 1)
-        index = {Domain.UNINAT: 1, Domain.BIINT: -1, Domain.GRID: (0, 1)}[self.domain]
-        index = self.domain.origin if self.fault == "late" else index
+        other = {Domain.UNINAT: 1, Domain.BIINT: -1, Domain.GRID: (0, 1)}[self.domain]
+        index = self.domain.origin if self.fault == "late" else other
         unit = (1, (1,) * (out.dim * out.width))
         return out + FsVec._raw(out.domain, out.dim, [(index, unit)], out.width)
 
