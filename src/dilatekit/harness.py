@@ -9,9 +9,10 @@ check the same identities under the same names.
 Instance streams are deterministic functions of (seed, suite, counter):
 the RNG for each instance is seeded from a SHA-256 digest of those three
 values, so identical configurations produce byte-identical reports
-regardless of process, platform, or execution order. Entry magnitudes and
-verification bounds are capped by the config to keep arbitrary-precision
-growth within a desk-scale budget.
+regardless of process, platform, or execution order. Matrix and vector
+entries are drawn by `_draw_entries`, which reads the RNG exactly as
+`randint` does. Entry magnitudes and verification bounds are capped by the
+config to keep arbitrary-precision growth within a desk-scale budget.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .intertwine import (
     relation_witness,
     verify_lift,
 )
-from .matrix import Mat, SingularMatrix, Vec, unit_vec, vec_add
+from .matrix import Mat, Vec, unit_vec, vec_add
 from .report import FAIL, INCONCLUSIVE, Report
 from .seqops import Componentwise, Compose, ShiftRight
 from .sequence import (
@@ -155,15 +156,33 @@ def instance_rng(config: SuiteConfig, kind: str, counter: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _draw_entries(rng: random.Random, count: int, bound: int) -> list[tuple[int, int]]:
+    """count pairs (rng.randint(-bound, bound), rng.randint(1, bound)), read
+    off rng.getrandbits as randint reads them: rejection sampling on
+    width.bit_length() bits, so the values and the stream are the same."""
+    getrandbits, width = rng.getrandbits, 2 * bound + 1
+    kn, kd = width.bit_length(), bound.bit_length()
+    draws = []
+    for _ in range(count):
+        n = getrandbits(kn)
+        while n >= width:
+            n = getrandbits(kn)
+        d = getrandbits(kd)
+        while d >= bound:
+            d = getrandbits(kd)
+        draws.append((n - bound, d + 1))
+    return draws
+
+
 def random_matrix(rng: random.Random, dim: int, bound: int) -> Mat:
     # the draws of random_vector, row by row, brought over their lcm
-    draws = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim * dim)]
+    draws = _draw_entries(rng, dim * dim, bound)
     den = lcm(*(d for _, d in draws))
     return Mat._reduced(den, [n * (den // d) for n, d in draws], dim)
 
 
 def random_vector(rng: random.Random, dim: int, bound: int) -> Vec:
-    return tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim))
+    return tuple(Fraction(n, d) for n, d in _draw_entries(rng, dim, bound))
 
 
 def random_fsvec(rng: random.Random, domain: Domain, dim: int, bound: int) -> FsVec:
@@ -190,14 +209,8 @@ def resample(make: Callable, accept: Callable, what: str, limit: int = RETRY_LIM
 
 
 def invertible_matrix(rng: random.Random, dim: int, bound: int) -> Mat:
-    def ok(m: Mat) -> bool:
-        try:
-            m.inverse()
-            return True
-        except SingularMatrix:
-            return False
-
-    return resample(lambda: random_matrix(rng, dim, bound), ok, "invertible matrix")
+    make = partial(random_matrix, rng, dim, bound)
+    return resample(make, lambda m: m.rank() == dim, "invertible matrix")
 
 
 def polynomial_in(rng: random.Random, T: Mat, max_degree: int = 2) -> Mat:

@@ -12,7 +12,8 @@ rule once, for a matrix's flattened grid here and for the columns of
 ``finsupp.FsVec``. The form is unique, so ``==`` and ``hash`` compare
 integers. Products, powers, sums and elimination build it directly with one
 gcd per result; elimination is fraction-free (Bareiss 1968, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination").
+identity and multistep integer-preserving Gaussian elimination"): rank and
+pivots by forward elimination, the inverse in place on the n x n numerators.
 ``Fraction`` entries appear only in the views read at the boundary:
 ``entries``, ``m[i, j]``, ``apply``, ``trace`` and the bases.
 
@@ -122,7 +123,7 @@ def _rows_of(flat: tuple[int, ...], cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(flat[i : i + cols] for i in range(0, len(flat), cols))
 
 
-def _bareiss_rref(m: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+def _bareiss_rref(m: list[list[int]], forward: bool = False) -> tuple[int, tuple[int, ...]]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, in
     place. Returns d and the pivot columns; the RREF is then m / d.
 
@@ -132,6 +133,9 @@ def _bareiss_rref(m: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     by Sylvester's identity. An earlier pivot entry prev so becomes p, as
     the pivot row is zero in its column: at the end every pivot entry is the
     last pivot d, and the rows below the rank are zero.
+
+    With forward, only the rows below each pivot are updated, from the
+    pivot column on: the same pivots, but m is then not the RREF.
     """
     rows, cols = len(m), len(m[0])
     pivots: list[int] = []
@@ -144,10 +148,16 @@ def _bareiss_rref(m: list[list[int]]) -> tuple[int, tuple[int, ...]]:
         m[r], m[pivot_row] = m[pivot_row], m[r]
         top = m[r]
         p = top[c]
-        for i in range(rows):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        if forward:
+            tail = top[c:]
+            for row in m[r + 1 :]:
+                f = row[c]
+                row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
+        else:
+            for i in range(rows):
+                if i != r:
+                    f = m[i][c]
+                    m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
         prev = p
         pivots.append(c)
         r += 1
@@ -382,19 +392,52 @@ class Mat:
         s = 1 if d > 0 else -1
         return Mat._reduced(s * d, [s * a for row in m for a in row], self.cols), pivots
 
+    def pivot_columns(self) -> tuple[int, ...]:
+        """The pivot columns of ``rref()``, by forward elimination alone."""
+        return _bareiss_rref([list(row) for row in self.nums], forward=True)[1]
+
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.pivot_columns())
 
     def inverse(self) -> Mat:
-        """Exact inverse by Gauss-Jordan elimination on [A | I]."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination in place.
+
+        ``_bareiss_rref`` on [N | I], N the numerators, kept in n columns:
+        the left half's columns before c and the right half's from c on are
+        prev times unit vectors until column c is eliminated, which makes
+        the right half's column c prev in the pivot row and -f in each other
+        row (f its entry in column c), written over column c. A row swap is
+        matched by a swap of right-half columns, undone at the end. That
+        leaves d N^-1 for the last pivot d; the inverse is den N^-1.
+        """
         if not self.is_square():
             raise NonSquareMatrix("inverse requires a square matrix")
         n = self.rows
-        reduced, pivots = Mat.block([[self, Mat.identity(n)]]).rref()
-        left_rank = sum(1 for p in pivots if p < n)
-        if left_rank < n:
-            raise SingularMatrix(f"matrix has rank {left_rank} < {n}")
-        return Mat._reduced(reduced.den, [a for row in reduced.nums for a in row[n:]], n)
+        m = [list(row) for row in self.nums]
+        swaps: list[tuple[int, int]] = []
+        prev = 1
+        for c in range(n):
+            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+            if pivot_row is None:
+                raise SingularMatrix(f"matrix has rank {self.rank()} < {n}")
+            if pivot_row != c:
+                m[c], m[pivot_row] = m[pivot_row], m[c]
+                swaps.append((c, pivot_row))
+            top = m[c]
+            p = top[c]
+            for i in range(n):
+                if i != c:
+                    row = m[i]
+                    f = row[c]
+                    row = m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+                    row[c] = -f
+            top[c] = prev
+            prev = p
+        for c, j in reversed(swaps):
+            for row in m:
+                row[c], row[j] = row[j], row[c]
+        f = self.den if prev > 0 else -self.den
+        return Mat._reduced(abs(prev), [f * a for row in m for a in row], n)
 
     def column_space_basis(self) -> list[Vec]:
         """Canonical basis of the column space.

@@ -5,11 +5,11 @@ the decreasing chain im(T) >= im(T^2) >= ...; in finite dimensions this
 equals the intersection of all forward images. Each step of the chain is
 one product with T and one rref, on the matrix whose rows are the basis.
 The complement is the standard basis vectors that are pivot columns of
-rref([Vb | I]): the deterministic choice of greedy extension of Vb by
-e_0, e_1, ..., made in one elimination, since complements are genuinely
-non-unique. `wold_decompose` only builds the split; `verify_wold` checks
-it, comparing with im(T^d) for the dimension d rather than with the
-builder's chain.
+[Vb | I]: the deterministic choice of greedy extension of Vb by e_0, e_1,
+..., found by one forward elimination (pivots only, no RREF), since
+complements are genuinely non-unique. `wold_decompose` only builds the
+split; `verify_wold` checks it, comparing with im(T^d) for the dimension d
+rather than with the builder's chain.
 
 Strict mode mirrors the injective hypothesis of the underlying theorem
 and rejects maps with nontrivial kernel; on a finite-dimensional space an
@@ -108,7 +108,7 @@ def wold_decompose(T: Mat, mode: str = EXTENDED) -> WoldDecomposition:
     # a column of [Vb | I] is a pivot iff it is outside the span of those before it
     d, k = T.rows, 0 if basis is None else basis.rows
     extended = _stack(basis, Mat.identity(d)).transpose()
-    vs_basis = [unit_vec(d, p - k) for p in extended.rref()[1] if p >= k]
+    vs_basis = [unit_vec(d, p - k) for p in extended.pivot_columns() if p >= k]
 
     return WoldDecomposition(
         T=T, Vb_basis=_vecs(basis), Vs_basis=vs_basis, stabilization_index=index, mode=mode

@@ -1,10 +1,13 @@
 import contextlib
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +60,17 @@ def test_run_small_suite(capsys, tmp_path):
     assert [r["suite"] for r in reports] == ["halmos", "wold"]
     assert json.loads(out_path.read_text()) == reports
     assert "halmos: pass" in err
+
+
+def test_python_dash_m_dilatekit_runs_the_cli(capsys, tmp_path):
+    argv = ["run", "--seed", "7", "--trials", "2", "--suites", "halmos,wold"]
+    code, out, _ = run_cli(capsys, argv)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    env.pop("DILATEKIT_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "dilatekit", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_run_prints_elapsed_time_per_suite(capsys):

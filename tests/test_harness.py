@@ -1,14 +1,17 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from dilatekit import Mat, finite, harness, wold
+from dilatekit import Mat, SingularMatrix, finite, harness, wold
 from dilatekit.harness import (
     ALL_SUITES,
     CONSTRUCTIONS,
     GenerationExhausted,
     SuiteConfig,
+    _draw_entries,
     generate_instance,
     instance_rng,
     invertible_matrix,
@@ -16,6 +19,8 @@ from dilatekit.harness import (
     overall_exit_code,
     polynomial_in,
     random_fsvec,
+    random_matrix,
+    random_vector,
     resample,
     run_suites,
 )
@@ -97,6 +102,57 @@ def test_invertible_matrix_helper():
     rng = instance_rng(SMALL, "test", 0)
     m = invertible_matrix(rng, 3, 5)
     m.inverse()
+
+
+def randint_entries(rng, count, bound):
+    return [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("bound", range(1, 13))
+def test_draw_entries_reads_the_stream_as_randint_does(bound):
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        count = 1 + seed % 7
+        assert _draw_entries(rng, count, bound) == randint_entries(ref, count, bound)
+        assert rng.random() == ref.random()
+
+
+def test_draw_entries_spends_a_bit_on_each_denominator_of_bound_one():
+    # randint(1, 1) draws getrandbits(1) until it reads 0
+    rng, numerators_only = random.Random(5), random.Random(5)
+    _draw_entries(rng, 8, 1)
+    for _ in range(8):
+        numerators_only.randint(-1, 1)
+    assert rng.getstate() != numerators_only.getstate()
+
+
+def test_random_matrix_vector_and_invertible_matrix_keep_the_randint_stream():
+    def ref_matrix(rng, dim, bound):
+        return Mat([[Fraction(n, d) for n, d in randint_entries(rng, dim, bound)]
+                    for _ in range(dim)])
+
+    def ref_invertible(rng, dim, bound):
+        # the accept test of the old helper: an inverse exists
+        while True:
+            m = ref_matrix(rng, dim, bound)
+            try:
+                m.inverse()
+                return m
+            except SingularMatrix:
+                pass
+
+    for seed in range(100):
+        dim, bound = 1 + seed % 4, 1 + seed % 3  # bounds 1 and 2 give many singular draws
+        pairs = [
+            (random_matrix, ref_matrix),
+            (invertible_matrix, ref_invertible),
+            (random_vector, lambda rng, dim, bound: tuple(
+                Fraction(n, d) for n, d in randint_entries(rng, dim, bound))),
+        ]
+        for make, ref_make in pairs:
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert make(rng, dim, bound) == ref_make(ref, dim, bound)
+            assert rng.random() == ref.random()
 
 
 def test_polynomial_commutes():

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 from math import gcd, lcm
@@ -342,6 +343,51 @@ def test_oracle_elimination(a):
     assert_exact(tuple(m.kernel_basis()), tuple(ref_kernel_basis(a)))
     assert_exact(tuple(m.column_space_basis()), tuple(ref_column_space_basis(a)))
     assert m.rank() == len(ref_pivots)
+    # forward elimination alone finds the same pivots
+    assert m.pivot_columns() == pivots
+
+
+# ----------------------------------------------------------------------
+# inverse by in-place elimination: row swaps, denominators and signs
+
+
+def assert_inverse_is_the_reference(a):
+    m, ref = Mat(a), ref_inverse(tuple(vec(row) for row in a))
+    inv = m.inverse()
+    assert_canonical(inv)
+    assert inv == Mat(ref)
+    assert m * inv == Mat.identity(m.rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_inverse_of_every_scaled_permutation(n):
+    # every pivot is found below the diagonal in some of these
+    for perm in itertools.permutations(range(n)):
+        assert_inverse_is_the_reference([[(i + 2) * int(perm[i] == j) for j in range(n)]
+                                         for i in range(n)])
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [1, 1]],  # one swap
+    [[0, 0, 2], [3, 1, 0], [1, 0, 1]],  # two swaps, determinant -2
+    [[1, 2], [3, 4]],  # no swap, determinant -2
+    [["1/2", "1/3"], [0, "2/5"]],  # den 30
+    [[0, "1/2"], ["1/3", 1]],  # a swap, den 6 and determinant -1/6
+    [["-7/3", 0, 0], [0, "5/2", 0], [0, 0, -1]],
+])
+def test_inverse_with_swaps_denominators_and_signs(a):
+    assert_inverse_is_the_reference(a)
+
+
+@pytest.mark.parametrize("a, r", [
+    ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 2),
+    ([[0, 1], [0, 2]], 1),
+    ([[0, 0], [0, 0]], 0),
+    ([["1/2", 1, 0], [1, 2, 0], [0, 0, 0]], 1),
+])
+def test_singular_inverse_names_the_rank(a, r):
+    with pytest.raises(SingularMatrix, match=rf"^matrix has rank {r} < {len(a)}$"):
+        Mat(a).inverse()
 
 
 # ----------------------------------------------------------------------
