@@ -5,7 +5,6 @@ in the package is an exact equality, never a tolerance.
 """
 
 from .finite import (
-    HalmosDilation,
     NDilation,
     NonSimilarPair,
     PreconditionFailed,
@@ -56,10 +55,8 @@ from .seqops import (
     check_inverse_pair,
 )
 from .sequence import (
-    AndoVariant,
+    Dilation,
     NonCommuting,
-    SchafferDilation,
-    StandardDilation,
     ando_build,
     ando_verify,
     schaffer_build,

@@ -137,6 +137,8 @@ def _finish(reports: list[Report], json_path: Optional[str] = None) -> int:
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
+    if not suites:
+        raise ValueError(f"--suites {args.suites!r} names no suite")
     sizes = {name: getattr(args, name) for name in SIZE_CAPS}
     config = SuiteConfig(seed=seed, suites=suites, **sizes)
     reports = []

@@ -3,9 +3,10 @@
 All constructions here produce an explicit block matrix U together with a
 closed-form inverse. The constructors return the closed form as written;
 `inverse_holds` multiplies the two out, so a wrong closed form is a failed
-check rather than an error at construction. The four two-block
-families are parameterized by which block is required invertible, with
-the complementary Schur complement governing invertibility of the whole.
+check rather than an error at construction. The Halmos dilation is the
+N-dilation at N = 1. The four Schur-complement families are parameterized
+by which block is required invertible, with the complementary Schur
+complement governing invertibility of the whole.
 """
 
 from __future__ import annotations
@@ -38,28 +39,6 @@ def inverse_holds(built) -> bool:
     """U * U_inv = U_inv * U = I for a built dilation with fields U, U_inv."""
     eye = Mat.identity(built.U.rows)
     return built.U * built.U_inv == eye and built.U_inv * built.U == eye
-
-
-# ----------------------------------------------------------------------
-# plain two-block dilation
-
-
-@dataclass(frozen=True)
-class HalmosDilation:
-    """U = [[T, I], [I, 0]] with inverse [[0, I], [I, -T]]."""
-
-    T: Mat
-    U: Mat
-    U_inv: Mat
-
-
-def halmos_build(T: Mat) -> HalmosDilation:
-    require_square(T)
-    d = T.rows
-    eye = Mat.identity(d)
-    zero = Mat.zeros(d, d)
-    U = Mat.block([[T, eye], [eye, zero]])
-    return HalmosDilation(T=T, U=U, U_inv=Mat.block([[zero, eye], [eye, -T]]))
 
 
 # ----------------------------------------------------------------------
@@ -144,9 +123,9 @@ def schur_build(class_tag: str, T: Mat, B: Mat, C: Mat, D: Mat) -> SchurFamily:
 class NonSimilarPair:
     """Two invertible two-block dilations of T with a trace comparison.
 
-    A1 = [[T, T-I], [T+I, T]] has trace 2*tr(T); A2 = [[T, I], [I, 0]] has
-    trace tr(T). Trace is a similarity invariant, so unequal traces prove
-    the pair is not similar. When tr(T) = 0 the traces agree and the
+    A1 = [[T, T-I], [T+I, T]] has trace 2*tr(T); the Halmos dilation
+    A2 = [[T, I], [I, 0]] has trace tr(T). Trace is a similarity invariant,
+    so unequal traces prove the pair is not similar. When tr(T) = 0 the traces agree and the
     comparison decides nothing, hence the inconclusive verdict.
     """
 
@@ -161,14 +140,12 @@ class NonSimilarPair:
 
 
 def nonsimilar_pair(T: Mat) -> NonSimilarPair:
-    require_square(T)
-    d = T.rows
-    eye, zero = Mat.identity(d), Mat.zeros(d, d)
+    halmos = halmos_build(T)
+    A2, A2_inv = halmos.U, halmos.U_inv
+    eye = Mat.identity(T.rows)
     A1 = Mat.block([[T, T - eye], [T + eye, T]])
-    A2 = Mat.block([[T, eye], [eye, zero]])
     # A1's blocks commute and T^2 - (T-I)(T+I) = I, which gives its inverse
     A1_inv = Mat.block([[T, eye - T], [-(T + eye), T]])
-    A2_inv = Mat.block([[zero, eye], [eye, -T]])
     t1, t2 = A1.trace(), A2.trace()
     verdict = NOT_SIMILAR if t1 != t2 else INCONCLUSIVE_VERDICT
     return NonSimilarPair(
@@ -227,6 +204,12 @@ def ndilation_build(T: Mat, N: int) -> NDilation:
     inv_grid[N][0] = eye
     inv_grid[N][1] = -T
     return NDilation(T=T, N=N, U=U, U_inv=Mat.block(inv_grid))
+
+
+def halmos_build(T: Mat) -> NDilation:
+    """The Halmos dilation: the N-dilation at N = 1, U = [[T, I], [I, 0]]
+    with inverse [[0, I], [I, -T]]."""
+    return ndilation_build(T, 1)
 
 
 def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] = None) -> Report:

@@ -21,7 +21,7 @@ from .finsupp import FsVec
 from .matrix import Mat, NonSquareMatrix, require_square
 from .report import Report
 from .seqops import Componentwise, SeqOp
-from .sequence import StandardDilation, basis_block, differing_probes, standard_build
+from .sequence import Dilation, basis_block, differing_probes, standard_build
 from .serialize import fsvec_to_json, mat_to_json, vec_to_json
 
 
@@ -44,8 +44,8 @@ class IntertwinePair:
     T1: Mat
     T2: Mat
     S: Mat
-    dil1: StandardDilation
-    dil2: StandardDilation
+    dil1: Dilation
+    dil2: Dilation
 
 
 def make_pair(T1: Mat, T2: Mat, S: Mat) -> IntertwinePair:
@@ -67,7 +67,7 @@ def lift_intertwiner(pair: IntertwinePair) -> SeqOp:
     return Componentwise(pair.S)
 
 
-def lift_relations(R: SeqOp, dil1: StandardDilation, dil2: StandardDilation):
+def lift_relations(R: SeqOp, dil1: Dilation, dil2: Dilation):
     """The relations U1 R = R U2 and R P2 = P1 R, each as (label, relation,
     lhs, rhs) with lhs and rhs maps on the second dilation space."""
     return (
@@ -150,7 +150,7 @@ def verify_lift(
     return report
 
 
-def read_off_intertwiner(R: SeqOp, dil1: StandardDilation, dil2: StandardDilation) -> Mat:
+def read_off_intertwiner(R: SeqOp, dil1: Dilation, dil2: Dilation) -> Mat:
     """The map whose column i is the origin coordinate of P1 R I2 e_i, all i
     in one block.
 
@@ -169,9 +169,7 @@ def read_off_intertwiner(R: SeqOp, dil1: StandardDilation, dil2: StandardDilatio
     return Mat._reduced(den, nums, d1).transpose()
 
 
-def certification_report(
-    R: SeqOp, dil1: StandardDilation, dil2: StandardDilation, cert_bound: int
-) -> Report:
+def certification_report(R: SeqOp, dil1: Dilation, dil2: Dilation, cert_bound: int) -> Report:
     """Recover the intertwiner from a lift, after bounded certification.
 
     The relations U1 R = R U2 and R P2 = P1 R are certified exactly on all

@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+
+
+def first_witness(probes: Iterable, fn: Callable[[Any], Optional[dict]]) -> Optional[dict]:
+    """The first non-None fn(x) over the probes, in order; fn is called on
+    no probe after it."""
+    return next((w for w in map(fn, probes) if w is not None), None)
 
 
 @dataclass

@@ -10,7 +10,7 @@ Naming convention for the standard quadruple pieces:
 * ``ShiftRight``   moves one-sided coordinates up by one,
 * ``ProjStd``      collapses a one-sided family to sum_n T^n x_n at 0,
 * ``SchafferU``    acts on two-sided families by (Ux)_n = x_{n+1} + [n=0] T x_0,
-* ``SchafferVInv`` is its two-sided inverse,
+* ``SchafferVInv`` is its two-sided inverse, the same operator mirrored,
 * ``GridDown`` / ``GridRight`` shift grid rows / columns,
 * ``ProjAndo``     collapses a grid to sum_{n,m} T^n S^m x_{n,m} at (0,0).
 
@@ -38,7 +38,7 @@ from typing import Mapping, Optional, Sequence
 
 from .finsupp import Domain, DomainMismatch, FsVec, Index, accumulate
 from .matrix import Column, Mat, Scalar, column_of, reduce_column
-from .report import Report
+from .report import Report, first_witness
 
 
 class OperandError(ValueError):
@@ -172,13 +172,16 @@ def _square(T: Mat, name: str) -> Mat:
 
 @dataclass(frozen=True)
 class SchafferU(SeqOp):
-    """Two-sided operator with rows (Ux)_n = x_{n+1} + [n=0] T x_0."""
+    """Two-sided operator with rows (Ux)_n = x_{n+1} + [n=0] T x_0: every
+    coordinate moves `_step` along, and `_sign` T x_source enters at `_target`."""
 
     T: Mat
     domain = Domain.BIINT
+    _step, _source, _target, _sign = -1, 0, 0, 1
 
     def __post_init__(self):
         _square(self.T, "T")
+        object.__setattr__(self, "_coupling", self.T if self._sign > 0 else -self.T)
 
     @property
     def dim(self) -> int:
@@ -186,39 +189,23 @@ class SchafferU(SeqOp):
 
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.BIINT)
-        acc = {k - 1: c for k, c in x.columns.items()}
-        x_0 = x.columns.get(0)
-        if x_0 is not None:
-            accumulate(acc, 0, reduce_column(*self.T._apply_ints(*x_0)))
+        step, columns = self._step, x.columns
+        acc = {k + step: c for k, c in columns.items()}
+        source = columns.get(self._source)
+        if source is not None:
+            accumulate(acc, self._target, reduce_column(*self._coupling._apply_ints(*source)))
         return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()), x.width)
 
 
-@dataclass(frozen=True)
-class SchafferVInv(SeqOp):
-    """Two-sided inverse with rows (Vx)_n = x_{n-1} + [n=1] (-T) x_{-1}.
+class SchafferVInv(SchafferU):
+    """Two-sided inverse with rows (Vx)_n = x_{n-1} + [n=1] (-T) x_{-1}:
+    SchafferU mirrored.
 
     The own-coordinate entry at the origin is zero, so the correction only
     enters at index 1.
     """
 
-    T: Mat
-    domain = Domain.BIINT
-
-    def __post_init__(self):
-        _square(self.T, "T")
-        object.__setattr__(self, "_neg_T", -self.T)
-
-    @property
-    def dim(self) -> int:
-        return self.T.rows
-
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.BIINT)
-        acc = {k + 1: c for k, c in x.columns.items()}
-        x_minus = x.columns.get(-1)
-        if x_minus is not None:
-            accumulate(acc, 1, reduce_column(*self._neg_T._apply_ints(*x_minus)))
-        return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()), x.width)
+    _step, _source, _target, _sign = 1, -1, 1, -1
 
 
 class _PowerCache:
@@ -440,13 +427,12 @@ def check_inverse_pair(a: SeqOp, b: SeqOp, probes: Sequence[FsVec]) -> Report:
     """Verify a(b(x)) = x and b(a(x)) = x exactly on every probe."""
     from .serialize import fsvec_to_json
 
+    def mismatch(first: SeqOp, second: SeqOp, x: FsVec) -> Optional[dict]:
+        y = second.apply(first.apply(x))
+        return None if y == x else {"probe": fsvec_to_json(x), "result": fsvec_to_json(y)}
+
     report = Report(suite="inverse_pair")
     for name, first, second in (("a(b(x)) = x", b, a), ("b(a(x)) = x", a, b)):
-        witness = None
-        for x in probes:
-            y = second.apply(first.apply(x))
-            if y != x:
-                witness = {"probe": fsvec_to_json(x), "result": fsvec_to_json(y)}
-                break
+        witness = first_witness(probes, lambda x: mismatch(first, second, x))
         report.add(name, witness is None, bound=len(probes), witness=witness)
     return report

@@ -1,6 +1,6 @@
 """Dilations on infinite-dimensional sequence spaces, verified on probes.
 
-Three constructions live here:
+Three constructions live here, each a `Dilation` (T, I, U, P):
 
 * the two-sided construction, an invertible U on bilateral sequences
   whose powers compress to the powers of T at coordinate 0,
@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from .finsupp import Domain, FsVec
 from .matrix import Mat, NonSquareMatrix, Vec, reduce_column, require_square, vec
-from .report import Report
+from .report import Report, first_witness
 from .seqops import (
     Componentwise,
     CoordProj0,
@@ -53,6 +53,38 @@ def _probe_vecs(probes: Sequence[Sequence], dim: int) -> list[Vec]:
             raise NonSquareMatrix(f"probe has length {len(v)}, expected {dim}")
         out.append(v)
     return out
+
+
+@dataclass(frozen=True)
+class Dilation:
+    """A dilation (T, I, U, P) of T: P U^n I = I T^n for every n >= 0.
+
+    The two-sided construction also sets the inverse `U_inv`; the
+    two-parameter one sets the commuting `S` and its dilating shift `V`.
+    """
+
+    T: Mat
+    I: SeqOp
+    U: SeqOp
+    P: SeqOp
+    U_inv: Optional[SeqOp] = None
+    S: Optional[Mat] = None
+    V: Optional[SeqOp] = None
+
+    @property
+    def dim(self) -> int:
+        return self.T.rows
+
+
+def _prologue(
+    dil: Dilation, suite: str, probes: Sequence[Sequence], seq_probes, **bounds: int
+) -> tuple[list[Vec], Sequence[FsVec], Report]:
+    """A sequence verifier's probe vectors, sequence probes and report."""
+    vecs = _probe_vecs(probes, dil.dim)
+    if seq_probes is None:
+        seq_probes = [dil.I.apply(x) for x in vecs]
+    config = {**bounds, "probes": len(vecs), "seq_probes": len(seq_probes)}
+    return vecs, seq_probes, Report(suite=suite, config=config)
 
 
 def differing_probes(a: FsVec, b: FsVec) -> Iterator[tuple[int, FsVec, FsVec]]:
@@ -123,35 +155,21 @@ def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Opti
 # two-sided construction
 
 
-@dataclass(frozen=True)
-class SchafferDilation:
+def schaffer_build(T: Mat) -> Dilation:
     """Invertible two-sided operator compressing to powers of T at index 0."""
-
-    T: Mat
-    U: SeqOp
-    U_inv: SeqOp
-    P: SeqOp
-    I: SeqOp
-
-    @property
-    def dim(self) -> int:
-        return self.T.rows
-
-
-def schaffer_build(T: Mat) -> SchafferDilation:
     require_square(T)
     d = T.rows
-    return SchafferDilation(
+    return Dilation(
         T=T,
-        U=SchafferU(T),
-        U_inv=SchafferVInv(T),
-        P=CoordProj0(d, Domain.BIINT),
         I=EmbedI(d, Domain.BIINT),
+        U=SchafferU(T),
+        P=CoordProj0(d, Domain.BIINT),
+        U_inv=SchafferVInv(T),
     )
 
 
 def schaffer_verify(
-    sd: SchafferDilation,
+    sd: Dilation,
     probes: Sequence[Sequence],
     n_max: int,
     seq_probes: Optional[Sequence[FsVec]] = None,
@@ -164,14 +182,7 @@ def schaffer_verify(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    vecs = _probe_vecs(probes, sd.dim)
-    if seq_probes is None:
-        seq_probes = [sd.I.apply(x) for x in vecs]
-
-    report = Report(
-        suite="schaffer_verify",
-        config={"n_max": n_max, "probes": len(vecs), "seq_probes": len(seq_probes)},
-    )
+    vecs, seq_probes, report = _prologue(sd, "schaffer_verify", probes, seq_probes, n_max=n_max)
     inverse = check_inverse_pair(sd.U, sd.U_inv, seq_probes)
     for check in inverse.checks:
         check.name = f"inverse pair: {check.name}"
@@ -191,33 +202,20 @@ def schaffer_verify(
 # standard minimal injective dilation
 
 
-@dataclass(frozen=True)
-class StandardDilation:
+def standard_build(T: Mat) -> Dilation:
     """Minimal injective dilation on one-sided sequences.
 
     The embedding places a vector at index 0, the forward map is the
     one-sided shift, and the projection collapses (x_n) to sum_n T^n x_n
     at index 0.
     """
-
-    T: Mat
-    I: SeqOp
-    U: SeqOp
-    P: SeqOp
-
-    @property
-    def dim(self) -> int:
-        return self.T.rows
-
-
-def standard_build(T: Mat) -> StandardDilation:
     require_square(T)
     d = T.rows
-    return StandardDilation(T=T, I=EmbedI(d, Domain.UNINAT), U=ShiftRight(d), P=ProjStd(T))
+    return Dilation(T=T, I=EmbedI(d, Domain.UNINAT), U=ShiftRight(d), P=ProjStd(T))
 
 
 def standard_verify(
-    sd: StandardDilation,
+    sd: Dilation,
     probes: Sequence[Sequence],
     n_max: int,
     seq_probes: Optional[Sequence[FsVec]] = None,
@@ -230,14 +228,7 @@ def standard_verify(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    vecs = _probe_vecs(probes, sd.dim)
-    if seq_probes is None:
-        seq_probes = [sd.I.apply(x) for x in vecs]
-
-    report = Report(
-        suite="standard_verify",
-        config={"n_max": n_max, "probes": len(vecs), "seq_probes": len(seq_probes)},
-    )
+    vecs, seq_probes, report = _prologue(sd, "standard_verify", probes, seq_probes, n_max=n_max)
 
     basis = sd.I.apply_block(Mat.identity(sd.dim).entries)
     witness = next(({"basis_index": i} for i in range(sd.dim) if basis.probe(i).is_zero()), None)
@@ -248,11 +239,10 @@ def standard_verify(
         witness=witness,
     )
 
-    witness = None
-    for x in seq_probes:
-        if not x.is_zero() and sd.U.apply(x).is_zero():
-            witness = {"probe": fsvec_to_json(x)}
-            break
+    witness = first_witness(
+        seq_probes,
+        lambda x: {"probe": fsvec_to_json(x)} if not x.is_zero() and sd.U.apply(x).is_zero() else None,
+    )
     report.add(
         "forward map injective on probes (structural for the shift)",
         witness is None,
@@ -260,23 +250,24 @@ def standard_verify(
         witness=witness,
     )
 
-    witness = None
-    for x in seq_probes:
+    def not_fixed(x: FsVec) -> Optional[dict]:
         once = sd.P.apply(x)
         if sd.P.apply(once) != once:
-            witness = {"probe": fsvec_to_json(x), "projected": fsvec_to_json(once)}
-            break
+            return {"probe": fsvec_to_json(x), "projected": fsvec_to_json(once)}
+
+    witness = first_witness(seq_probes, not_fixed)
     report.add("projection idempotent on probes", witness is None, bound=len(seq_probes), witness=witness)
 
     # the dilation equation at n = 0 is P I x = I x, so its first witness,
     # if at n = 0, is the first embedded vector that P does not fix
     dilation = _compression_witness(sd, vecs, 0, n_max)
-    witness = None
-    for x in seq_probes:
+
+    def off_origin(x: FsVec) -> Optional[dict]:
         image = sd.P.apply(x)
         if any(k != 0 for k in image.indices()):
-            witness = {"probe": fsvec_to_json(x), "projected": fsvec_to_json(image)}
-            break
+            return {"probe": fsvec_to_json(x), "projected": fsvec_to_json(image)}
+
+    witness = first_witness(seq_probes, off_origin)
     if witness is None and dilation is not None and dilation["n"] == 0:
         witness = {"vector": dilation["probe"]}
     report.add(
@@ -295,7 +286,7 @@ def standard_verify(
     return report
 
 
-def standard_minimality_check(sd: StandardDilation, n_max: int) -> Report:
+def standard_minimality_check(sd: Dilation, n_max: int) -> Report:
     """Certify that iterated shifts of embedded vectors reach every basis element.
 
     For each n <= n_max and ambient basis vector e_i, U^n I e_i must equal
@@ -333,28 +324,13 @@ def standard_minimality_check(sd: StandardDilation, n_max: int) -> Report:
 # two-parameter variant on grids
 
 
-@dataclass(frozen=True)
-class AndoVariant:
+def ando_build(T: Mat, S: Mat) -> Dilation:
     """Commuting grid shifts dilating a commuting pair (T, S).
 
     U shifts rows down, V shifts columns right, the embedding places a
     vector at (0,0), and the projection collapses the grid through
     T^n S^m per cell.
     """
-
-    T: Mat
-    S: Mat
-    I: SeqOp
-    U: SeqOp
-    V: SeqOp
-    P: SeqOp
-
-    @property
-    def dim(self) -> int:
-        return self.T.rows
-
-
-def ando_build(T: Mat, S: Mat) -> AndoVariant:
     require_square(T)
     require_square(S, "S")
     if T.rows != S.rows:
@@ -362,18 +338,18 @@ def ando_build(T: Mat, S: Mat) -> AndoVariant:
     if T * S != S * T:
         raise NonCommuting(T * S - S * T)
     d = T.rows
-    return AndoVariant(
+    return Dilation(
         T=T,
-        S=S,
         I=EmbedI(d, Domain.GRID),
         U=GridDown(d),
-        V=GridRight(d),
         P=ProjAndo(T, S),
+        S=S,
+        V=GridRight(d),
     )
 
 
 def ando_verify(
-    av: AndoVariant,
+    av: Dilation,
     probes: Sequence[Sequence],
     n_max: int,
     m_max: int,
@@ -383,18 +359,8 @@ def ando_verify(
     the shift-exchange identity realized by prepending zero rows/columns."""
     if n_max < 1 or m_max < 1:
         raise ValueError("bounds must be >= 1")
-    vecs = _probe_vecs(probes, av.dim)
-    if seq_probes is None:
-        seq_probes = [av.I.apply(x) for x in vecs]
-
-    report = Report(
-        suite="ando_verify",
-        config={
-            "n_max": n_max,
-            "m_max": m_max,
-            "probes": len(vecs),
-            "seq_probes": len(seq_probes),
-        },
+    vecs, seq_probes, report = _prologue(
+        av, "ando_verify", probes, seq_probes, n_max=n_max, m_max=m_max
     )
 
     # The starts are the cells (V^m I x, I S^m x) for m <= m_max, on the
@@ -441,17 +407,17 @@ def ando_verify(
         witness=v_witness,
     )
 
-    witness = None
     prepend_zero_row, prepend_zero_column = GridDown(av.dim), GridRight(av.dim)
-    for x in seq_probes:
+
+    def exchange_fails(x: FsVec) -> Optional[dict]:
         down = av.U.apply(x)
         right = av.V.apply(x)
         if prepend_zero_column.apply(down) != prepend_zero_row.apply(right):
-            witness = {"probe": fsvec_to_json(x), "identity": "prepend"}
-            break
+            return {"probe": fsvec_to_json(x), "identity": "prepend"}
         if av.V.apply(down) != av.U.apply(right):
-            witness = {"probe": fsvec_to_json(x), "identity": "exchange"}
-            break
+            return {"probe": fsvec_to_json(x), "identity": "exchange"}
+
+    witness = first_witness(seq_probes, exchange_fails)
     report.add(
         "shift exchange: zero-column-prepended U x equals zero-row-prepended V x, and U V = V U",
         witness is None,

@@ -135,6 +135,14 @@ def test_run_rejects_unknown_suite(capsys):
     assert "frobenius" in err
 
 
+@pytest.mark.parametrize("suites", [",", "", " , ,"])
+def test_run_rejects_suites_naming_no_suite(capsys, suites):
+    code, out, err = run_cli(capsys, ["run", "--suites", suites])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--suites" in err
+
+
 def test_halmos_command(capsys, tmp_path):
     t_file = write(tmp_path, "t.json", [[2]])
     code, out, _ = run_cli(capsys, ["halmos", "--T", t_file])

@@ -65,6 +65,27 @@ def test_halmos_closed_form_always_inverts(T):
     assert hd.U_inv * hd.U == Mat.identity(2 * T.rows)
 
 
+def _written_out(blocks, d):
+    """The 2d x 2d matrix of the 2x2 grid of d x d entry lists, entry by entry."""
+    return Mat([[blocks[r // d][c // d][r % d][c % d] for c in range(2 * d)] for r in range(2 * d)])
+
+
+def test_halmos_and_a2_are_the_written_out_blocks():
+    rng = random.Random(18)
+    for _ in range(20):
+        d = rng.randint(1, 4)
+        T = random_mat(rng, d)
+        t = T.entries
+        eye = [[int(r == c) for c in range(d)] for r in range(d)]
+        zero = [[0] * d for _ in range(d)]
+        neg_t = [[-v for v in row] for row in t]
+        U = _written_out([[t, eye], [eye, zero]], d)
+        U_inv = _written_out([[zero, eye], [eye, neg_t]], d)
+        hd, pair = halmos_build(T), nonsimilar_pair(T)
+        assert (hd.U, hd.U_inv) == (U, U_inv)
+        assert (pair.A2, pair.A2_inv) == (U, U_inv)
+
+
 # ----------------------------------------------------------------------
 # Schur families
 

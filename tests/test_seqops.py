@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dilatekit import Mat
 from dilatekit.finsupp import Domain, DomainMismatch, FsVec
 from dilatekit.matrix import vec_add, zero_vec
+from dilatekit.report import first_witness
 from dilatekit.seqops import (
     BlockDense,
     ColumnBlocks,
@@ -130,6 +131,21 @@ def test_inverse_pair_failure_carries_witness():
     report = check_inverse_pair(ShiftRight(1), ShiftRight(1), [probe])
     assert not report.passed
     assert report.failed_checks()[0].witness["probe"]["support"][0]["index"] == 0
+
+
+def test_first_witness_stops_at_the_first_hit():
+    calls = []
+
+    def hit_on_odd(x):
+        calls.append(x)
+        return {"x": x} if x % 2 else None
+
+    assert first_witness(range(10), hit_on_odd) == {"x": 1}
+    assert calls == [0, 1]
+    calls.clear()
+    assert first_witness([4, 2, 7, 8, 9], hit_on_odd) == {"x": 7}
+    assert calls == [4, 2, 7]
+    assert first_witness([0, 2], hit_on_odd) is None
 
 
 def test_inverse_pair_identity():

@@ -11,8 +11,8 @@ from dilatekit import sequence
 from dilatekit.finsupp import Domain, DomainMismatch, FsVec
 from dilatekit.matrix import reduce_column
 from dilatekit.sequence import (
+    Dilation,
     NonCommuting,
-    SchafferDilation,
     ando_build,
     ando_verify,
     schaffer_build,
@@ -31,6 +31,7 @@ from dilatekit.seqops import (
     ProjAndo,
     ProjStd,
     SchafferU,
+    SchafferVInv,
     SeqOp,
     ShiftBilat,
     _PowerCache,
@@ -99,10 +100,26 @@ def test_schaffer_verify_random():
     assert rep.passed
 
 
+def test_each_builder_sets_only_its_own_optional_fields():
+    T = Mat([[1, 2], [0, 3]])
+    optional = ("U_inv", "S", "V")
+    built = {
+        "schaffer": schaffer_build(T),
+        "standard": standard_build(T),
+        "ando": ando_build(T, T * T),
+    }
+    own = {"schaffer": {"U_inv"}, "standard": set(), "ando": {"S", "V"}}
+    for name, dil in built.items():
+        assert isinstance(dil, Dilation)
+        assert {f for f in optional if getattr(dil, f) is not None} == own[name], name
+    assert built["schaffer"].U_inv == SchafferVInv(T)
+    assert built["ando"].S == T * T and built["ando"].V == GridRight(2)
+
+
 def test_schaffer_corrupted_u_fails_at_first_power():
     # dropping the coupling term leaves the plain shift, which projects to 0
     good = schaffer_build(Mat([[2]]))
-    corrupted = SchafferDilation(
+    corrupted = Dilation(
         T=good.T, U=SchafferU(Mat.zeros(1, 1)), U_inv=good.U_inv, P=good.P, I=good.I
     )
     rep = schaffer_verify(corrupted, [(1,)], n_max=3)
@@ -120,7 +137,7 @@ def test_failure_witness_reproduces_in_isolation():
     from dilatekit.serialize import fsvec_to_json, vec_from_json
 
     good = schaffer_build(Mat([[2]]))
-    corrupted = SchafferDilation(
+    corrupted = Dilation(
         T=good.T, U=SchafferU(Mat.zeros(1, 1)), U_inv=good.U_inv, P=good.P, I=good.I
     )
     rep = schaffer_verify(corrupted, [(1,)], n_max=3)
