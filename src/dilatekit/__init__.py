@@ -52,13 +52,13 @@ from .seqops import (
     SeqOp,
     ShiftBilat,
     ShiftRight,
-    check_inverse_pair,
 )
 from .sequence import (
     Dilation,
     NonCommuting,
     ando_build,
     ando_verify,
+    check_inverse_pair,
     schaffer_build,
     schaffer_verify,
     standard_build,

@@ -61,7 +61,7 @@ _GROUP_HELP = {"intertwine": "lift or extract an intertwiner"}
 def _default_seed() -> int:
     raw = os.environ.get("DILATEKIT_SEED")
     if raw is None:
-        return 42
+        return SuiteConfig.seed
     try:
         return int(raw)
     except ValueError:
@@ -153,7 +153,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_construction(c: Construction, args) -> int:
-    """Read the files, draw probes from the seed, then build and verify."""
+    """Read the files, draw probes from the seed, then run the check."""
     rng = instance_rng(SuiteConfig(seed=_default_seed()), f"cli_{c.name}", 0)
     inst = {name: load_operator(getattr(args, name)) for name in c.operators}
     inst.update((name, load_matrix(getattr(args, name))) for name in c.files)
@@ -166,7 +166,7 @@ def _cmd_construction(c: Construction, args) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _finish(c.verify(c.build(inst), inst, bounds))
+        return _finish(c.check(inst, bounds))
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

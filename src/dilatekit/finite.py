@@ -44,7 +44,16 @@ def inverse_holds(built) -> bool:
 # ----------------------------------------------------------------------
 # the four Schur-complement families
 
-SCHUR_CLASSES = ("i", "ii", "iii", "iv")
+# class -> the blocks of U = [[T, B], [C, D]] reordered so that the one
+# required invertible is top-left, and whether the block rows and the block
+# columns were swapped to put it there
+_SCHUR_PIVOTS = {
+    "i": ("TBCD", False, False),
+    "ii": ("DCBT", True, True),
+    "iii": ("BTDC", False, True),
+    "iv": ("CDTB", True, False),
+}
+SCHUR_CLASSES = tuple(_SCHUR_PIVOTS)
 
 
 @dataclass(frozen=True)
@@ -71,48 +80,35 @@ def schur_build(class_tag: str, T: Mat, B: Mat, C: Mat, D: Mat) -> SchurFamily:
 
     Class (i) requires T and D - C T^-1 B invertible; (ii) D and
     T - B D^-1 C; (iii) B and C - D B^-1 T; (iv) C and B - T C^-1 D.
+    Classes (ii)-(iv) are class (i) on U with its block rows and/or block
+    columns swapped, so one formula serves all four.
     """
     if class_tag not in SCHUR_CLASSES:
         raise ValueError(f"unknown class {class_tag!r}, expected one of {SCHUR_CLASSES}")
     d = require_square(T).rows
-    for name, block in (("B", B), ("C", C), ("D", D)):
-        require_square(block, name)
-        if block.rows != d:
+    blocks = {"T": T, "B": B, "C": C, "D": D}
+    for name in "BCD":
+        require_square(blocks[name], name)
+        if blocks[name].rows != d:
             raise NonSquareMatrix(f"{name} must be {d}x{d} to match T")
 
-    if class_tag == "i":
-        Ti = _inv_or_fail(T, "T")
-        TiB, CTi = Ti * B, C * Ti
-        schur = D - CTi * B
-        Si = _inv_or_fail(schur, "D - C T^-1 B")
-        TiBSi = TiB * Si
-        # Top-left entry carries the full sandwich T^-1 B (..)^-1 C T^-1;
-        # truncating the trailing C T^-1 factor breaks U * U_inv = I.
-        U_inv = Mat.block([[Ti + TiBSi * CTi, -TiBSi], [-(Si * CTi), Si]])
-    elif class_tag == "ii":
-        Di = _inv_or_fail(D, "D")
-        BDi, DiC = B * Di, Di * C
-        schur = T - BDi * C
-        Si = _inv_or_fail(schur, "T - B D^-1 C")
-        DiCSi = DiC * Si
-        U_inv = Mat.block([[Si, -(Si * BDi)], [-DiCSi, Di + DiCSi * BDi]])
-    elif class_tag == "iii":
-        Bi = _inv_or_fail(B, "B")
-        DBi, BiT = D * Bi, Bi * T
-        schur = C - DBi * T
-        Si = _inv_or_fail(schur, "C - D B^-1 T")
-        BiTSi = BiT * Si
-        U_inv = Mat.block([[-(Si * DBi), Si], [Bi + BiTSi * DBi, -BiTSi]])
-    else:
-        Ci = _inv_or_fail(C, "C")
-        TCi, CiD = T * Ci, Ci * D
-        schur = B - TCi * D
-        Si = _inv_or_fail(schur, "B - T C^-1 D")
-        CiDSi = CiD * Si
-        U_inv = Mat.block([[-CiDSi, Ci + CiDSi * TCi], [Si, -(Si * TCi)]])
-
+    # class (i) on U' = [[W, X], [Y, Z]], the blocks of U reordered
+    order, rows_swapped, cols_swapped = _SCHUR_PIVOTS[class_tag]
+    W, X, Y, Z = (blocks[name] for name in order)
+    Wi = _inv_or_fail(W, order[0])
+    WiX, YWi = Wi * X, Y * Wi
+    schur = Z - YWi * X
+    Si = _inv_or_fail(schur, f"{order[3]} - {order[2]} {order[0]}^-1 {order[1]}")
+    WiXSi = WiX * Si
+    # Top-left entry carries the full sandwich W^-1 X (..)^-1 Y W^-1;
+    # truncating the trailing Y W^-1 factor breaks U * U_inv = I.
+    inv = [[Wi + WiXSi * YWi, -WiXSi], [-(Si * YWi), Si]]
+    if cols_swapped:  # U = U' J with J the block swap, so U^-1 = J U'^-1
+        inv.reverse()
+    if rows_swapped:  # U = J U', so U^-1 = U'^-1 J
+        inv = [row[::-1] for row in inv]
     U = Mat.block([[T, B], [C, D]])
-    return SchurFamily(class_tag=class_tag, T=T, B=B, C=C, D=D, schur=schur, U=U, U_inv=U_inv)
+    return SchurFamily(class_tag, **blocks, schur=schur, U=U, U_inv=Mat.block(inv))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Seeded instance generation, the construction registry, and suites.
 
 Each construction is one `Construction` entry in `CONSTRUCTIONS`: how to
-draw a seeded instance, how to build the dilation, and the single
-verifier that states its identities. The suite loop and the CLI
-subcommands both run build and verify from that table, so the two paths
-check the same identities under the same names.
+draw a seeded instance, and the one `check` that builds the dilation and
+states its identities. The suite loop and the CLI subcommands both run
+`check` from that table, so the two paths check the same identities under
+the same names.
 
 Instance streams are deterministic functions of (seed, suite, counter):
 the RNG for each instance is seeded from a SHA-256 digest of those three
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .finite import (
     INCONCLUSIVE_VERDICT,
@@ -71,18 +71,6 @@ from .serialize import (
 )
 from .wold import EXTENDED, STRICT, NotInjective, verify_wold, wold_decompose
 
-ALL_SUITES = (
-    "halmos",
-    "schur",
-    "nonsimilar",
-    "ndilation",
-    "schaffer",
-    "standard",
-    "wold",
-    "intertwine",
-    "ando",
-)
-
 RETRY_LIMIT = 64
 
 
@@ -108,42 +96,6 @@ SIZE_CAPS = {
     "m_max": MAX_BOUND,
     "entry_bound": MAX_ENTRY_BOUND,
 }
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = 42
-    trials: int = 200
-    dim_max: int = 4
-    n_max: int = 12
-    m_max: int = 8
-    entry_bound: int = 9
-    suites: tuple[str, ...] = ALL_SUITES
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.dim_max < 1:
-            raise ValueError("dim_max must be >= 1")
-        if self.n_max < 1 or self.m_max < 1:
-            raise ValueError("bounds must be >= 1")
-        if self.entry_bound < 1:
-            raise ValueError("entry_bound must be >= 1")
-        for name, cap in SIZE_CAPS.items():
-            _require_at_most(name, getattr(self, name), cap)
-        unknown = [s for s in self.suites if s not in ALL_SUITES]
-        if unknown:
-            raise ValueError(f"unknown suites: {unknown}")
-
-    def echo(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "dim_max": self.dim_max,
-            "n_max": self.n_max,
-            "m_max": self.m_max,
-            "entry_bound": self.entry_bound,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +211,7 @@ class Bounds:
 
 
 class Construction:
-    """One construction: seeded instances, build, verify, and a CLI subcommand.
+    """One construction: seeded instances, its check, and a CLI subcommand.
 
     `generate(rng, config, counter)` draws one instance, a dict of named
     exact values. Preconditions are guaranteed by construction (commuting
@@ -268,10 +220,10 @@ class Construction:
     instance)` draws the probes the verifier needs: `generate` calls it,
     except that the suite loop draws them from a stream of their own when
     `probe_stream` names one, and the CLI calls it on instances read from
-    files. `build(instance)` returns the construction
-    and `verify(built, instance, bounds)` its reports: the one place where
-    the construction's identities are checked. `finish` adds the suite's
-    checks on fixed instances, given the data of each trial's first report.
+    files. `check(instance, bounds)` builds the construction and returns its
+    reports: the one place where the construction's identities are checked.
+    `finish` adds the suite's checks on fixed instances, given the data of
+    each trial's first report.
 
     The CLI subcommand `command` (the name by default) reads one JSON matrix
     file per name in `files` and one operator descriptor per name in
@@ -280,7 +232,7 @@ class Construction:
     explicit dest, and a size flag's keywords also hold its `cap`, the
     largest value the CLI accepts.
 
-    The methods call builders and verifiers by their module-level names, so
+    `check` calls builders and verifiers by their module-level names, so
     whatever replaces those names (tracing, tests) is seen by the suites and
     the CLI alike.
     """
@@ -301,10 +253,7 @@ class Construction:
     def probes(self, rng: random.Random, inst: dict) -> dict:
         return {}
 
-    def build(self, inst: dict) -> Any:
-        raise NotImplementedError
-
-    def verify(self, built: Any, inst: dict, bounds: Bounds) -> list[Report]:
+    def check(self, inst: dict, bounds: Bounds) -> list[Report]:
         raise NotImplementedError
 
     def finish(self, config: SuiteConfig, rep: Report, trial_data: list[dict]) -> None:
@@ -338,13 +287,10 @@ class _Halmos(Construction):
     name = "halmos"
     help = "two-block dilation with closed-form inverse"
 
-    def build(self, inst):
-        return halmos_build(inst["T"])
-
-    def verify(self, hd, inst, bounds):
+    def check(self, inst, bounds):
         inverse = "closed-form inverse: U * U_inv = U_inv * U = I"
         oracle = "closed form equals the dense-inverse oracle entrywise"
-        return [_closed_form_report("halmos", hd, inverse, oracle)]
+        return [_closed_form_report("halmos", halmos_build(inst["T"]), inverse, oracle)]
 
 
 class _Schur(Construction):
@@ -367,12 +313,11 @@ class _Schur(Construction):
 
         return resample(make, lambda inst: inst is not None, f"class ({class_tag}) instance")
 
-    def build(self, inst):
-        if "family" in inst:  # built once already, to test the preconditions
-            return inst["family"]
-        return schur_build(inst["class_tag"], inst["T"], inst["B"], inst["C"], inst["D"])
-
-    def verify(self, fam, inst, bounds):
+    def check(self, inst, bounds):
+        # a generated instance was built once already, to test the preconditions
+        fam = inst.get("family") or schur_build(
+            inst["class_tag"], inst["T"], inst["B"], inst["C"], inst["D"]
+        )
         inverse = f"class ({fam.class_tag}): U * U_inv = U_inv * U = I"
         oracle = f"class ({fam.class_tag}): closed form equals the dense-inverse oracle"
         rep = _closed_form_report("schur", fam, inverse, oracle)
@@ -393,10 +338,8 @@ class _NonSimilar(Construction):
         )
         return {"T": T}
 
-    def build(self, inst):
-        return nonsimilar_pair(inst["T"])
-
-    def verify(self, pair, inst, bounds):
+    def check(self, inst, bounds):
+        pair = nonsimilar_pair(inst["T"])
         trace_t = pair.T.trace()
         traces = {"trace_a1": str(pair.trace_a1), "trace_a2": str(pair.trace_a2)}
         rep = Report(
@@ -438,14 +381,15 @@ class _NonSimilar(Construction):
         return [rep]
 
     def finish(self, config, rep, trial_data):
-        pair = nonsimilar_pair(Mat([[0, 1], [0, 0]]))
+        zero_trace = self.check({"T": Mat([[0, 1], [0, 0]])}, Bounds())[0]
+        verdict = zero_trace.data["verdict"]
         rep.add(
             "zero-trace block instance is reported inconclusive",
-            pair.verdict == INCONCLUSIVE_VERDICT,
-            witness={"verdict": pair.verdict},
+            verdict == INCONCLUSIVE_VERDICT,
+            witness={"verdict": verdict},
         )
-        # the verifier's first check on a trace-0 instance is the inconclusive one
-        rep.checks.append(self.verify(pair, {}, Bounds())[0].checks[0])
+        # the check's first entry on a trace-0 instance is the inconclusive one
+        rep.checks.append(zero_trace.checks[0])
 
 
 class _NDilation(Construction):
@@ -463,10 +407,8 @@ class _NDilation(Construction):
     def probes(self, rng, inst):
         return {"probes": [random_vector(rng, inst["T"].rows, 9) for _ in range(5)]}
 
-    def build(self, inst):
-        return ndilation_build(inst["T"], inst["N"])
-
-    def verify(self, nd, inst, bounds):
+    def check(self, inst, bounds):
+        nd = ndilation_build(inst["T"], inst["N"])
         return [ndilation_verify(nd, inst["probes"], bounds.k_max)]
 
     def finish(self, config, rep, trial_data):
@@ -501,10 +443,8 @@ class _Schaffer(_SequenceConstruction):
     help = "two-sided invertible dilation"
     domain, vec_count, seq_count = Domain.BIINT, 20, 10
 
-    def build(self, inst):
-        return schaffer_build(inst["T"])
-
-    def verify(self, sd, inst, bounds):
+    def check(self, inst, bounds):
+        sd = schaffer_build(inst["T"])
         return [schaffer_verify(sd, inst["probes"], bounds.n_max, seq_probes=inst["seq_probes"])]
 
 
@@ -514,10 +454,8 @@ class _Standard(_SequenceConstruction):
     domain, vec_count, seq_count = Domain.UNINAT, 10, 10
     bounds = (_nmax(12), ("--minimality", {"dest": "minimality", "action": "store_true"}))
 
-    def build(self, inst):
-        return standard_build(inst["T"])
-
-    def verify(self, sd, inst, bounds):
+    def check(self, inst, bounds):
+        sd = standard_build(inst["T"])
         reports = [
             standard_verify(sd, inst["probes"], bounds.n_max, seq_probes=inst["seq_probes"])
         ]
@@ -531,12 +469,9 @@ class _Wold(Construction):
     help = "eventual-image decomposition"
     options = (("--mode", {"dest": "mode", "choices": (STRICT, EXTENDED), "default": EXTENDED}),)
 
-    def build(self, inst):
+    def check(self, inst, bounds):
         # generated instances carry no mode: the suite runs the extended mode
-        return wold_decompose(inst["T"], inst.get("mode", EXTENDED))
-
-    def verify(self, w, inst, bounds):
-        return [verify_wold(w)]
+        return [verify_wold(wold_decompose(inst["T"], inst.get("mode", EXTENDED)))]
 
     def finish(self, config, rep, trial_data):
         d = config.dim_max
@@ -605,12 +540,9 @@ class _Intertwine(Construction):
     def probes(self, rng, inst):
         return {"probes": [random_fsvec(rng, Domain.UNINAT, inst["T2"].rows, 9) for _ in range(5)]}
 
-    def build(self, inst):
+    def check(self, inst, bounds):
         pair = make_pair(inst["T1"], inst["T2"], inst["S"])
-        return pair, lift_intertwiner(pair)
-
-    def verify(self, built, inst, bounds):
-        pair, R = built
+        R = lift_intertwiner(pair)
         rep = verify_lift(R, pair, inst["probes"], n_max=bounds.n_max)
         if not rep.passed:  # no certificate to read the map off from
             return [rep]
@@ -662,12 +594,9 @@ class _Extract(Construction):
     files = ("T1", "T2")
     bounds = (_size_flag("--certbound", "n_max", MAX_BOUND, default=12),)
 
-    def build(self, inst):
-        return inst["R"], standard_build(inst["T1"]), standard_build(inst["T2"])
-
-    def verify(self, built, inst, bounds):
-        R, dil1, dil2 = built
-        return [certification_report(R, dil1, dil2, bounds.n_max)]
+    def check(self, inst, bounds):
+        dil1, dil2 = standard_build(inst["T1"]), standard_build(inst["T2"])
+        return [certification_report(inst["R"], dil1, dil2, bounds.n_max)]
 
 
 class _Ando(_SequenceConstruction):
@@ -678,14 +607,11 @@ class _Ando(_SequenceConstruction):
     bounds = (_nmax(8), _size_flag("--mmax", "m_max", MAX_BOUND, default=8))
 
     def generate(self, rng, config, counter):
-        inst = Construction.generate(self, rng, config, counter)
-        probes = self.probes(rng, inst)  # drawn before S
-        return {**inst, "S": polynomial_in(rng, inst["T"]), **probes}
+        inst = super().generate(rng, config, counter)  # T, then the probes, then S
+        return {**inst, "S": polynomial_in(rng, inst["T"])}
 
-    def build(self, inst):
-        return ando_build(inst["T"], inst["S"])
-
-    def verify(self, av, inst, bounds):
+    def check(self, inst, bounds):
+        av = ando_build(inst["T"], inst["S"])
         probes, seq_probes = inst["probes"], inst["seq_probes"]
         return [ando_verify(av, probes, bounds.n_max, bounds.m_max, seq_probes=seq_probes)]
 
@@ -705,6 +631,36 @@ CONSTRUCTIONS = {
     )
 }
 COMMANDS = (*CONSTRUCTIONS.values(), _Extract())  # one CLI subcommand each
+ALL_SUITES = tuple(CONSTRUCTIONS)
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    seed: int = 42
+    trials: int = 200
+    dim_max: int = 4
+    n_max: int = 12
+    m_max: int = 8
+    entry_bound: int = 9
+    suites: tuple[str, ...] = ALL_SUITES
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.dim_max < 1:
+            raise ValueError("dim_max must be >= 1")
+        if self.n_max < 1 or self.m_max < 1:
+            raise ValueError("bounds must be >= 1")
+        if self.entry_bound < 1:
+            raise ValueError("entry_bound must be >= 1")
+        for name, cap in SIZE_CAPS.items():
+            _require_at_most(name, getattr(self, name), cap)
+        unknown = [s for s in self.suites if s not in ALL_SUITES]
+        if unknown:
+            raise ValueError(f"unknown suites: {unknown}")
+
+    def echo(self) -> dict:
+        return {"seed": self.seed, **{name: getattr(self, name) for name in SIZE_CAPS}}
 
 
 def generate_instance(config: SuiteConfig, kind: str, counter: int = 0) -> dict:
@@ -786,7 +742,7 @@ def _run_suite(config: SuiteConfig, c: Construction) -> Report:
         if c.probe_stream is not None:
             inst.update(c.probes(instance_rng(config, c.probe_stream, t), inst))
         with _wrap_errors(c.name, t, inst):
-            reports = c.verify(c.build(inst), inst, bounds)
+            reports = c.check(inst, bounds)
         for trial_rep in reports:
             agg.fold(trial_rep, t, lambda: _instance_json(c.name, t, inst))
         trial_data.append(reports[0].data)

@@ -38,7 +38,6 @@ from typing import Mapping, Optional, Sequence
 
 from .finsupp import Domain, DomainMismatch, FsVec, Index, accumulate
 from .matrix import Column, Mat, Scalar, column_of, reduce_column
-from .report import Report, first_witness
 
 
 class OperandError(ValueError):
@@ -422,17 +421,3 @@ class PowerOp(SeqOp):
     def apply(self, x):
         return self.base.power_apply(self.n, x)
 
-
-def check_inverse_pair(a: SeqOp, b: SeqOp, probes: Sequence[FsVec]) -> Report:
-    """Verify a(b(x)) = x and b(a(x)) = x exactly on every probe."""
-    from .serialize import fsvec_to_json
-
-    def mismatch(first: SeqOp, second: SeqOp, x: FsVec) -> Optional[dict]:
-        y = second.apply(first.apply(x))
-        return None if y == x else {"probe": fsvec_to_json(x), "result": fsvec_to_json(y)}
-
-    report = Report(suite="inverse_pair")
-    for name, first, second in (("a(b(x)) = x", b, a), ("b(a(x)) = x", a, b)):
-        witness = first_witness(probes, lambda x: mismatch(first, second, x))
-        report.add(name, witness is None, bound=len(probes), witness=witness)
-    return report

@@ -32,7 +32,6 @@ from .seqops import (
     SchafferVInv,
     SeqOp,
     ShiftRight,
-    check_inverse_pair,
 )
 from .serialize import fsvec_to_json, vec_to_json
 
@@ -166,6 +165,20 @@ def schaffer_build(T: Mat) -> Dilation:
         P=CoordProj0(d, Domain.BIINT),
         U_inv=SchafferVInv(T),
     )
+
+
+def check_inverse_pair(a: SeqOp, b: SeqOp, probes: Sequence[FsVec]) -> Report:
+    """Verify a(b(x)) = x and b(a(x)) = x exactly on every probe."""
+
+    def mismatch(first: SeqOp, second: SeqOp, x: FsVec) -> Optional[dict]:
+        y = second.apply(first.apply(x))
+        return None if y == x else {"probe": fsvec_to_json(x), "result": fsvec_to_json(y)}
+
+    report = Report(suite="inverse_pair")
+    for name, first, second in (("a(b(x)) = x", b, a), ("b(a(x)) = x", a, b)):
+        witness = first_witness(probes, lambda x: mismatch(first, second, x))
+        report.add(name, witness is None, bound=len(probes), witness=witness)
+    return report
 
 
 def schaffer_verify(

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO, Any, Callable, NamedTuple, Union
 
 from . import seqops as so
-from .finsupp import Domain, FsVec
+from .finsupp import BadIndex, Domain, FsVec, check_index
 from .matrix import Mat, Vec
 
 _RAT_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
@@ -129,9 +129,7 @@ def fsvec_from_json(value: Any, where: str = "$") -> FsVec:
     if not isinstance(value, dict):
         raise ParseError(f"expected an object, got {type(value).__name__}", where)
     domain = _read_domain(value.get("domain"), f"{where}.domain")
-    dim = value.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"bad dimension {dim!r}", f"{where}.dim")
+    dim = _read_dim(value.get("dim"), f"{where}.dim", 0)
     raw_support = value.get("support", [])
     if not isinstance(raw_support, list):
         raise ParseError("support must be an array", f"{where}.support")
@@ -140,18 +138,15 @@ def fsvec_from_json(value: Any, where: str = "$") -> FsVec:
         loc = f"{where}.support[{i}]"
         if not isinstance(entry, dict) or "index" not in entry or "value" not in entry:
             raise ParseError("support entries need index and value", loc)
-        raw_index = entry["index"]
-        if isinstance(raw_index, list):
-            if len(raw_index) != 2 or not all(
-                isinstance(k, int) and not isinstance(k, bool) for k in raw_index
-            ):
-                raise ParseError(f"bad grid index {raw_index!r}", f"{loc}.index")
-            index = (raw_index[0], raw_index[1])
-        elif isinstance(raw_index, int) and not isinstance(raw_index, bool):
-            index = raw_index
-        else:
-            raise ParseError(f"bad index {raw_index!r}", f"{loc}.index")
-        items.append((index, vec_from_json(entry["value"], f"{loc}.value")))
+        index = entry["index"]
+        try:
+            index = check_index(domain, tuple(index) if isinstance(index, list) else index)
+        except BadIndex as exc:
+            raise ParseError(str(exc), f"{loc}.index") from None
+        column = vec_from_json(entry["value"], f"{loc}.value")
+        if len(column) != dim:
+            raise ParseError(f"value has length {len(column)}, expected {dim}", f"{loc}.value")
+        items.append((index, column))
     try:
         return FsVec(domain, dim, items)
     except ValueError as exc:

@@ -135,6 +135,21 @@ def test_class_i_singular_schur_complement_rejected():
     assert "D - C T^-1 B" in exc.value.which
 
 
+@pytest.mark.parametrize(
+    "tag, corner, complement",
+    [("ii", "D", "T - B D^-1 C"), ("iii", "B", "C - D B^-1 T"), ("iv", "C", "B - T C^-1 D")],
+)
+def test_classes_ii_to_iv_reject_a_singular_corner_or_complement(tag, corner, complement):
+    ones = {name: Mat([[1]]) for name in "TBCD"}
+    with pytest.raises(PreconditionFailed) as exc:
+        schur_build(tag, **{**ones, corner: Mat([[0]])})
+    assert exc.value.which == corner
+    # every block 1: each class's complement is 1 - 1 * 1^-1 * 1 = 0
+    with pytest.raises(PreconditionFailed) as exc:
+        schur_build(tag, **ones)
+    assert exc.value.which == complement
+
+
 def test_unknown_class_rejected():
     with pytest.raises(ValueError):
         schur_build("v", Mat([[1]]), Mat([[1]]), Mat([[1]]), Mat([[1]]))

@@ -338,6 +338,6 @@ def test_passing_suites_build_no_provenance_and_serialise_no_matrix(monkeypatch)
     assert all(r.passed for r in reports)
     assert calls == {"_instance_json": 0, "mat_to_json": 0}
     # the report's data is built when it is written out
-    text = CONSTRUCTIONS["halmos"].verify(halmos_build(Mat([[2]])), {}, None)[0].to_json()
+    text = CONSTRUCTIONS["halmos"].check({"T": Mat([[2]])}, None)[0].to_json()
     assert json.loads(text)["data"] == {"U": [[2, 1], [1, 0]], "U_inv": [[0, 1], [1, -2]]}
     assert calls["mat_to_json"] == 2

@@ -24,8 +24,8 @@ from dilatekit.seqops import (
     SchafferVInv,
     ShiftBilat,
     ShiftRight,
-    check_inverse_pair,
 )
+from dilatekit.sequence import check_inverse_pair
 from dilatekit.serialize import fsvec_to_json
 
 from strategies import fsvecs, rationals, stack

@@ -116,6 +116,22 @@ def test_fsvec_bad_domain():
     assert exc.value.where == "$.domain"
 
 
+@pytest.mark.parametrize(
+    "domain, dim, entry, where",
+    [
+        ("uninat", 1, {"index": -1, "value": [1]}, "$.support[0].index"),
+        ("grid", 1, {"index": [-1, 0], "value": [1]}, "$.support[0].index"),
+        ("uninat", 1, {"index": [0, 0], "value": [1]}, "$.support[0].index"),
+        ("grid", 1, {"index": 0, "value": [1]}, "$.support[0].index"),
+        ("uninat", 2, {"index": 0, "value": [1]}, "$.support[0].value"),
+    ],
+)
+def test_fsvec_entry_errors_name_the_entry(domain, dim, entry, where):
+    with pytest.raises(ParseError) as exc:
+        fsvec_from_json({"domain": domain, "dim": dim, "support": [entry]})
+    assert exc.value.where == where
+
+
 def test_seqop_round_trip():
     ops = [
         EmbedI(2),
