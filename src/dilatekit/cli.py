@@ -11,18 +11,19 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import functools
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .finite import PreconditionFailed
 from .harness import (
     ALL_SUITES,
+    CAPS,
     COMMANDS,
-    SIZE_CAPS,
+    CONFIG_SIZES,
     Bounds,
     Construction,
     GenerationExhausted,
@@ -30,6 +31,7 @@ from .harness import (
     instance_rng,
     iter_suites,
     overall_exit_code,
+    require_at_most,
 )
 from .intertwine import NotIntertwining, RangeViolation
 from .matrix import MatrixError
@@ -77,13 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the seeded conformance suites")
     run.add_argument("--seed", type=int, default=None)
-    defaults = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
-    caps = []
-    for name, cap in SIZE_CAPS.items():
-        flag = "--" + name.replace("_", "-")
-        run.add_argument(flag, type=int, default=defaults[name])
-        caps.append((flag, name, cap))
-    run.set_defaults(handler=_cmd_run, caps=tuple(caps))
+    sizes = tuple(("--" + name.replace("_", "-"), name) for name in CONFIG_SIZES)
+    for flag, name in sizes:
+        run.add_argument(flag, type=int, default=getattr(SuiteConfig, name))
+    run.set_defaults(handler=_cmd_run, sizes=sizes)
     run.add_argument(
         "--suites",
         default=",".join(ALL_SUITES),
@@ -107,30 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(f"--{operand}", required=True, help="operator descriptor JSON file")
         for operand in c.files:
             cmd.add_argument(f"--{operand}", required=True)
-        caps = []
         for flag, kwargs in c.options + c.bounds:
-            kwargs = dict(kwargs)
-            if "cap" in kwargs:
-                caps.append((flag, kwargs["dest"], kwargs.pop("cap")))
             cmd.add_argument(flag, **kwargs)
-        cmd.set_defaults(handler=functools.partial(_cmd_construction, c), caps=tuple(caps))
+        sizes = tuple((flag, kw["dest"]) for flag, kw in c.options + c.bounds if kw["dest"] in CAPS)
+        cmd.set_defaults(handler=functools.partial(_cmd_construction, c), sizes=sizes)
     return parser
 
 
-def _check_caps(args) -> None:
-    """Refuse a size flag above its cap before any work starts."""
-    for flag, dest, cap in args.caps:
-        value = getattr(args, dest)
-        if value is not None and value > cap:
-            raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
-
-
-def _finish(reports: list[Report], json_path: Optional[str] = None) -> int:
+def _finish(reports: list[Report], out: Optional[TextIO] = None) -> int:
     report_json = reports_to_json(reports, indent=2)
     print(report_json)
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(report_json + "\n")
+    if out is not None:
+        out.write(report_json + "\n")
     return overall_exit_code(reports)
 
 
@@ -139,17 +126,20 @@ def _cmd_run(args) -> int:
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     if not suites:
         raise ValueError(f"--suites {args.suites!r} names no suite")
-    sizes = {name: getattr(args, name) for name in SIZE_CAPS}
+    sizes = {name: getattr(args, name) for name in CONFIG_SIZES}
     config = SuiteConfig(seed=seed, suites=suites, **sizes)
-    reports = []
-    start = time.perf_counter()
-    for rep in iter_suites(config):
-        elapsed = time.perf_counter() - start
-        reports.append(rep)
-        status = "pass" if rep.passed else "FAIL"
-        print(f"{rep.suite}: {status} ({len(rep.checks)} checks, {elapsed:.2f} s)", file=sys.stderr)
+    # opened before the first suite, so that an unwritable path costs no run
+    with open(args.json_path, "w") if args.json_path else contextlib.nullcontext() as out:
+        reports = []
         start = time.perf_counter()
-    return _finish(reports, args.json_path)
+        for rep in iter_suites(config):
+            elapsed = time.perf_counter() - start
+            reports.append(rep)
+            status = "pass" if rep.passed else "FAIL"
+            line = f"{rep.suite}: {status} ({len(rep.checks)} checks, {elapsed:.2f} s)"
+            print(line, file=sys.stderr)
+            start = time.perf_counter()
+        return _finish(reports, out)
 
 
 def _cmd_construction(c: Construction, args) -> int:
@@ -181,7 +171,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_caps(args)
+        for flag, dest in args.sizes:  # before any work
+            require_at_most(flag, dest, getattr(args, dest))
         return args.handler(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from fractions import Fraction
 from math import lcm
@@ -60,15 +60,7 @@ from .sequence import (
     standard_minimality_check,
     standard_verify,
 )
-from .serialize import (
-    MAX_BOUND,
-    MAX_DIM,
-    MAX_ENTRY_BOUND,
-    MAX_N,
-    MAX_TRIALS,
-    fsvec_from_json,
-    mat_to_json,
-)
+from .serialize import fsvec_from_json, mat_to_json
 from .wold import EXTENDED, STRICT, NotInjective, verify_wold, wold_decompose
 
 RETRY_LIMIT = 64
@@ -82,20 +74,24 @@ class SuiteError(RuntimeError):
     """A module error, wrapped with the instance that triggered it."""
 
 
-def _require_at_most(name: str, value: Optional[int], cap: int) -> None:
-    if value is not None and value > cap:
-        raise ValueError(f"{name} {value} exceeds the cap of {cap}")
-
-
-# the SuiteConfig sizes that `run` takes as --trials, --dim-max, ... flags,
-# with the largest value of each
-SIZE_CAPS = {
-    "trials": MAX_TRIALS,
-    "dim_max": MAX_DIM,
-    "n_max": MAX_BOUND,
-    "m_max": MAX_BOUND,
-    "entry_bound": MAX_ENTRY_BOUND,
+# the largest value of each size a caller picks, keyed by the name it is set
+# under (a SuiteConfig or Bounds field, or the instance key N), so that no
+# flag asks for unbounded work
+CAPS = {
+    "trials": 10_000,  # trials per suite
+    "dim_max": 16,  # largest generated dimension
+    "n_max": 100,  # exponent bounds, the certification bound included
+    "m_max": 100,
+    "k_max": 100,
+    "entry_bound": 10**6,  # largest numerator and denominator of generated entries
+    "N": 32,  # the N of an N-dilation, whose matrices are (N+1)d x (N+1)d
 }
+
+
+def require_at_most(label: str, name: str, value: Optional[int]) -> None:
+    """Refuse a size set under `name` above its cap, naming it by `label`."""
+    if value is not None and value > CAPS[name]:
+        raise ValueError(f"{label} {value} exceeds the cap of {CAPS[name]}")
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +202,9 @@ class Bounds:
     minimality: bool = True  # standard: also certify minimality
 
     def __post_init__(self):
-        for name in ("n_max", "m_max", "k_max"):
-            _require_at_most(name, getattr(self, name), MAX_BOUND)
+        for f in fields(self):
+            if f.name in CAPS:
+                require_at_most(f.name, f.name, getattr(self, f.name))
 
 
 class Construction:
@@ -229,8 +226,7 @@ class Construction:
     file per name in `files` and one operator descriptor per name in
     `operators`. Its `options` flags go into the instance and its `bounds`
     flags into `Bounds`; a flag is a (flag, argparse keywords) pair with an
-    explicit dest, and a size flag's keywords also hold its `cap`, the
-    largest value the CLI accepts.
+    explicit dest, and a flag whose dest names a size is capped by `CAPS`.
 
     `check` calls builders and verifiers by their module-level names, so
     whatever replaces those names (tracing, tests) is seen by the suites and
@@ -260,12 +256,12 @@ class Construction:
         pass
 
 
-def _size_flag(flag: str, dest: str, cap: int, **kwargs) -> tuple[str, dict]:
-    return (flag, {"dest": dest, "type": int, "cap": cap, **kwargs})
+def _size_flag(flag: str, dest: str, **kwargs) -> tuple[str, dict]:
+    """An int flag; a bound's default is the `Bounds` default."""
+    return (flag, {"dest": dest, "type": int, "default": getattr(Bounds, dest, None), **kwargs})
 
 
-def _nmax(default: int) -> tuple[str, dict]:
-    return _size_flag("--nmax", "n_max", MAX_BOUND, default=default)
+_NMAX = _size_flag("--nmax", "n_max")
 
 
 def _closed_form_report(suite: str, built, inverse: str, oracle: str) -> Report:
@@ -397,8 +393,8 @@ class _NDilation(Construction):
     command = "ndilate"
     help = "N-step block dilation"
     probe_stream = "ndilation_probes"
-    options = (_size_flag("--N", "N", MAX_N, required=True),)
-    bounds = (_size_flag("--kmax", "k_max", MAX_BOUND, default=None),)
+    options = (_size_flag("--N", "N", required=True),)
+    bounds = (_size_flag("--kmax", "k_max"),)
 
     def generate(self, rng, config, counter):
         dim = rng.randint(1, min(4, config.dim_max))
@@ -424,7 +420,7 @@ class _SequenceConstruction(Construction):
     domain: Domain
     vec_count: int
     seq_count: int
-    bounds = (_nmax(12),)
+    bounds = (_NMAX,)
 
     def generate(self, rng, config, counter):
         inst = super().generate(rng, config, counter)
@@ -452,7 +448,7 @@ class _Standard(_SequenceConstruction):
     name = "standard"
     help = "standard minimal injective dilation"
     domain, vec_count, seq_count = Domain.UNINAT, 10, 10
-    bounds = (_nmax(12), ("--minimality", {"dest": "minimality", "action": "store_true"}))
+    bounds = (_NMAX, ("--minimality", {"dest": "minimality", "action": "store_true"}))
 
     def check(self, inst, bounds):
         sd = standard_build(inst["T"])
@@ -515,7 +511,7 @@ class _Intertwine(Construction):
     command = "intertwine lift"
     help = "lift S to the dilation spaces and verify"
     files = ("T1", "T2", "S")
-    bounds = (_nmax(12),)
+    bounds = (_NMAX,)
     probe_stream = "intertwine_probes"
 
     def generate(self, rng, config, counter):
@@ -592,7 +588,7 @@ class _Extract(Construction):
     help = "recover S from an operator descriptor"
     operators = ("R",)
     files = ("T1", "T2")
-    bounds = (_size_flag("--certbound", "n_max", MAX_BOUND, default=12),)
+    bounds = (_size_flag("--certbound", "n_max"),)
 
     def check(self, inst, bounds):
         dil1, dil2 = standard_build(inst["T1"]), standard_build(inst["T2"])
@@ -604,7 +600,8 @@ class _Ando(_SequenceConstruction):
     help = "two-parameter grid dilation of a commuting pair"
     files = ("T", "S")
     domain, vec_count, seq_count = Domain.GRID, 3, 3
-    bounds = (_nmax(8), _size_flag("--mmax", "m_max", MAX_BOUND, default=8))
+    # defect D1: --nmax defaults to m_max, as the ando suite bounds n by m_max
+    bounds = (_size_flag("--nmax", "n_max", default=Bounds.m_max), _size_flag("--mmax", "m_max"))
 
     def generate(self, rng, config, counter):
         inst = super().generate(rng, config, counter)  # T, then the probes, then S
@@ -639,28 +636,27 @@ class SuiteConfig:
     seed: int = 42
     trials: int = 200
     dim_max: int = 4
-    n_max: int = 12
-    m_max: int = 8
+    n_max: int = Bounds.n_max
+    m_max: int = Bounds.m_max
     entry_bound: int = 9
     suites: tuple[str, ...] = ALL_SUITES
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.dim_max < 1:
-            raise ValueError("dim_max must be >= 1")
-        if self.n_max < 1 or self.m_max < 1:
-            raise ValueError("bounds must be >= 1")
-        if self.entry_bound < 1:
-            raise ValueError("entry_bound must be >= 1")
-        for name, cap in SIZE_CAPS.items():
-            _require_at_most(name, getattr(self, name), cap)
+        for name in CONFIG_SIZES:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+            require_at_most(name, name, value)
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
 
     def echo(self) -> dict:
-        return {"seed": self.seed, **{name: getattr(self, name) for name in SIZE_CAPS}}
+        return {"seed": self.seed, **{name: getattr(self, name) for name in CONFIG_SIZES}}
+
+
+# the sizes `run` takes as --trials, --dim-max, ... flags
+CONFIG_SIZES = tuple(f.name for f in fields(SuiteConfig) if f.name in CAPS)
 
 
 def generate_instance(config: SuiteConfig, kind: str, counter: int = 0) -> dict:

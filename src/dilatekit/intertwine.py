@@ -22,14 +22,16 @@ from .matrix import Mat, NonSquareMatrix, require_square
 from .report import Report
 from .seqops import Componentwise, SeqOp
 from .sequence import Dilation, basis_block, differing_probes, standard_build
-from .serialize import fsvec_to_json, mat_to_json, vec_to_json
+from .serialize import compact_json, fsvec_to_json, mat_to_json, vec_to_json
 
 
 class NotIntertwining(ValueError):
-    """T1 S != S T2; the defect matrix is attached as witness."""
+    """T1 S != S T2; carries the defect, which the message prints."""
 
     def __init__(self, defect: Mat):
-        super().__init__("intertwining relation fails; T1 S - S T2 attached")
+        super().__init__(
+            f"intertwining relation fails; T1 S - S T2 = {compact_json(mat_to_json(defect))}"
+        )
         self.defect = defect
 
 

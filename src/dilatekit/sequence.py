@@ -33,14 +33,14 @@ from .seqops import (
     SeqOp,
     ShiftRight,
 )
-from .serialize import fsvec_to_json, vec_to_json
+from .serialize import compact_json, fsvec_to_json, mat_to_json, vec_to_json
 
 
 class NonCommuting(ValueError):
     """The two-parameter construction needs TS = ST; carries the defect."""
 
     def __init__(self, defect: Mat):
-        super().__init__("operators do not commute; TS - ST attached as witness")
+        super().__init__(f"operators do not commute; TS - ST = {compact_json(mat_to_json(defect))}")
         self.defect = defect
 
 

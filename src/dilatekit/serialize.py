@@ -95,6 +95,11 @@ def mat_to_json(m: Mat) -> list[list]:
     return [[_ratio_to_json(n, den) for n in row] for row in m.nums]
 
 
+def compact_json(value: Any) -> str:
+    """A JSON value on one line without spaces, for an error message."""
+    return json.dumps(value, separators=(",", ":"))
+
+
 def mat_from_json(value: Any, where: str = "$") -> Mat:
     if not isinstance(value, list) or not value:
         raise ParseError("expected a nonempty array of rows", where)
@@ -161,13 +166,6 @@ def fsvec_from_json(value: Any, where: str = "$") -> FsVec:
 # a column_blocks position: each ends up as an exponent of T in a projection
 MAX_POWER = 1000
 MAX_DEPTH = 64  # deepest nesting of operators inside operators
-
-# caps on the sizes a caller picks, so that no flag asks for unbounded work
-MAX_BOUND = 100  # exponent bounds: n_max, m_max, k_max and the certification bound
-MAX_N = 32  # the N of an N-dilation, whose matrices are (N+1)d x (N+1)d
-MAX_TRIALS = 10_000  # trials per suite
-MAX_DIM = 16  # largest generated dimension
-MAX_ENTRY_BOUND = 10**6  # largest numerator and denominator of generated entries
 
 
 class _Field(NamedTuple):

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .matrix import Mat, Vec, in_span, require_square, span_rank, unit_vec
 from .report import Report
-from .serialize import mat_to_json, vec_to_json
+from .serialize import compact_json, mat_to_json, vec_to_json
 
 STRICT = "strict"
 EXTENDED = "extended"
@@ -35,7 +35,9 @@ class NotInjective(ValueError):
     """Strict mode rejected a map with nontrivial kernel."""
 
     def __init__(self, witness: Vec):
-        super().__init__("map is not injective; kernel witness attached")
+        super().__init__(
+            f"map is not injective; kernel vector {compact_json(vec_to_json(witness))}"
+        )
         self.witness = witness
 
 

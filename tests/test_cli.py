@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import json
@@ -13,18 +14,9 @@ import pytest
 
 from dilatekit import Mat, cli
 from dilatekit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
-from dilatekit.harness import SuiteConfig, run_suites
+from dilatekit.harness import CAPS, Bounds, SuiteConfig, run_suites
 from dilatekit.seqops import Componentwise
-from dilatekit.serialize import (
-    _KINDS,
-    MAX_BOUND,
-    MAX_DIM,
-    MAX_ENTRY_BOUND,
-    MAX_N,
-    MAX_TRIALS,
-    rat_to_json,
-    seqop_to_json,
-)
+from dilatekit.serialize import _KINDS, rat_to_json, seqop_to_json
 
 
 def write(tmp_path, name, payload):
@@ -242,7 +234,7 @@ def test_ando_command_and_noncommuting(capsys, tmp_path):
     s_bad = write(tmp_path, "sb.json", [[0, 0], [1, 0]])
     code, _, err = run_cli(capsys, ["ando", "--T", t, "--S", s_bad])
     assert code == EXIT_INPUT
-    assert "commute" in err
+    assert err == "error: operators do not commute; TS - ST = [[1,0],[0,-1]]\n"
 
 
 def test_wold_command_strict_rejection(capsys, tmp_path):
@@ -253,7 +245,7 @@ def test_wold_command_strict_rejection(capsys, tmp_path):
     assert report["data"]["stabilization_index"] == 2
     code, _, err = run_cli(capsys, ["wold", "--T", t_file, "--mode", "strict"])
     assert code == EXIT_INPUT
-    assert "not injective" in err
+    assert err == "error: map is not injective; kernel vector [1,0]\n"
 
 
 def test_intertwine_lift_and_extract(capsys, tmp_path):
@@ -271,6 +263,14 @@ def test_intertwine_lift_and_extract(capsys, tmp_path):
     )
     assert code == EXIT_PASS
     assert json.loads(out)[0]["data"]["S"] == [[3]]
+
+
+def test_intertwine_lift_refuses_a_non_intertwiner_printing_the_defect(capsys, tmp_path):
+    t1, t2 = write(tmp_path, "t1.json", [[1]]), write(tmp_path, "t2.json", [[2]])
+    argv = ["intertwine", "lift", "--T1", t1, "--T2", t2, "--S", write(tmp_path, "s.json", [[3]])]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: intertwining relation fails; T1 S - S T2 = [[-3]]\n"
 
 
 def test_intertwine_extract_rejects_corrupted(capsys, tmp_path):
@@ -321,23 +321,53 @@ def test_file_subcommands_honour_seed_env(capsys, tmp_path, monkeypatch):
     assert "DILATEKIT_SEED" in err
 
 
+def _leaf_parsers(words, parser):
+    """(subcommand words, parser) of every subcommand, in the parser's order."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield words, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaf_parsers(words + [name], child)
+
+
+def _int_flags():
+    """{(command, flag): action} for every int flag but --seed; the command is
+    the subcommand words and its other required arguments, with a file
+    argument written as "R" for an operator descriptor and "T" for a matrix."""
+    flags = {}
+    for words, parser in _leaf_parsers([], cli.build_parser()):
+        for action in parser._actions:
+            if action.type is not int or action.dest == "seed":
+                continue
+            command = list(words)
+            for other in parser._actions:
+                if not other.required or other is action:
+                    continue
+                if other.type is int:
+                    value = "2"
+                elif other.choices:
+                    value = other.choices[0]
+                else:
+                    value = "R" if other.dest == "R" else "T"
+                command += [other.option_strings[0], value]
+            flags[tuple(command), action.option_strings[0]] = action
+    return flags
+
+
+INT_FLAGS = _int_flags()
+
+
 @pytest.mark.parametrize(
-    "command, flag, cap",
-    [
-        (["run"], "--trials", MAX_TRIALS),
-        (["run"], "--dim-max", MAX_DIM),
-        (["run"], "--n-max", MAX_BOUND),
-        (["run"], "--m-max", MAX_BOUND),
-        (["run"], "--entry-bound", MAX_ENTRY_BOUND),
-        (["ndilate", "--T", "T", "--N", "2"], "--kmax", MAX_BOUND),
-        (["ndilate", "--T", "T"], "--N", MAX_N),
-        (["schaffer", "--T", "T"], "--nmax", MAX_BOUND),
-        (["ando", "--T", "T", "--S", "T"], "--mmax", MAX_BOUND),
-        (["intertwine", "lift", "--T1", "T", "--T2", "T", "--S", "T"], "--nmax", MAX_BOUND),
-        (["intertwine", "extract", "--R", "R", "--T1", "T", "--T2", "T"], "--certbound", MAX_BOUND),
-    ],
+    "command, flag, cap", [(list(c), flag, CAPS[a.dest]) for (c, flag), a in INT_FLAGS.items()]
 )
 def test_size_flag_over_its_cap_exits_two_naming_the_flag(capsys, tmp_path, command, flag, cap):
+    action = INT_FLAGS[tuple(command), flag]
+    # each default is the SuiteConfig or Bounds default it stands for; ando's
+    # --nmax defaults to m_max's, as the ando suite bounds n by m_max
+    owner = SuiteConfig if command[0] == "run" else Bounds
+    field = "m_max" if command[0] == "ando" else action.dest
+    assert action.default == getattr(owner, field, None)
     files = {
         "T": write(tmp_path, "t.json", [[2]]),
         "R": write(tmp_path, "r.json", {"kind": "componentwise", "S": [[1]]}),
@@ -388,6 +418,13 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, ["halmos", "--T", "/nonexistent/t.json"])
     assert code == EXIT_INPUT
     assert "error" in err
+
+
+def test_unwritable_json_path_exits_two_before_any_suite(capsys, tmp_path):
+    argv = ["run", "--trials", "2", "--suites", "halmos", "--json", str(tmp_path / "no" / "r.json")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1  # no suite line
 
 
 def test_malformed_matrix_is_input_error(capsys, tmp_path):

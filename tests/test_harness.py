@@ -29,7 +29,7 @@ from dilatekit.finsupp import Domain
 from dilatekit.intertwine import make_pair, verify_lift
 from dilatekit.report import Check, Report, reports_to_json
 from dilatekit.seqops import Componentwise, Compose, CoordProj0
-from dilatekit.serialize import MAX_BOUND, mat_to_json
+from dilatekit.serialize import mat_to_json
 
 SMALL = SuiteConfig(seed=1, trials=4, dim_max=3, n_max=6, m_max=4)
 
@@ -44,15 +44,21 @@ def test_config_validation():
 
 
 def test_sizes_over_their_caps_are_refused():
+    assert harness.CAPS == {
+        "trials": 10_000, "dim_max": 16, "n_max": 100, "m_max": 100, "k_max": 100,
+        "entry_bound": 10**6, "N": 32,
+    }
+    # the exponent-bound defaults, which SuiteConfig and every CLI flag read
+    assert harness.Bounds() == harness.Bounds(n_max=12, m_max=8, k_max=None, minimality=True)
     # the default config and the benchmark's largest sizes are admitted
     SuiteConfig()
     SuiteConfig(dim_max=6, n_max=16, m_max=16)
-    for name, cap in harness.SIZE_CAPS.items():
-        with pytest.raises(ValueError, match=f"{name} {cap + 1} exceeds the cap of {cap}"):
-            SuiteConfig(**{name: cap + 1})
-    for name in ("n_max", "m_max", "k_max"):
-        with pytest.raises(ValueError, match=f"{name} {MAX_BOUND + 1} exceeds the cap"):
-            harness.Bounds(**{name: MAX_BOUND + 1})
+    bounds = ("n_max", "m_max", "k_max")
+    for cls, names in ((SuiteConfig, harness.CONFIG_SIZES), (harness.Bounds, bounds)):
+        for name in names:
+            cap = harness.CAPS[name]
+            with pytest.raises(ValueError, match=f"{name} {cap + 1} exceeds the cap of {cap}"):
+                cls(**{name: cap + 1})
 
 
 def test_generate_instance_is_deterministic():
