@@ -18,10 +18,8 @@ import sys
 import time
 from typing import Optional, Sequence, TextIO
 
-from .finite import PreconditionFailed
 from .harness import (
     ALL_SUITES,
-    CAPS,
     COMMANDS,
     CONFIG_SIZES,
     Bounds,
@@ -31,31 +29,17 @@ from .harness import (
     instance_rng,
     iter_suites,
     overall_exit_code,
-    require_at_most,
 )
-from .intertwine import NotIntertwining, RangeViolation
-from .matrix import MatrixError
 from .report import Report, reports_to_json
-from .sequence import NonCommuting
 from .serialize import ParseError, load_matrix, load_operator
-from .wold import NotInjective
+from .sizes import SIZES, require_within
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-INPUT_ERRORS = (
-    ParseError,
-    MatrixError,
-    PreconditionFailed,
-    NonCommuting,
-    NotIntertwining,
-    NotInjective,
-    RangeViolation,
-    GenerationExhausted,
-    OSError,
-    ValueError,
-)
+# every refusal of an input (ParseError, MatrixError, NonCommuting, ...) is a ValueError
+INPUT_ERRORS = (ValueError, OSError, GenerationExhausted)
 
 _GROUP_HELP = {"intertwine": "lift or extract an intertwiner"}
 
@@ -108,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(f"--{operand}", required=True)
         for flag, kwargs in c.options + c.bounds:
             cmd.add_argument(flag, **kwargs)
-        sizes = tuple((flag, kw["dest"]) for flag, kw in c.options + c.bounds if kw["dest"] in CAPS)
+        sizes = tuple((f, kw["dest"]) for f, kw in c.options + c.bounds if kw["dest"] in SIZES)
         cmd.set_defaults(handler=functools.partial(_cmd_construction, c), sizes=sizes)
     return parser
 
@@ -172,7 +156,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         for flag, dest in args.sizes:  # before any work
-            require_at_most(flag, dest, getattr(args, dest))
+            require_within(flag, dest, getattr(args, dest))
         return args.handler(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,11 +17,12 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .finsupp import Domain
-from .matrix import Mat, NonSquareMatrix, SingularMatrix, Vec, require_square
+from .matrix import DimensionMismatch, Mat, SingularMatrix, Vec, require_square
 from .report import INCONCLUSIVE, Check, Report
 from .seqops import BlockDense, CoordProj0, EmbedI
 from .sequence import _probe_vecs, compression_mismatches
 from .serialize import mat_to_json, vec_to_json
+from .sizes import require_within
 
 NOT_SIMILAR = "not_similar"
 INCONCLUSIVE_VERDICT = "inconclusive"
@@ -90,7 +91,7 @@ def schur_build(class_tag: str, T: Mat, B: Mat, C: Mat, D: Mat) -> SchurFamily:
     for name in "BCD":
         require_square(blocks[name], name)
         if blocks[name].rows != d:
-            raise NonSquareMatrix(f"{name} must be {d}x{d} to match T")
+            raise DimensionMismatch(f"{name} must be {d}x{d} to match T")
 
     # class (i) on U' = [[W, X], [Y, Z]], the blocks of U reordered
     order, rows_swapped, cols_swapped = _SCHUR_PIVOTS[class_tag]
@@ -181,8 +182,7 @@ def ndilation_build(T: Mat, N: int) -> NDilation:
     next to it.
     """
     require_square(T)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    require_within("N", "N", N)
     d = T.rows
     eye = Mat.identity(d)
     zero = Mat.zeros(d, d)
@@ -222,8 +222,9 @@ def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] 
     identity of the sequence layer with U acting blockwise and P reading
     coordinate 0.
     """
+    require_within("k_max", "k_max", k_max)
     k_max = nd.N + 1 if k_max is None else k_max
-    if k_max < nd.N + 1:
+    if k_max < nd.N + 1:  # the one floor that depends on another size
         raise ValueError(f"k_max must be at least N+1 = {nd.N + 1}, got {k_max}")
     report = Report(
         suite="ndilation",

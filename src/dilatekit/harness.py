@@ -61,6 +61,7 @@ from .sequence import (
     standard_verify,
 )
 from .serialize import fsvec_from_json, mat_to_json
+from .sizes import SIZES, require_within
 from .wold import EXTENDED, STRICT, NotInjective, verify_wold, wold_decompose
 
 RETRY_LIMIT = 64
@@ -72,26 +73,6 @@ class GenerationExhausted(RuntimeError):
 
 class SuiteError(RuntimeError):
     """A module error, wrapped with the instance that triggered it."""
-
-
-# the largest value of each size a caller picks, keyed by the name it is set
-# under (a SuiteConfig or Bounds field, or the instance key N), so that no
-# flag asks for unbounded work
-CAPS = {
-    "trials": 10_000,  # trials per suite
-    "dim_max": 16,  # largest generated dimension
-    "n_max": 100,  # exponent bounds, the certification bound included
-    "m_max": 100,
-    "k_max": 100,
-    "entry_bound": 10**6,  # largest numerator and denominator of generated entries
-    "N": 32,  # the N of an N-dilation, whose matrices are (N+1)d x (N+1)d
-}
-
-
-def require_at_most(label: str, name: str, value: Optional[int]) -> None:
-    """Refuse a size set under `name` above its cap, naming it by `label`."""
-    if value is not None and value > CAPS[name]:
-        raise ValueError(f"{label} {value} exceeds the cap of {CAPS[name]}")
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +184,8 @@ class Bounds:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name in CAPS:
-                require_at_most(f.name, f.name, getattr(self, f.name))
+            if f.name in SIZES:
+                require_within(f.name, f.name, getattr(self, f.name))
 
 
 class Construction:
@@ -226,7 +207,8 @@ class Construction:
     file per name in `files` and one operator descriptor per name in
     `operators`. Its `options` flags go into the instance and its `bounds`
     flags into `Bounds`; a flag is a (flag, argparse keywords) pair with an
-    explicit dest, and a flag whose dest names a size is capped by `CAPS`.
+    explicit dest, and a flag whose dest names a size is held to its row of
+    `sizes.SIZES`.
 
     `check` calls builders and verifiers by their module-level names, so
     whatever replaces those names (tracing, tests) is seen by the suites and
@@ -643,10 +625,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         for name in CONFIG_SIZES:
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-            require_at_most(name, name, value)
+            require_within(name, name, getattr(self, name))
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
@@ -656,7 +635,7 @@ class SuiteConfig:
 
 
 # the sizes `run` takes as --trials, --dim-max, ... flags
-CONFIG_SIZES = tuple(f.name for f in fields(SuiteConfig) if f.name in CAPS)
+CONFIG_SIZES = tuple(f.name for f in fields(SuiteConfig) if f.name in SIZES)
 
 
 def generate_instance(config: SuiteConfig, kind: str, counter: int = 0) -> dict:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .finsupp import FsVec
-from .matrix import Mat, NonSquareMatrix, require_square
+from .matrix import DimensionMismatch, Mat, require_square
 from .report import Report
 from .seqops import Componentwise, SeqOp
 from .sequence import Dilation, basis_block, differing_probes, standard_build
 from .serialize import compact_json, fsvec_to_json, mat_to_json, vec_to_json
+from .sizes import require_within
 
 
 class NotIntertwining(ValueError):
@@ -54,7 +55,7 @@ def make_pair(T1: Mat, T2: Mat, S: Mat) -> IntertwinePair:
     require_square(T1, "T1")
     require_square(T2, "T2")
     if S.rows != T1.rows or S.cols != T2.rows:
-        raise NonSquareMatrix(
+        raise DimensionMismatch(
             f"S must be {T1.rows}x{T2.rows} to map the second space into the first, "
             f"got {S.rows}x{S.cols}"
         )
@@ -102,10 +103,7 @@ def relation_witness(lhs, rhs, probes: Sequence[FsVec]) -> Optional[dict]:
 
 
 def _basis_probes(dim: int, n_max: int) -> list[FsVec]:
-    """Basis elements supported at indices 0..n_max, the certification
-    bound, which must be at least 1: one block per index."""
-    if n_max < 1:
-        raise ValueError(f"certification bound must be >= 1, got {n_max}")
+    """Basis elements supported at indices 0..n_max, one block per index."""
     return [basis_block(dim, n) for n in range(n_max + 1)]
 
 
@@ -122,6 +120,7 @@ def verify_lift(
     certificate that `certification_report` would establish with
     cert_bound = n_max.
     """
+    require_within("n_max", "n_max", n_max)
     d2 = pair.T2.rows
     all_probes = list(probes) + _basis_probes(d2, n_max)
 
@@ -181,6 +180,7 @@ def certification_report(R: SeqOp, dil1: Dilation, dil2: Dilation, cert_bound: i
     T1 S = S T2 is checked exactly, with the defect as witness; data["S"]
     is set only when it holds.
     """
+    require_within("cert_bound", "n_max", cert_bound)
     report = Report(suite="intertwine_extract", config={"cert_bound": cert_bound})
     certified = "extraction: relations certified on basis elements up to the bound"
     basis = _basis_probes(dil2.dim, cert_bound)

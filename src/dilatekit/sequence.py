@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .finsupp import Domain, FsVec
-from .matrix import Mat, NonSquareMatrix, Vec, reduce_column, require_square, vec
+from .matrix import DimensionMismatch, Mat, Vec, reduce_column, require_square, vec
 from .report import Report, first_witness
 from .seqops import (
     Componentwise,
@@ -34,6 +34,7 @@ from .seqops import (
     ShiftRight,
 )
 from .serialize import compact_json, fsvec_to_json, mat_to_json, vec_to_json
+from .sizes import require_within
 
 
 class NonCommuting(ValueError):
@@ -49,7 +50,7 @@ def _probe_vecs(probes: Sequence[Sequence], dim: int) -> list[Vec]:
     for p in probes:
         v = vec(p)
         if len(v) != dim:
-            raise NonSquareMatrix(f"probe has length {len(v)}, expected {dim}")
+            raise DimensionMismatch(f"probe has length {len(v)}, expected {dim}")
         out.append(v)
     return out
 
@@ -193,8 +194,7 @@ def schaffer_verify(
     are bilateral elements for the inverse check (defaults to the embedded
     probes when omitted).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    require_within("n_max", "n_max", n_max)
     vecs, seq_probes, report = _prologue(sd, "schaffer_verify", probes, seq_probes, n_max=n_max)
     inverse = check_inverse_pair(sd.U, sd.U_inv, seq_probes)
     for check in inverse.checks:
@@ -239,8 +239,7 @@ def standard_verify(
     witnessed on the standard basis and on the supplied probes, and the
     report says so.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    require_within("n_max", "n_max", n_max)
     vecs, seq_probes, report = _prologue(sd, "standard_verify", probes, seq_probes, n_max=n_max)
 
     basis = sd.I.apply_block(Mat.identity(sd.dim).entries)
@@ -307,8 +306,7 @@ def standard_minimality_check(sd: Dilation, n_max: int) -> Report:
     the span of {U^n I x} exhausts all finitely supported sequences up to
     index n_max.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    require_within("n_max", "n_max", n_max)
     report = Report(suite="standard_minimality", config={"n_max": n_max, "dim": sd.dim})
     image = sd.I.apply_block(Mat.identity(sd.dim).entries)
     mismatches = []
@@ -347,7 +345,7 @@ def ando_build(T: Mat, S: Mat) -> Dilation:
     require_square(T)
     require_square(S, "S")
     if T.rows != S.rows:
-        raise NonSquareMatrix(f"T and S act on different spaces: {T.rows} vs {S.rows}")
+        raise DimensionMismatch(f"T and S act on different spaces: {T.rows} vs {S.rows}")
     if T * S != S * T:
         raise NonCommuting(T * S - S * T)
     d = T.rows
@@ -370,8 +368,8 @@ def ando_verify(
 ) -> Report:
     """Two-parameter compression, both single-parameter compressions, and
     the shift-exchange identity realized by prepending zero rows/columns."""
-    if n_max < 1 or m_max < 1:
-        raise ValueError("bounds must be >= 1")
+    require_within("n_max", "n_max", n_max)
+    require_within("m_max", "m_max", m_max)
     vecs, seq_probes, report = _prologue(
         av, "ando_verify", probes, seq_probes, n_max=n_max, m_max=m_max
     )

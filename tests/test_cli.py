@@ -14,9 +14,10 @@ import pytest
 
 from dilatekit import Mat, cli
 from dilatekit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
-from dilatekit.harness import CAPS, Bounds, SuiteConfig, run_suites
+from dilatekit.harness import Bounds, SuiteConfig, run_suites
 from dilatekit.seqops import Componentwise
 from dilatekit.serialize import _KINDS, rat_to_json, seqop_to_json
+from dilatekit.sizes import SIZES
 
 
 def write(tmp_path, name, payload):
@@ -359,7 +360,7 @@ INT_FLAGS = _int_flags()
 
 
 @pytest.mark.parametrize(
-    "command, flag, cap", [(list(c), flag, CAPS[a.dest]) for (c, flag), a in INT_FLAGS.items()]
+    "command, flag, cap", [(list(c), flag, SIZES[a.dest][1]) for (c, flag), a in INT_FLAGS.items()]
 )
 def test_size_flag_over_its_cap_exits_two_naming_the_flag(capsys, tmp_path, command, flag, cap):
     action = INT_FLAGS[tuple(command), flag]
@@ -377,6 +378,27 @@ def test_size_flag_over_its_cap_exits_two_naming_the_flag(capsys, tmp_path, comm
     assert code == EXIT_INPUT
     assert out == ""
     assert err == f"error: {flag} {cap + 1} exceeds the cap of {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (list(c), flag, value)
+        for (c, flag), a in INT_FLAGS.items()
+        for value in (SIZES[a.dest][0] - 1, SIZES[a.dest][1] + 1)
+    ],
+)
+def test_size_flag_outside_its_row_exits_two_before_any_file_is_read(
+    capsys, tmp_path, command, flag, value
+):
+    floor, cap = SIZES[INT_FLAGS[tuple(command), flag].dest]
+    missing = str(tmp_path / "missing.json")
+    argv = [missing if arg in ("R", "T") else arg for arg in command] + [flag, str(value)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    refusal = f"is below the floor of {floor}" if value < floor else f"exceeds the cap of {cap}"
+    assert err == f"error: {flag} {value} {refusal}\n"
 
 
 def test_operator_input_errors_exit_two(capsys, tmp_path):

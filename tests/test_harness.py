@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -24,12 +25,22 @@ from dilatekit.harness import (
     resample,
     run_suites,
 )
-from dilatekit.finite import halmos_build
+from dilatekit.finite import halmos_build, ndilation_build, ndilation_verify
 from dilatekit.finsupp import Domain
-from dilatekit.intertwine import make_pair, verify_lift
+from dilatekit.intertwine import certification_report, lift_intertwiner, make_pair, verify_lift
 from dilatekit.report import Check, Report, reports_to_json
 from dilatekit.seqops import Componentwise, Compose, CoordProj0
+from dilatekit.sequence import (
+    ando_build,
+    ando_verify,
+    schaffer_build,
+    schaffer_verify,
+    standard_build,
+    standard_minimality_check,
+    standard_verify,
+)
 from dilatekit.serialize import mat_to_json
+from dilatekit.sizes import SIZES
 
 SMALL = SuiteConfig(seed=1, trials=4, dim_max=3, n_max=6, m_max=4)
 
@@ -44,9 +55,9 @@ def test_config_validation():
 
 
 def test_sizes_over_their_caps_are_refused():
-    assert harness.CAPS == {
-        "trials": 10_000, "dim_max": 16, "n_max": 100, "m_max": 100, "k_max": 100,
-        "entry_bound": 10**6, "N": 32,
+    assert SIZES == {
+        "trials": (1, 10_000), "dim_max": (1, 16), "n_max": (1, 100), "m_max": (1, 100),
+        "k_max": (1, 100), "entry_bound": (1, 10**6), "N": (1, 32),
     }
     # the exponent-bound defaults, which SuiteConfig and every CLI flag read
     assert harness.Bounds() == harness.Bounds(n_max=12, m_max=8, k_max=None, minimality=True)
@@ -56,9 +67,46 @@ def test_sizes_over_their_caps_are_refused():
     bounds = ("n_max", "m_max", "k_max")
     for cls, names in ((SuiteConfig, harness.CONFIG_SIZES), (harness.Bounds, bounds)):
         for name in names:
-            cap = harness.CAPS[name]
+            floor, cap = SIZES[name]
+            with pytest.raises(ValueError, match=f"{name} {floor - 1} is below the floor of {floor}"):
+                cls(**{name: floor - 1})
             with pytest.raises(ValueError, match=f"{name} {cap + 1} exceeds the cap of {cap}"):
                 cls(**{name: cap + 1})
+
+
+_T = Mat([[2]])
+_PAIR = make_pair(_T, _T, Mat([[3]]))
+_STANDARD, _ANDO = standard_build(_T), ando_build(_T, _T)
+# every sized argument of a verifier or builder: the call on a 1x1 instance
+# that takes the size as a keyword, the argument's name, and its row of SIZES
+SIZED_ARGUMENTS = {
+    "schaffer_verify": (partial(schaffer_verify, schaffer_build(_T), [(1,)]), "n_max", "n_max"),
+    "standard_verify": (partial(standard_verify, _STANDARD, [(1,)]), "n_max", "n_max"),
+    "standard_minimality_check": (partial(standard_minimality_check, _STANDARD), "n_max", "n_max"),
+    "ando_verify n_max": (partial(ando_verify, _ANDO, [(1,)], m_max=1), "n_max", "n_max"),
+    "ando_verify m_max": (partial(ando_verify, _ANDO, [(1,)], n_max=1), "m_max", "m_max"),
+    "verify_lift": (partial(verify_lift, lift_intertwiner(_PAIR), _PAIR, []), "n_max", "n_max"),
+    "certification_report": (
+        partial(certification_report, lift_intertwiner(_PAIR), _PAIR.dil1, _PAIR.dil2),
+        "cert_bound",
+        "n_max",
+    ),
+    "ndilation_build": (partial(ndilation_build, _T), "N", "N"),
+    "ndilation_verify": (partial(ndilation_verify, ndilation_build(_T, 1), [(1,)]), "k_max", "k_max"),
+}
+
+
+@pytest.mark.parametrize("side", ("floor", "cap"))
+@pytest.mark.parametrize("call", SIZED_ARGUMENTS)
+def test_sized_arguments_outside_their_rows_are_refused(call, side):
+    fn, arg, row = SIZED_ARGUMENTS[call]
+    floor, cap = SIZES[row]
+    if side == "floor":
+        value, refusal = floor - 1, f"is below the floor of {floor}"
+    else:
+        value, refusal = cap + 1, f"exceeds the cap of {cap}"
+    with pytest.raises(ValueError, match=f"^{arg} {value} {refusal}$"):
+        fn(**{arg: value})
 
 
 def test_generate_instance_is_deterministic():

@@ -140,9 +140,9 @@ def test_block_diagonal_intertwiner_with_unequal_dimensions():
 
 def test_cert_bound_validation():
     pair = make_pair(Mat([[1]]), Mat([[1]]), Mat([[1]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cert_bound 0 is below the floor of 1$"):
         certification_report(lift_intertwiner(pair), pair.dil1, pair.dil2, cert_bound=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_max 0 is below the floor of 1$"):
         verify_lift(lift_intertwiner(pair), pair, probes=[], n_max=0)
 
 

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from dilatekit import Mat
 from dilatekit import sequence
+from dilatekit.finite import schur_build
 from dilatekit.finsupp import Domain, DomainMismatch, FsVec
-from dilatekit.matrix import reduce_column
+from dilatekit.intertwine import make_pair
+from dilatekit.matrix import DimensionMismatch, reduce_column
 from dilatekit.sequence import (
     Dilation,
     NonCommuting,
@@ -128,6 +130,19 @@ def test_schaffer_corrupted_u_fails_at_first_power():
     assert compression and compression[0].witness["n"] == 1
 
 
+def test_mismatched_dimensions_raise_dimension_mismatch():
+    one, two = Mat([[1]]), Mat.identity(2)
+    calls = (
+        (lambda: schaffer_verify(schaffer_build(two), [(1,)], n_max=1), "probe has length 1, expected 2"),
+        (lambda: ando_build(one, two), "T and S act on different spaces: 1 vs 2"),
+        (lambda: schur_build("i", one, two, one, one), "B must be 1x1 to match T"),
+        (lambda: make_pair(one, one, two), "S must be 1x1 to map the second space into the first, got 2x2"),
+    )
+    for call, message in calls:
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            call()
+
+
 def test_schaffer_rejects_bad_bound():
     with pytest.raises(ValueError):
         schaffer_verify(schaffer_build(Mat([[1]])), [(1,)], n_max=0)
@@ -210,9 +225,11 @@ def test_standard_minimality():
 
 
 def test_standard_minimality_trivial_bound():
-    rep = standard_minimality_check(standard_build(Mat([[7]])), n_max=0)
+    with pytest.raises(ValueError, match="^n_max 0 is below the floor of 1$"):
+        standard_minimality_check(standard_build(Mat([[7]])), n_max=0)
+    rep = standard_minimality_check(standard_build(Mat([[7]])), n_max=1)
     assert rep.passed
-    assert "1 basis elements" in rep.checks[0].detail
+    assert "2 basis elements" in rep.checks[0].detail
 
 
 # ----------------------------------------------------------------------
