@@ -32,7 +32,7 @@ from .harness import (
 )
 from .report import Report, reports_to_json
 from .serialize import ParseError, load_matrix, load_operator
-from .sizes import SIZES, require_within
+from .sizes import FLOOR_ABOVE, SIZES, require_above, require_within
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the seeded conformance suites")
     run.add_argument("--seed", type=int, default=None)
-    sizes = tuple(("--" + name.replace("_", "-"), name) for name in CONFIG_SIZES)
-    for flag, name in sizes:
+    sizes = {name: "--" + name.replace("_", "-") for name in CONFIG_SIZES}
+    for name, flag in sizes.items():
         run.add_argument(flag, type=int, default=getattr(SuiteConfig, name))
     run.set_defaults(handler=_cmd_run, sizes=sizes)
     run.add_argument(
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(f"--{operand}", required=True)
         for flag, kwargs in c.options + c.bounds:
             cmd.add_argument(flag, **kwargs)
-        sizes = tuple((f, kw["dest"]) for f, kw in c.options + c.bounds if kw["dest"] in SIZES)
+        sizes = {kw["dest"]: f for f, kw in c.options + c.bounds if kw["dest"] in SIZES}
         cmd.set_defaults(handler=functools.partial(_cmd_construction, c), sizes=sizes)
     return parser
 
@@ -155,8 +155,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        for flag, dest in args.sizes:  # before any work
+        flags = args.sizes  # {dest: flag} of the command's sizes
+        for dest, flag in flags.items():  # before any work
             require_within(flag, dest, getattr(args, dest))
+        for dest, below in FLOOR_ABOVE.items():
+            if dest in flags and below in flags:
+                require_above(flags[dest], getattr(args, dest), flags[below], getattr(args, below))
         return args.handler(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

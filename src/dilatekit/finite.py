@@ -22,7 +22,7 @@ from .report import INCONCLUSIVE, Check, Report
 from .seqops import BlockDense, CoordProj0, EmbedI
 from .sequence import _probe_vecs, compression_mismatches
 from .serialize import mat_to_json, vec_to_json
-from .sizes import require_within
+from .sizes import require_above, require_within
 
 NOT_SIMILAR = "not_similar"
 INCONCLUSIVE_VERDICT = "inconclusive"
@@ -223,9 +223,8 @@ def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] 
     coordinate 0.
     """
     require_within("k_max", "k_max", k_max)
+    require_above("k_max", k_max, "N", nd.N)
     k_max = nd.N + 1 if k_max is None else k_max
-    if k_max < nd.N + 1:  # the one floor that depends on another size
-        raise ValueError(f"k_max must be at least N+1 = {nd.N + 1}, got {k_max}")
     report = Report(
         suite="ndilation",
         data={"U": partial(mat_to_json, nd.U), "U_inv": partial(mat_to_json, nd.U_inv)},

@@ -19,13 +19,19 @@ pivots by forward elimination, the inverse in place on the n x n numerators.
 
 ``_apply_ints`` also multiplies a block of probes, stored column-major over
 one denominator as ``finsupp.FsVec`` keeps it, in one call.
+
+Both integer products, ``Mat.__mul__`` and ``Mat._apply_ints``, run one dot
+kernel per inner dimension n: a list comprehension with the n products
+written out, ``a0*b0 + a1*b1 + ...``, generated from n alone. Its entries
+cost no ``sum``, ``map`` or ``operator.mul`` call each, which on the small
+integers of most checks cost as much as the multiplications. A kernel is
+compiled on first use of its n and kept in ``_DOT_KERNELS``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
@@ -164,6 +170,36 @@ def _bareiss_rref(m: list[list[int]], forward: bool = False) -> tuple[int, tuple
         if r == rows:
             break
     return prev, tuple(pivots)
+
+
+def _dot_source(n: int) -> str:
+    """The source of the dot kernel for inner dimension n >= 1: a lambda
+    that takes rows and vectors, each an iterable of n-sequences, and lists
+    the dot product of every row with every vector, vector by vector.
+
+    The n products are summed as a balanced tree, so the expression nests
+    about log2(n) deep; a left-to-right chain nests n deep, and compiling it
+    exhausts the recursion limit for n in the thousands.
+    """
+    terms = [f"a{k}*b{k}" for k in range(n)]
+    while len(terms) > 1:
+        pairs = [f"({x} + {y})" for x, y in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[2 * len(pairs) :]
+    a = "".join(f"a{k}, " for k in range(n))
+    b = "".join(f"b{k}, " for k in range(n))
+    return f"lambda rows, vectors: [{terms[0]} for {b}in vectors for {a}in rows]"
+
+
+class _DotKernels(dict):
+    """The dot kernel of each inner dimension, compiled on first use."""
+
+    def __missing__(self, n: int):
+        code = compile(_dot_source(n), f"<dilatekit.matrix dot kernel n={n}>", "eval")
+        kernel = self[n] = eval(code, {})
+        return kernel
+
+
+_DOT_KERNELS = _DotKernels()
 
 
 _EMPTY = "matrix must have at least one row and one column"
@@ -313,8 +349,7 @@ class Mat:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = tuple(zip(*other.nums))
-            flat = [sum(map(mul, row, col)) for row in self.nums for col in cols]
+            flat = _DOT_KERNELS[self.cols](tuple(zip(*other.nums)), self.nums)
             return Mat._reduced(self.den * other.den, flat, other.cols)
         return self.scale(other)
 
@@ -359,15 +394,17 @@ class Mat:
 
     def _apply_ints(self, den: int, nums: Sequence[int]) -> tuple[int, list[int]]:
         """The product with the vector nums / den, or with each of the
-        column-major columns of a block, in the same integer form.
+        column-major columns of a block, in the same integer form. It runs
+        the dot kernel of self.cols, which writes out the self.cols products
+        of each entry and so spends no sum or map call per entry; the kernel
+        is compiled on the first product with that many columns, then cached.
 
         Internal: trusts the length of nums to be a multiple of self.cols.
         The denominator is the product of the two, not reduced, so chains
         of products stay in integers and are reduced once, by the caller.
         """
-        cols = self.cols
-        columns = [nums[j : j + cols] for j in range(0, len(nums), cols)]
-        return self.den * den, [sum(map(mul, row, x)) for x in columns for row in self.nums]
+        columns = zip(*[iter(nums)] * self.cols)
+        return self.den * den, _DOT_KERNELS[self.cols](self.nums, columns)
 
     def transpose(self) -> Mat:
         return Mat._raw(self.den, tuple(zip(*self.nums)))

@@ -1,8 +1,9 @@
 """The sizes a caller picks, each with its floor and its cap, checked once.
 
 `SuiteConfig`, `Bounds`, the CLI (before any work) and every verifier or
-builder that takes a size call `require_within`. The one floor that is not
-in the table is `ndilation_verify`'s k_max >= N + 1, since it depends on N.
+builder that takes a size call `require_within`. A floor that depends on
+another size, `ndilation_verify`'s k_max >= N + 1, is in `FLOOR_ABOVE`,
+checked by `require_above` in the CLI (before any work) and the verifier.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ SIZES = {
 }
 
 
+# each size whose floor is one more than another size: k_max >= N + 1, since
+# compression is certified for every k <= N and k_max reaches past that
+FLOOR_ABOVE = {"k_max": "N"}
+
+
 def require_within(label: str, name: str, value: Optional[int]) -> None:
     """Refuse a size set under `name` outside its row, naming it by `label`."""
     if value is None:
@@ -32,3 +38,9 @@ def require_within(label: str, name: str, value: Optional[int]) -> None:
         raise ValueError(f"{label} {value} is below the floor of {floor}")
     if value > cap:
         raise ValueError(f"{label} {value} exceeds the cap of {cap}")
+
+
+def require_above(label: str, value: Optional[int], below_label: str, below: int) -> None:
+    """Refuse a size `value` at most `below`, naming the two by their labels."""
+    if value is not None and value <= below:
+        raise ValueError(f"{label} must be at least {below_label}+1 = {below + 1}, got {value}")

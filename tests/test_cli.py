@@ -401,6 +401,18 @@ def test_size_flag_outside_its_row_exits_two_before_any_file_is_read(
     assert err == f"error: {flag} {value} {refusal}\n"
 
 
+@pytest.mark.parametrize("t_file", ["missing.json", "t.json"])
+def test_kmax_not_past_n_exits_two_naming_the_flags_before_any_file_is_read(
+    capsys, tmp_path, t_file
+):
+    write(tmp_path, "t.json", [[2]])
+    argv = ["ndilate", "--T", str(tmp_path / t_file), "--N", "2", "--kmax", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: --kmax must be at least --N+1 = 3, got 2\n"
+
+
 def test_operator_input_errors_exit_two(capsys, tmp_path):
     t_file = write(tmp_path, "t.json", [[2]])
     base = '{"kind": "componentwise", "S": [[1]]}'

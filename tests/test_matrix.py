@@ -1,8 +1,12 @@
 import copy
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from dilatekit import (
     SingularMatrix,
     rref_image_kernel,
 )
+from dilatekit import matrix
 from dilatekit.finsupp import Domain, FsVec
 from dilatekit.matrix import as_rat, in_span, span_rank, unit_vec, vec
 from dilatekit.seqops import Componentwise, ProjStd, _PowerCache
@@ -308,6 +313,71 @@ def test_oracle_products_and_matvecs(operands):
     m = Mat(a)
     m.apply(v)
     assert_exact((m * Mat(b)).entries, ref_mul(a, b))
+
+
+# numerators at zero, small, and at and inside +-2^256; denominators up to 2^256
+kernel_numerators = st.one_of(
+    st.just(0), st.integers(-9, 9), st.sampled_from([2**256, -2**256]),
+    st.integers(-2**256, 2**256),
+)
+kernel_denominators = st.one_of(st.integers(1, 9), st.integers(2**128, 2**256))
+
+
+@st.composite
+def kernel_operands(draw):
+    """An r x c grid, a c x k grid, and a block of `width` columns of
+    length c as (den, column-major numerators); r, c, k <= 6."""
+    rows, cols, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.builds(Fraction, kernel_numerators, kernel_denominators)
+
+    def grid(r, c):
+        return tuple(tuple(draw(st.lists(entries, min_size=c, max_size=c))) for _ in range(r))
+
+    width = draw(st.integers(1, 5))
+    block = draw(st.lists(kernel_numerators, min_size=cols * width, max_size=cols * width))
+    return grid(rows, cols), grid(cols, k), (draw(kernel_denominators), block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_operands())
+def test_dot_kernel_products_against_fractions(operands):
+    a, b, (den, block) = operands
+    m = Mat(a)
+    assert_exact((m * Mat(b)).entries, ref_mul(a, b))
+    got_den, got = m._apply_ints(den, block)
+    assert got_den == m.den * den  # not reduced
+    columns = [block[j : j + m.cols] for j in range(0, len(block), m.cols)]
+    expected = [y for x in columns for y in ref_apply(a, [Fraction(n, den) for n in x])]
+    assert [Fraction(n, got_den) for n in got] == expected
+
+
+@pytest.mark.parametrize("n", [528, 5000])  # ndilation's U at N = 32, d = 16; past any cap
+def test_dot_kernel_at_large_inner_dimensions(n):
+    rows = [[(-1) ** k * (k + 1) for k in range(n)], [2**256 - k for k in range(n)]]
+    vectors = [[k % 7 - 3 for k in range(n)], [0] * (n - 1) + [-(2**256)]]
+    got = matrix._DOT_KERNELS[n](rows, vectors)
+    assert got == [sum(x * y for x, y in zip(row, v)) for v in vectors for row in rows]
+
+
+def test_dot_kernels_are_built_once_per_inner_dimension(monkeypatch):
+    monkeypatch.setattr(matrix, "_DOT_KERNELS", matrix._DotKernels())
+    a, b = Mat([[1, 2, 3], [4, 5, 6]]), Mat([[1], [0], [-1]])
+    assert a * b == Mat([[-2], [-2]])
+    kernel = matrix._DOT_KERNELS[3]
+    assert kernel.__code__.co_filename == "<dilatekit.matrix dot kernel n=3>"
+    assert a.apply([1, 0, -1]) == (-2, -2)
+    assert a * Mat.identity(3) == a
+    assert list(matrix._DOT_KERNELS) == [3]
+    assert matrix._DOT_KERNELS[3] is kernel
+    assert b * Mat([[7]]) == Mat([[7], [0], [-7]])
+    assert list(matrix._DOT_KERNELS) == [3, 1]
+
+
+def test_no_dot_kernel_is_built_at_import():
+    code = "import dilatekit.cli, dilatekit.matrix as m; print(len(m._DOT_KERNELS))"
+    env = {**os.environ, "PYTHONPATH": str(Path(matrix.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "0\n", out.stderr
 
 
 @settings(max_examples=60, deadline=None)
