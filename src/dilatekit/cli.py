@@ -51,7 +51,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"DILATEKIT_SEED must be an integer, got {raw!r}") from None
+        raise ValueError(f"DILATEKIT_SEED must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,11 +126,19 @@ def _cmd_run(args) -> int:
         return _finish(reports, out)
 
 
+def _load(load, args, name: str):
+    """The file given as --name; a ParseError names the flag before its path."""
+    try:
+        return load(getattr(args, name))
+    except ParseError as exc:
+        raise ValueError(f"--{name}: {exc}") from exc
+
+
 def _cmd_construction(c: Construction, args) -> int:
     """Read the files, draw probes from the seed, then run the check."""
     rng = instance_rng(SuiteConfig(seed=_default_seed()), f"cli_{c.name}", 0)
-    inst = {name: load_operator(getattr(args, name)) for name in c.operators}
-    inst.update((name, load_matrix(getattr(args, name))) for name in c.files)
+    inst = {name: _load(load_operator, args, name) for name in c.operators}
+    inst.update((name, _load(load_matrix, args, name)) for name in c.files)
     inst.update((kwargs["dest"], getattr(args, kwargs["dest"])) for _, kwargs in c.options)
     inst.update(c.probes(rng, inst))
     bounds = Bounds(**{kwargs["dest"]: getattr(args, kwargs["dest"]) for _, kwargs in c.bounds})

@@ -195,10 +195,11 @@ class Construction:
     exact values. Preconditions are guaranteed by construction (commuting
     pairs, exact intertwiners) or by bounded resampling (invertible blocks,
     nonzero trace), never by rejection at verification time. `probes(rng,
-    instance)` draws the probes the verifier needs: `generate` calls it,
-    except that the suite loop draws them from a stream of their own when
-    `probe_stream` names one, and the CLI calls it on instances read from
-    files. `check(instance, bounds)` builds the construction and returns its
+    instance)` draws the probes the verifier needs; the CLI calls it on
+    instances read from files. A suite's instances come from
+    `generate_instance` alone, so a failing witness replays from its kind and
+    counter: `check(generate_instance(SuiteConfig(seed=...), kind, counter), bounds)`.
+    `check(instance, bounds)` builds the construction and returns its
     reports: the one place where the construction's identities are checked.
     `finish` adds the suite's checks on fixed instances, given the data of
     each trial's first report.
@@ -222,7 +223,6 @@ class Construction:
     operators: tuple[str, ...] = ()
     options: tuple[tuple[str, dict], ...] = ()
     bounds: tuple[tuple[str, dict], ...] = ()
-    probe_stream: Optional[str] = None
 
     def generate(self, rng: random.Random, config: SuiteConfig, counter: int) -> dict:
         dim = rng.randint(1, config.dim_max)
@@ -374,7 +374,6 @@ class _NDilation(Construction):
     name = "ndilation"
     command = "ndilate"
     help = "N-step block dilation"
-    probe_stream = "ndilation_probes"
     options = (_size_flag("--N", "N", required=True),)
     bounds = (_size_flag("--kmax", "k_max"),)
 
@@ -403,10 +402,6 @@ class _SequenceConstruction(Construction):
     vec_count: int
     seq_count: int
     bounds = (_NMAX,)
-
-    def generate(self, rng, config, counter):
-        inst = super().generate(rng, config, counter)
-        return {**inst, **self.probes(rng, inst)}
 
     def probes(self, rng, inst):
         dim = inst["T"].rows
@@ -494,7 +489,6 @@ class _Intertwine(Construction):
     help = "lift S to the dilation spaces and verify"
     files = ("T1", "T2", "S")
     bounds = (_NMAX,)
-    probe_stream = "intertwine_probes"
 
     def generate(self, rng, config, counter):
         bound = config.entry_bound
@@ -586,8 +580,8 @@ class _Ando(_SequenceConstruction):
     bounds = (_size_flag("--nmax", "n_max", default=Bounds.m_max), _size_flag("--mmax", "m_max"))
 
     def generate(self, rng, config, counter):
-        inst = super().generate(rng, config, counter)  # T, then the probes, then S
-        return {**inst, "S": polynomial_in(rng, inst["T"])}
+        T = super().generate(rng, config, counter)["T"]
+        return {"T": T, "S": polynomial_in(rng, T)}
 
     def check(self, inst, bounds):
         av = ando_build(inst["T"], inst["S"])
@@ -639,10 +633,13 @@ CONFIG_SIZES = tuple(f.name for f in fields(SuiteConfig) if f.name in SIZES)
 
 
 def generate_instance(config: SuiteConfig, kind: str, counter: int = 0) -> dict:
-    """The counter-th instance of a suite: a dict of named exact values."""
+    """The counter-th instance of a suite, as the suite checks it: `generate`
+    on the stream (seed, kind, counter), `probes` on (seed, kind_probes, counter)."""
     if kind not in CONSTRUCTIONS:
         raise ValueError(f"unknown instance kind {kind!r}")
-    return CONSTRUCTIONS[kind].generate(instance_rng(config, kind, counter), config, counter)
+    c = CONSTRUCTIONS[kind]
+    inst = c.generate(instance_rng(config, kind, counter), config, counter)
+    return {**inst, **c.probes(instance_rng(config, f"{kind}_probes", counter), inst)}
 
 
 # ----------------------------------------------------------------------
@@ -685,7 +682,7 @@ def _instance_json(kind: str, counter: int, inst: dict) -> dict:
             out[key] = mat_to_json(value)
         elif isinstance(value, (int, str)):
             out[key] = value
-        # probe lists and built objects are regenerable from (seed, kind, counter); omitted
+        # probe lists and built objects: generate_instance(config, kind, counter) remakes them
     return out
 
 
@@ -714,8 +711,6 @@ def _run_suite(config: SuiteConfig, c: Construction) -> Report:
     trial_data = []
     for t in range(config.trials):
         inst = generate_instance(config, c.name, t)
-        if c.probe_stream is not None:
-            inst.update(c.probes(instance_rng(config, c.probe_stream, t), inst))
         with _wrap_errors(c.name, t, inst):
             reports = c.check(inst, bounds)
         for trial_rep in reports:

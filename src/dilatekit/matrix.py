@@ -361,17 +361,14 @@ class Mat:
         return Mat._reduced(self.den * q, [p * n for row in self.nums for n in row], self.cols)
 
     def __pow__(self, n: int) -> Mat:
+        """By repeated squaring that stops after the top bit; self ** 1 is
+        self itself, with no product."""
         if not self.is_square():
             raise NonSquareMatrix("matrix power requires a square matrix")
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return Mat.identity(self.rows)
-        return self._positive_power(n)
-
-    def _positive_power(self, n: int) -> Mat:
-        """self ** n for a square self and n >= 1, by repeated squaring that
-        stops after the top bit; self ** 1 is self itself, with no product."""
         result = None
         base = self
         while True:

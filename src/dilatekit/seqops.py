@@ -227,7 +227,7 @@ class _PowerCache:
         cached = powers.get(n)
         if cached is None:
             k = max(j for j in tuple(powers) if j < n)
-            cached = powers.setdefault(n, powers[k] * self.base._positive_power(n - k))
+            cached = powers.setdefault(n, powers[k] * self.base ** (n - k))
         return cached
 
 

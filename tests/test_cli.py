@@ -213,7 +213,7 @@ def test_ndilate_refuses_a_number_past_the_int_digit_limit_with_its_path(capsys,
     code, out, err = run_cli(capsys, ["ndilate", "--T", str(t_file), "--N", "1"])
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith("error: $[0][0]: number has more digits")
+        assert err.startswith("error: --T: $[0][0]: number has more digits")
     else:
         assert code == EXIT_PASS
 
@@ -427,7 +427,7 @@ def test_operator_input_errors_exit_two(capsys, tmp_path):
         )
         assert code == EXIT_INPUT
         assert out == ""
-        assert err.startswith(f"error: {where}")
+        assert err.startswith(f"error: --R: {where}")
 
 
 def test_descriptors_that_reach_too_far_exit_two_at_once(capsys, tmp_path):
@@ -445,7 +445,7 @@ def test_descriptors_that_reach_too_far_exit_two_at_once(capsys, tmp_path):
         code, out, err = run_cli(capsys, argv + ["--certbound", "2"])
         assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: --R: {where}: ") and err.count("\n") == 1
 
 
 def test_missing_file_is_input_error(capsys):
@@ -474,7 +474,28 @@ def test_non_utf8_file_is_a_parse_error_at_the_root(capsys, tmp_path):
     bad.write_bytes(b"\xff")
     code, out, err = run_cli(capsys, ["halmos", "--T", str(bad)])
     assert (code, out) == (EXIT_INPUT, "")
-    assert err == "error: $: file is not UTF-8 text\n"
+    assert err == "error: --T: $: file is not UTF-8 text\n"
+
+
+def test_a_malformed_file_is_refused_under_its_own_flag(capsys, tmp_path):
+    good = write(tmp_path, "good.json", [[1]])
+    bad = write(tmp_path, "bad.json", [["1", "x"]])
+    for bad_flag in ("--B", "--D"):
+        argv = ["schur", "--class", "i"]
+        for flag in ("--T", "--B", "--C", "--D"):
+            argv += [flag, bad if flag == bad_flag else good]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: {bad_flag}: $[0][1]: malformed rational string 'x'\n"
+
+
+def test_a_malformed_seed_is_refused_by_name(capsys, tmp_path, monkeypatch):
+    t_file = write(tmp_path, "t.json", [[2]])
+    monkeypatch.setenv("DILATEKIT_SEED", "x")
+    for argv in (["run", "--trials", "1", "--suites", "halmos"], ["halmos", "--T", t_file]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: DILATEKIT_SEED must be an integer, got 'x'\n"
 
 
 # the smallest valid descriptor of each wire kind, all on dimension 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -350,8 +351,6 @@ def test_intertwine_suite_reports_a_broken_lift_as_a_failed_check(monkeypatch):
     assert forward.status == "fail"
 
     inst = generate_instance(config, "intertwine", 0)
-    probe_rng = instance_rng(config, "intertwine_probes", 0)
-    inst.update(CONSTRUCTIONS["intertwine"].probes(probe_rng, inst))
     pair = make_pair(inst["T1"], inst["T2"], inst["S"])
     expected = verify_lift(broken_lift(pair), pair, inst["probes"], n_max=3).checks[0]
     assert expected.name == forward.name
@@ -359,6 +358,53 @@ def test_intertwine_suite_reports_a_broken_lift_as_a_failed_check(monkeypatch):
     assert {k: forward.witness[k] for k in ("probe", "lhs", "rhs")} == expected.witness
     # without the certificate, nothing is read off
     assert "round trip: extracted map equals the lifted one" not in checks
+
+
+@pytest.mark.parametrize("kind", ALL_SUITES)
+def test_the_suite_checks_the_instances_generate_instance_makes(kind, monkeypatch):
+    c = CONSTRUCTIONS[kind]
+    check, seen = c.check, []
+
+    def recording(inst, bounds):
+        seen.append((inst, bounds))
+        return check(inst, bounds)
+
+    monkeypatch.setattr(c, "check", recording)
+    config = SuiteConfig(seed=1, trials=3, dim_max=3, n_max=6, m_max=4, suites=(kind,))
+    assert run_suites(config)[0].passed
+    for t, (inst, bounds) in enumerate(seen[:3]):  # finish may check more
+        fresh = generate_instance(config, kind, t)
+        assert fresh == inst
+        assert all(rep.passed for rep in check(fresh, bounds))
+
+
+def test_a_failing_witness_replays_from_its_kind_and_counter(monkeypatch):
+    # faults that spare some instances, so that a witness may name a later trial
+    def shifted_build(T, N):  # U of T + I: P U I x = T x + x
+        shifted = ndilation_build(T + Mat.identity(T.rows), N)
+        return replace(shifted, T=T) if N > 1 else ndilation_build(T, N)
+
+    def broken_lift(pair):  # S applied to the origin coordinate only
+        proj = Compose((Componentwise(pair.S), CoordProj0(pair.T2.rows, Domain.UNINAT)))
+        return proj if pair.T1 != pair.T2 else lift_intertwiner(pair)
+
+    monkeypatch.setattr(harness, "ndilation_build", shifted_build)
+    monkeypatch.setattr(harness, "lift_intertwiner", broken_lift)
+    config = SuiteConfig(seed=5, trials=6, dim_max=3, n_max=4, suites=("ndilation", "intertwine"))
+    bounds = harness.Bounds(n_max=config.n_max, m_max=config.m_max)
+    witnesses = [(c.name, c.witness) for rep in run_suites(config) for c in rep.failed_checks()]
+    assert {name for name, _ in witnesses} >= {
+        "compression T^k = P U^k I for all k <= N on probes",
+        "forward shifts intertwine: U1 R = R U2",
+    }
+    assert all(witness["trial"] > 0 for _, witness in witnesses)
+    for name, witness in witnesses:
+        kind, counter = witness["instance"]["kind"], witness["instance"]["counter"]
+        inst = generate_instance(config, kind, counter)
+        checks = [c for rep in CONSTRUCTIONS[kind].check(inst, bounds) for c in rep.checks]
+        again = next(c for c in checks if c.name == name)
+        instance = harness._instance_json(kind, counter, inst)
+        assert witness == {"trial": counter, "instance": instance, **again.witness}
 
 
 def test_a_failing_check_folds_the_instance_it_failed_on(monkeypatch):

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatekit import Mat
 from dilatekit.finsupp import Domain, FsVec
@@ -20,10 +22,13 @@ from dilatekit.seqops import (
     ProjStd,
     SchafferU,
     SchafferVInv,
+    SeqOp,
     ShiftBilat,
     ShiftRight,
 )
 from dilatekit.serialize import (
+    _DOMAIN_TAGS,
+    _KINDS,
     MAX_DEPTH,
     MAX_POWER,
     DenominatorZero,
@@ -326,3 +331,62 @@ def test_a_number_past_the_int_digit_limit_is_a_parse_error(int_digit_limit, tex
         parse_instance_file(io.StringIO(text))
     assert exc.value.where == where
     assert "digit" in str(exc.value)
+
+
+# JSON trees for the parser fuzz, biased toward the wire format: objects are
+# often an operator kind or a family's domain with some of their fields, or
+# a support or block entry; leaves are often small sizes, rationals or small
+# square matrices
+_RATIONALS = st.integers(-3, 3) | st.sampled_from(["1/2", "-3", "1/0", "x"])
+
+
+def _square_matrices(n: int):
+    return st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(0, 2)
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(sorted(_KINDS) + sorted(_DOMAIN_TAGS))
+    | st.text(max_size=3)
+    | st.integers(1, 2).flatmap(_square_matrices)
+)
+
+
+def _objects(children, **required):
+    """Objects with the given fields and some of the wire keys besides."""
+    keys = ("dim", "support", "index", "value", "row", "col", "block")
+    optional = {key: children for key in keys if key not in required}
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+def _wire_objects(children):
+    kinds = [
+        _objects(children, kind=st.just(kind), **{key: children for key, _ in fields})
+        for kind, (_, fields) in sorted(_KINDS.items())
+    ]
+    families = _objects(children, domain=st.sampled_from(sorted(_DOMAIN_TAGS)))
+    return st.one_of(*kinds, families, _objects(children))
+
+
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3)
+    | _wire_objects(children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+def test_any_json_tree_parses_to_a_value_or_a_parse_error_with_its_path(tree):
+    try:
+        value = parse_instance_file(io.StringIO(json.dumps(tree)))
+    except ParseError as exc:
+        assert exc.where.startswith("$")
+    else:
+        assert isinstance(value, (Mat, FsVec, SeqOp))
