@@ -2,7 +2,7 @@
 
 All constructions here produce an explicit block matrix U together with a
 closed-form inverse. The constructors return the closed form as written;
-`inverse_holds` multiplies the two out, so a wrong closed form is a failed
+`inverse_holds` multiplies them out, so a wrong closed form is a failed
 check rather than an error at construction. The Halmos dilation is the
 N-dilation at N = 1. The four Schur-complement families are parameterized
 by which block is required invertible, with the complementary Schur
@@ -37,9 +37,13 @@ class PreconditionFailed(ValueError):
 
 
 def inverse_holds(built) -> bool:
-    """U * U_inv = U_inv * U = I for a built dilation with fields U, U_inv."""
-    eye = Mat.identity(built.U.rows)
-    return built.U * built.U_inv == eye and built.U_inv * built.U == eye
+    """U * U_inv = U_inv * U = I for a built dilation with fields U, U_inv.
+
+    Only U * U_inv is formed. Every U built here is square, and for a
+    square U, U V = I implies V U = I: U V = I makes U surjective, so U is
+    invertible and V = U^-1 U V = U^-1.
+    """
+    return built.U * built.U_inv == Mat.identity(built.U.rows)
 
 
 # ----------------------------------------------------------------------

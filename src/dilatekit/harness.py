@@ -46,6 +46,7 @@ from .intertwine import (
     make_pair,
     read_off_intertwiner,
     relation_witness,
+    standard_dilations,
     verify_lift,
 )
 from .matrix import Mat, Vec, unit_vec, vec_add
@@ -567,7 +568,7 @@ class _Extract(Construction):
     bounds = (_size_flag("--certbound", "n_max"),)
 
     def check(self, inst, bounds):
-        dil1, dil2 = standard_build(inst["T1"]), standard_build(inst["T2"])
+        dil1, dil2 = standard_dilations(inst["T1"], inst["T2"])
         return [certification_report(inst["R"], dil1, dil2, bounds.n_max)]
 
 
@@ -634,11 +635,14 @@ CONFIG_SIZES = tuple(f.name for f in fields(SuiteConfig) if f.name in SIZES)
 
 def generate_instance(config: SuiteConfig, kind: str, counter: int = 0) -> dict:
     """The counter-th instance of a suite, as the suite checks it: `generate`
-    on the stream (seed, kind, counter), `probes` on (seed, kind_probes, counter)."""
+    on the stream (seed, kind, counter), then, for a construction that
+    overrides `probes`, `probes` on (seed, kind_probes, counter)."""
     if kind not in CONSTRUCTIONS:
         raise ValueError(f"unknown instance kind {kind!r}")
     c = CONSTRUCTIONS[kind]
     inst = c.generate(instance_rng(config, kind, counter), config, counter)
+    if type(c).probes is Construction.probes:  # draws no probes: seed no stream for them
+        return inst
     return {**inst, **c.probes(instance_rng(config, f"{kind}_probes", counter), inst)}
 
 

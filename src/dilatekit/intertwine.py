@@ -62,7 +62,15 @@ def make_pair(T1: Mat, T2: Mat, S: Mat) -> IntertwinePair:
     defect = T1 * S - S * T2
     if not defect.is_zero():
         raise NotIntertwining(defect)
-    return IntertwinePair(T1=T1, T2=T2, S=S, dil1=standard_build(T1), dil2=standard_build(T2))
+    dil1, dil2 = standard_dilations(T1, T2)
+    return IntertwinePair(T1=T1, T2=T2, S=S, dil1=dil1, dil2=dil2)
+
+
+def standard_dilations(T1: Mat, T2: Mat) -> tuple[Dilation, Dilation]:
+    """The standard dilations of T1 and T2: one dilation, and so one power
+    cache, when T2 == T1."""
+    dil1 = standard_build(T1)
+    return dil1, dil1 if T2 == T1 else standard_build(T2)
 
 
 def lift_intertwiner(pair: IntertwinePair) -> SeqOp:

@@ -259,7 +259,15 @@ class ProjStd(SeqOp):
 
 @dataclass(frozen=True)
 class ProjAndo(SeqOp):
-    """Grid projection x -> e_(0,0) (x) sum_{n,m} T^n S^m x_{n,m}."""
+    """Grid projection x -> e_(0,0) (x) sum_{n,m} T^n S^m x_{n,m}.
+
+    Per exponent m it keeps the last column S^m was applied to and the
+    image, reused while a cell at m holds that same column object: the
+    grid shifts move columns unchanged, so on the cells U^n V^m I x the
+    product S^m x is formed once per m, not once per cell. Each entry is
+    one tuple, replaced whole, so concurrent apply calls stay safe as with
+    `_PowerCache`: a racing thread at worst recomputes an image.
+    """
 
     T: Mat
     S: Mat
@@ -274,18 +282,24 @@ class ProjAndo(SeqOp):
             )
         object.__setattr__(self, "_t_powers", _PowerCache(self.T))
         object.__setattr__(self, "_s_powers", _PowerCache(self.S))
+        object.__setattr__(self, "_s_images", {})  # m -> (column, S^m column)
 
     @property
     def dim(self) -> int:
         return self.T.rows
 
+    def _s_image(self, m: int, column: Column) -> tuple[int, list[int]]:
+        last = self._s_images.get(m)
+        if last is not None and last[0] is column:
+            return last[1]
+        image = self._s_powers.get(m)._apply_ints(*column)
+        self._s_images[m] = (column, image)
+        return image
+
     def apply(self, x: FsVec) -> FsVec:
         self._check_input(x, self.dim, Domain.GRID)
-        t_powers, s_powers = self._t_powers, self._s_powers
-        terms = [
-            t_powers.get(n)._apply_ints(*s_powers.get(m)._apply_ints(*c))
-            for (n, m), c in x.columns.items()
-        ]
+        t_powers, s_image = self._t_powers, self._s_image
+        terms = [t_powers.get(n)._apply_ints(*s_image(m, c)) for (n, m), c in x.columns.items()]
         return FsVec._raw(Domain.GRID, self.dim, _at((0, 0), _sum_ints(terms)), x.width)
 
 

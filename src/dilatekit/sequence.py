@@ -262,24 +262,27 @@ def standard_verify(
         witness=witness,
     )
 
-    def not_fixed(x: FsVec) -> Optional[dict]:
-        once = sd.P.apply(x)
+    # each probe is projected once, for both the idempotence and the range check
+    projected = [(x, sd.P.apply(x)) for x in seq_probes]
+
+    def not_fixed(pair: tuple[FsVec, FsVec]) -> Optional[dict]:
+        x, once = pair
         if sd.P.apply(once) != once:
             return {"probe": fsvec_to_json(x), "projected": fsvec_to_json(once)}
 
-    witness = first_witness(seq_probes, not_fixed)
+    witness = first_witness(projected, not_fixed)
     report.add("projection idempotent on probes", witness is None, bound=len(seq_probes), witness=witness)
 
     # the dilation equation at n = 0 is P I x = I x, so its first witness,
     # if at n = 0, is the first embedded vector that P does not fix
     dilation = _compression_witness(sd, vecs, 0, n_max)
 
-    def off_origin(x: FsVec) -> Optional[dict]:
-        image = sd.P.apply(x)
+    def off_origin(pair: tuple[FsVec, FsVec]) -> Optional[dict]:
+        x, image = pair
         if any(k != 0 for k in image.indices()):
             return {"probe": fsvec_to_json(x), "projected": fsvec_to_json(image)}
 
-    witness = first_witness(seq_probes, off_origin)
+    witness = first_witness(projected, off_origin)
     if witness is None and dilation is not None and dilation["n"] == 0:
         witness = {"vector": dilation["probe"]}
     report.add(

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -434,7 +435,8 @@ def test_builders_form_no_matrix_product(monkeypatch):
         ndilation_build(T, N)
     assert calls == []
     assert inverse_holds(halmos_build(T)) and inverse_holds(ndilation_build(T, 2))
-    assert len(calls) == 4
+    # one product each: for square U, U U_inv = I implies U_inv U = I
+    assert len(calls) == 2
 
 
 def test_a_wrong_closed_form_is_a_failed_check_with_its_witness():
@@ -446,6 +448,30 @@ def test_a_wrong_closed_form_is_a_failed_check_with_its_witness():
     assert check.witness == {"N": 1, "T": [[2]]}
     hd = halmos_build(Mat([[2]]))
     assert not inverse_holds(dataclasses.replace(hd, U_inv=Mat([[0, 1], [1, 2]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inverse_holds_agrees_with_the_two_sided_definition(data):
+    U = data.draw(matrices(max_dim=4, bound=5), label="U")
+    d = U.rows
+    eye = Mat.identity(d)
+    candidates = [data.draw(matrices(min_dim=d, max_dim=d, bound=5), label="V")]
+    if U.rank() == d:
+        exact = U.inverse()
+        r, c = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), label="entry")
+        delta = data.draw(rationals(5).filter(bool), label="delta")
+        changed = [list(row) for row in exact.entries]
+        changed[r][c] += delta
+        candidates += [exact, Mat(changed)]
+    # a singular V: its last row repeats its first, or is zero when d = 1
+    rows = [list(row) for row in data.draw(matrices(min_dim=d, max_dim=d, bound=5)).entries]
+    rows[-1] = rows[0] if d > 1 else [0]
+    candidates.append(Mat(rows))
+    for V in candidates:
+        two_sided = U * V == eye and V * U == eye
+        assert inverse_holds(SimpleNamespace(U=U, U_inv=V)) == two_sided
+    assert U.rank() < d or inverse_holds(SimpleNamespace(U=U, U_inv=candidates[1]))
 
 
 # ----------------------------------------------------------------------

@@ -118,6 +118,21 @@ def test_generate_instance_is_deterministic():
     assert a != different_seed
 
 
+def test_only_constructions_that_draw_probes_seed_a_probe_stream(monkeypatch):
+    streams = []
+
+    def recording(config, kind, counter):
+        streams.append(kind)
+        return instance_rng(config, kind, counter)
+
+    monkeypatch.setattr(harness, "instance_rng", recording)
+    for kind in ALL_SUITES:
+        generate_instance(SMALL, kind, 0)
+    probed = ("ndilation", "schaffer", "standard", "intertwine", "ando")
+    assert [k for k in streams if k.endswith("_probes")] == [f"{k}_probes" for k in probed]
+    assert [k for k in streams if not k.endswith("_probes")] == list(ALL_SUITES)
+
+
 def test_instance_streams_differ_by_counter():
     instances = [generate_instance(SMALL, "wold", t) for t in range(6)]
     assert len({json.dumps(str(i)) for i in instances}) > 1
@@ -245,6 +260,21 @@ def test_small_config_report_is_pinned():
     text = reports_to_json(run_suites(config), indent=2)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "58deeda15bf4b69448919b117bc9c7d1628acac676fd97a2e414d75209acb610"
+
+
+def test_sequence_deep_config_report_is_pinned():
+    # sha256 of the compact report of the four sequence suites at the
+    # bounds of the sequence-deep benchmark workload, where ando runs to
+    # m_max = 16 rather than the default 8
+    config = SuiteConfig(
+        suites=("schaffer", "standard", "intertwine", "ando"),
+        dim_max=4,
+        n_max=16,
+        m_max=16,
+        trials=8,
+    )
+    digest = hashlib.sha256(reports_to_json(run_suites(config)).encode()).hexdigest()
+    assert digest == "483811acb010c82fdf296aaa2bb05180499b0ee2539c44e3d259dd7b3a50de21"
 
 
 def test_registry_lists_every_suite_in_canonical_order():

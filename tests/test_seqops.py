@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dilatekit import Mat
 from dilatekit.finsupp import Domain, DomainMismatch, FsVec
-from dilatekit.matrix import vec_add, zero_vec
+from dilatekit.matrix import column_of, vec_add, zero_vec
 from dilatekit.report import first_witness
 from dilatekit.seqops import (
     BlockDense,
@@ -473,6 +473,35 @@ def test_oracle_proj_ando(data, dim, cancel):
         term = ref_power_apply(T, n, ref_power_apply(S, m, v))
         total = [a + b for a, b in zip(total, term)]
     assert_matches_reference(ProjAndo(T, S).apply(x), Domain.GRID, dim, {(0, 0): total})
+
+
+@ORACLE
+@given(st.data(), st.integers(min_value=1, max_value=3))
+def test_proj_ando_reuse_returns_what_a_fresh_instance_returns(data, dim):
+    # ProjAndo keeps S^m applied to the last column it saw at m; the inputs
+    # revisit an exponent with that same column object, with an equal but
+    # distinct column and with a different column, one cell and several
+    T, S = draw_matrix(data, dim, dim), draw_matrix(data, dim, dim)
+    a, b = column_of(draw_vector(data, dim)), column_of(draw_vector(data, dim))
+    assume(a is not None and b is not None and a != b)
+    a_copy = (a[0], a[1])
+    assert a_copy == a and a_copy is not a
+    fixed = [
+        [((0, 1), a)],
+        [((2, 1), a)],
+        [((1, 1), a_copy)],
+        [((0, 1), b)],
+        [((3, 1), a)],
+        [((0, 0), a), ((0, 1), b), ((2, 1), a), ((1, 2), a_copy)],
+        [((1, 1), b), ((1, 2), a)],
+    ]
+    cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    drawn = st.dictionaries(cells, st.sampled_from([a, a_copy, b]), min_size=1, max_size=4)
+    tail = [list(d.items()) for d in data.draw(st.lists(drawn, max_size=6), label="inputs")]
+    p = ProjAndo(T, S)
+    for support in fixed + tail:
+        x = FsVec._raw(Domain.GRID, dim, sorted(support), 1)
+        assert p.apply(x).columns == ProjAndo(T, S).apply(x).columns
 
 
 @ORACLE

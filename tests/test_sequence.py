@@ -328,6 +328,31 @@ def _off_at(op, attr, at):
     return op
 
 
+class _CountingPowers(_PowerCache):
+    """Power cache that counts its reads."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.reads = 0
+
+    def get(self, n):
+        self.reads += 1
+        return super().get(n)
+
+
+def test_ando_verify_forms_each_power_of_s_once_per_exponent():
+    # the grid shifts move the probe block's column unchanged, so ProjAndo
+    # reuses S^m x on every row n: m_max + 1 reads, not (n_max + 1)(m_max + 1)
+    T = Mat([[1, 2], [0, 3]])
+    av = ando_build(T, T * T - T)
+    P = ProjAndo(av.T, av.S)
+    counting = _CountingPowers(av.S)
+    object.__setattr__(P, "_s_powers", counting)
+    rep = ando_verify(dataclasses.replace(av, P=P), [(1, 0), (2, -1), (0, 5)], n_max=6, m_max=4)
+    assert rep.passed
+    assert counting.reads == 4 + 1
+
+
 def _grid_single(value):
     return fsvec_to_json(FsVec.single(Domain.GRID, 1, (0, 0), (value,)))
 
