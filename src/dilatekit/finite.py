@@ -36,14 +36,14 @@ class PreconditionFailed(ValueError):
         self.which = which
 
 
-def inverse_holds(built) -> bool:
-    """U * U_inv = U_inv * U = I for a built dilation with fields U, U_inv.
+def inverse_holds(U: Mat, U_inv: Mat) -> bool:
+    """U * U_inv = U_inv * U = I for a square U.
 
     Only U * U_inv is formed. Every U built here is square, and for a
     square U, U V = I implies V U = I: U V = I makes U surjective, so U is
     invertible and V = U^-1 U V = U^-1.
     """
-    return built.U * built.U_inv == Mat.identity(built.U.rows)
+    return U * U_inv == Mat.identity(U.rows)
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +235,7 @@ def ndilation_verify(nd: NDilation, probes: Sequence[Vec], k_max: Optional[int] 
     )
     report.add(
         "closed-form inverse: U * U_inv = U_inv * U = I",
-        inverse_holds(nd),
+        inverse_holds(nd.U, nd.U_inv),
         witness=lambda: {"N": nd.N, "T": mat_to_json(nd.T)},
     )
 

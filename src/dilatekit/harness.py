@@ -61,7 +61,7 @@ from .sequence import (
     standard_minimality_check,
     standard_verify,
 )
-from .serialize import fsvec_from_json, mat_to_json
+from .serialize import compact_json, fsvec_from_json, mat_to_json
 from .sizes import SIZES, require_within
 from .wold import EXTENDED, STRICT, NotInjective, verify_wold, wold_decompose
 
@@ -253,7 +253,7 @@ def _closed_form_report(suite: str, built, inverse: str, oracle: str) -> Report:
     `inverse` and `oracle`."""
     U, U_inv = built.U, built.U_inv
     rep = Report(suite, data={"U": partial(mat_to_json, U), "U_inv": partial(mat_to_json, U_inv)})
-    rep.add(inverse, inverse_holds(built), witness=lambda: {"U": rep.data["U"]()})
+    rep.add(inverse, inverse_holds(U, U_inv), witness=lambda: {"U": rep.data["U"]()})
     rep.add(
         oracle,
         U_inv == U.inverse(),
@@ -351,10 +351,9 @@ class _NonSimilar(Construction):
             pair.verdict != NOT_SIMILAR or pair.trace_a1 != pair.trace_a2,
             witness=traces,
         )
-        eye = Mat.identity(pair.A1.rows)
         rep.add(
             "both dilations invertible with certified inverses",
-            pair.A1 * pair.A1_inv == eye and pair.A2 * pair.A2_inv == eye,
+            inverse_holds(pair.A1, pair.A1_inv) and inverse_holds(pair.A2, pair.A2_inv),
             witness=lambda: {"A1": rep.data["A1"]()},
         )
         return [rep]
@@ -697,7 +696,7 @@ def _wrap_errors(kind: str, trial: int, instance: dict):
     except Exception as exc:
         raise SuiteError(
             f"suite {kind!r} trial {trial} raised {type(exc).__name__}: {exc}; "
-            f"instance {_instance_json(kind, trial, instance)}"
+            f"instance {compact_json(_instance_json(kind, trial, instance))}"
         ) from exc
 
 

@@ -119,7 +119,7 @@ def verify_lift(
     R: SeqOp,
     pair: IntertwinePair,
     probes: Sequence[FsVec],
-    n_max: int = 12,
+    n_max: int,
 ) -> Report:
     """Check the three lift relations exactly on probes and basis elements.
 

@@ -236,7 +236,8 @@ class ProjStd(SeqOp):
     """One-sided projection x -> e_0 (x) sum_n T^n x_n.
 
     Idempotent with range equal to the origin embedding of the ambient
-    space.
+    space. A subclass changes only the domain and `_term`, the term that
+    one coordinate adds to the sum.
     """
 
     T: Mat
@@ -250,16 +251,20 @@ class ProjStd(SeqOp):
     def dim(self) -> int:
         return self.T.rows
 
+    def _term(self, n: int, column: Column) -> tuple[int, list[int]]:
+        return self._powers.get(n)._apply_ints(*column)
+
     def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.UNINAT)
-        powers = self._powers
-        terms = [powers.get(n)._apply_ints(*c) for n, c in x.columns.items()]
-        return FsVec._raw(Domain.UNINAT, self.dim, _at(0, _sum_ints(terms)), x.width)
+        domain, term = self.domain, self._term
+        self._check_input(x, self.dim, domain)
+        terms = [term(k, c) for k, c in x.columns.items()]
+        return FsVec._raw(domain, self.dim, _at(domain.origin, _sum_ints(terms)), x.width)
 
 
 @dataclass(frozen=True)
-class ProjAndo(SeqOp):
-    """Grid projection x -> e_(0,0) (x) sum_{n,m} T^n S^m x_{n,m}.
+class ProjAndo(ProjStd):
+    """Grid projection x -> e_(0,0) (x) sum_{n,m} T^n S^m x_{n,m}: `ProjStd`
+    with a second map S that commutes with T.
 
     Per exponent m it keeps the last column S^m was applied to and the
     image, reused while a cell at m holds that same column object: the
@@ -269,38 +274,25 @@ class ProjAndo(SeqOp):
     `_PowerCache`: a racing thread at worst recomputes an image.
     """
 
-    T: Mat
     S: Mat
     domain = Domain.GRID
 
     def __post_init__(self):
-        _square(self.T, "T")
+        super().__post_init__()
         _square(self.S, "S")
         if self.T.rows != self.S.rows:
             raise OperandError(
                 "S", f"operators act on different spaces: {self.T.rows} vs {self.S.rows}"
             )
-        object.__setattr__(self, "_t_powers", _PowerCache(self.T))
         object.__setattr__(self, "_s_powers", _PowerCache(self.S))
         object.__setattr__(self, "_s_images", {})  # m -> (column, S^m column)
 
-    @property
-    def dim(self) -> int:
-        return self.T.rows
-
-    def _s_image(self, m: int, column: Column) -> tuple[int, list[int]]:
+    def _term(self, cell: tuple[int, int], column: Column) -> tuple[int, list[int]]:
+        n, m = cell
         last = self._s_images.get(m)
-        if last is not None and last[0] is column:
-            return last[1]
-        image = self._s_powers.get(m)._apply_ints(*column)
-        self._s_images[m] = (column, image)
-        return image
-
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.GRID)
-        t_powers, s_image = self._t_powers, self._s_image
-        terms = [t_powers.get(n)._apply_ints(*s_image(m, c)) for (n, m), c in x.columns.items()]
-        return FsVec._raw(Domain.GRID, self.dim, _at((0, 0), _sum_ints(terms)), x.width)
+        if last is None or last[0] is not column:
+            last = self._s_images[m] = (column, self._s_powers.get(m)._apply_ints(*column))
+        return super()._term(n, last[1])
 
 
 @dataclass(frozen=True)

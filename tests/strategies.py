@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dilatekit import Mat
 from dilatekit.finsupp import Domain, FsVec
 from dilatekit.matrix import column_of
-from dilatekit.seqops import SeqOp
+from dilatekit.seqops import ProjStd, SeqOp, ShiftRight
 
 
 def rationals(bound: int = 9):
@@ -71,6 +71,14 @@ class SumOp(SeqOp):
 
     def apply(self, x):
         return self.a.apply(x) + self.b.apply(x)
+
+
+class ShiftedProjStd(ProjStd):
+    """ProjStd with its image moved one index along: it lands off the
+    origin, and a second application moves it again."""
+
+    def apply(self, x):
+        return ShiftRight(self.dim).apply(super().apply(x))
 
 
 def coordinate(dim: int, j: int) -> Mat:

@@ -438,7 +438,7 @@ def test_a_failing_witness_replays_from_its_kind_and_counter(monkeypatch):
 
 
 def test_a_failing_check_folds_the_instance_it_failed_on(monkeypatch):
-    monkeypatch.setattr(harness, "inverse_holds", lambda built: False)
+    monkeypatch.setattr(harness, "inverse_holds", lambda U, U_inv: False)
     config = SuiteConfig(seed=5, trials=3, dim_max=3, suites=("halmos",))
     rep = run_suites(config)[0]
     failed = rep.failed_checks()
@@ -449,6 +449,30 @@ def test_a_failing_check_folds_the_instance_it_failed_on(monkeypatch):
         "instance": harness._instance_json("halmos", 0, inst),
         "U": mat_to_json(halmos_build(inst["T"]).U),
     }
+
+
+def test_a_suite_whose_builder_raises_names_the_trial_and_its_instance(monkeypatch):
+    built = []
+
+    def fails_on_the_second_trial(T):
+        built.append(T)
+        if len(built) == 2:
+            raise ZeroDivisionError("injected")
+        return standard_build(T)
+
+    monkeypatch.setattr(harness, "standard_build", fails_on_the_second_trial)
+    config = SuiteConfig(seed=2, trials=3, dim_max=2, suites=("standard",))
+    with pytest.raises(harness.SuiteError) as exc:
+        run_suites(config)
+    assert str(exc.value) == (
+        "suite 'standard' trial 1 raised ZeroDivisionError: injected; "
+        'instance {"kind":"standard","counter":1,"T":[[-1,-1],["5/2",3]]}'
+    )
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+    # the instance is JSON, so its kind and counter replay the trial
+    instance = json.loads(str(exc.value).split("; instance ", 1)[1])
+    inst = generate_instance(config, instance["kind"], instance["counter"])
+    assert instance == harness._instance_json("standard", 1, inst)
 
 
 def test_passing_suites_build_no_provenance_and_serialise_no_matrix(monkeypatch):

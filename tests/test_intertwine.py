@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from dilatekit.seqops import ColumnBlocks, Componentwise, Compose, ShiftRight
 from dilatekit.report import Report
 from dilatekit.serialize import fsvec_to_json, mat_from_json, mat_to_json, vec_to_json
 
-from strategies import SumOp, coordinate
+from strategies import ShiftedProjStd, SumOp, coordinate
 
 
 def extracted_map(R, pair, cert_bound):
@@ -66,6 +68,23 @@ def test_forward_lift_relations_pass_on_mixed_support():
     probe = FsVec(Domain.UNINAT, 2, {0: (1, 2), 1: (3, 4), 3: (5, 6)})
     rep = verify_lift(lift_intertwiner(pair), pair, probes=[probe], n_max=5)
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "P, message",
+    [
+        (
+            ShiftedProjStd(Mat([[2]])),
+            "P1 R I2 e_i is supported outside the origin: FsVec(uninat, dim=1, {1: (3)})",
+        ),
+        (Componentwise(Mat([[1], [1]])), "extracted columns have length 2, expected 1"),
+    ],
+)
+def test_read_off_rejects_a_projection_off_the_ambient_space(P, message):
+    pair = make_pair(Mat([[2]]), Mat([[2]]), Mat([[3]]))
+    dil1 = dataclasses.replace(pair.dil1, P=P)
+    with pytest.raises(intertwine.RangeViolation, match=f"^{re.escape(message)}$"):
+        intertwine.read_off_intertwiner(lift_intertwiner(pair), dil1, pair.dil2)
 
 
 def test_shifted_lift_fails_embedding_relation():

@@ -42,7 +42,16 @@ from dilatekit.seqops import (
 from dilatekit.report import Report
 from dilatekit.serialize import fsvec_to_json, vec_to_json
 
-from strategies import SumOp, coordinate, fsvecs, matrices, per_probe, rationals, vectors
+from strategies import (
+    ShiftedProjStd,
+    SumOp,
+    coordinate,
+    fsvecs,
+    matrices,
+    per_probe,
+    rationals,
+    vectors,
+)
 
 
 def random_mat(rng, dim, bound=9):
@@ -368,7 +377,7 @@ SINGLE_V = "single-parameter compression P V^m I x = I S^m x"
 
 def test_ando_verify_catches_a_projection_wrong_at_one_row():
     av = ando_build(Mat([[2]]), Mat([[3]]))
-    wrong = dataclasses.replace(av, P=_off_at(ProjAndo(av.T, av.S), "_t_powers", 3))
+    wrong = dataclasses.replace(av, P=_off_at(ProjAndo(av.T, av.S), "_powers", 3))
     failed = _failed(ando_verify(wrong, [(1,)], n_max=5, m_max=4))
     assert set(failed) == {TWO_PARAMETER, SINGLE_U}
     # the first wrong cell is (3, 0): P reads T^4 x = 16 where T^3 x = 8
@@ -408,6 +417,65 @@ def test_standard_verify_catches_a_projection_wrong_at_one_index():
         "projected": fsvec_to_json(FsVec.single(Domain.UNINAT, 1, 0, (32,))),
         "expected": fsvec_to_json(FsVec.single(Domain.UNINAT, 1, 0, (16,))),
     }
+
+
+IDEMPOTENT = "projection idempotent on probes"
+RANGE = "range: projection lands at index 0 and fixes embedded vectors"
+SHIFT_EXCHANGE = (
+    "shift exchange: zero-column-prepended U x equals zero-row-prepended V x, and U V = V U"
+)
+
+
+def _uninat_single(index, value):
+    return fsvec_to_json(FsVec.single(Domain.UNINAT, 1, index, (value,)))
+
+
+def test_standard_verify_catches_a_projection_that_lands_off_the_origin():
+    sd = standard_build(Mat([[2]]))
+    wrong = dataclasses.replace(sd, P=ShiftedProjStd(sd.T))
+    failed = _failed(standard_verify(wrong, [(1,)], n_max=3))
+    assert list(failed) == [IDEMPOTENT, RANGE, DILATION_EQUATION]
+    # P e_0 = e_1, and P e_1 = 2 e_1, not e_1
+    off_origin = {"probe": _uninat_single(0, 1), "projected": _uninat_single(1, 1)}
+    assert failed[IDEMPOTENT] == off_origin
+    assert failed[RANGE] == off_origin
+
+
+def test_standard_verify_catches_a_projection_that_fixes_no_embedded_vector():
+    # P = 0 is idempotent and lands at index 0, so only the n = 0 case of
+    # the dilation equation shows that it fixes no embedded vector
+    sd = standard_build(Mat([[2]]))
+    wrong = dataclasses.replace(sd, P=Componentwise(Mat([[0]])))
+    failed = _failed(standard_verify(wrong, [(1,)], n_max=3))
+    assert list(failed) == [RANGE, DILATION_EQUATION]
+    assert failed[RANGE] == {"vector": [1]}
+    assert failed[DILATION_EQUATION]["n"] == 0
+
+
+def test_ando_verify_catches_a_forward_shift_along_the_wrong_axis():
+    av = ando_build(Mat([[2]]), Mat([[3]]))
+    wrong = dataclasses.replace(av, U=GridRight(1))
+    failed = _failed(ando_verify(wrong, [(1,)], n_max=2, m_max=2))
+    assert list(failed) == [TWO_PARAMETER, SINGLE_U, SHIFT_EXCHANGE]
+    probe = fsvec_to_json(FsVec.single(Domain.GRID, 1, (0, 0), (1,)))
+    assert failed[SHIFT_EXCHANGE] == {"probe": probe, "identity": "prepend"}
+
+
+class _GridRightDoublingOffRowZero(GridRight):
+    """Doubles its image when the input has support off row 0, which the
+    cells V^m I x never have, so only U V = V U can see it."""
+
+    def apply(self, x):
+        y = super().apply(x)
+        return y.scale(2) if any(n for n, _ in x.indices()) else y
+
+
+def test_ando_verify_catches_shifts_that_do_not_commute():
+    av = ando_build(Mat([[2]]), Mat([[3]]))
+    wrong = dataclasses.replace(av, V=_GridRightDoublingOffRowZero(1))
+    probe = FsVec.single(Domain.GRID, 1, (0, 0), (1,))
+    failed = _failed(ando_verify(wrong, [(1,)], n_max=2, m_max=2, seq_probes=[probe]))
+    assert failed == {SHIFT_EXCHANGE: {"probe": fsvec_to_json(probe), "identity": "exchange"}}
 
 
 class _SchafferUWrongOnThirdStep(SchafferU):
@@ -558,9 +626,9 @@ def test_ando_verify_matches_the_fraction_loop(data):
     cells = st.tuples(st.integers(0, n_max), st.integers(0, m_max))
     faults = data.draw(st.lists(st.tuples(cells, st.integers(0, T.rows - 1)), max_size=3))
     P = _ProjAndoWrongAtCells(T, S, faults)
-    power_fault = data.draw(st.sampled_from([None, "_t_powers", "_s_powers"]), label="power")
+    power_fault = data.draw(st.sampled_from([None, "_powers", "_s_powers"]), label="power")
     if power_fault is not None:
-        at = data.draw(st.integers(1, n_max if power_fault == "_t_powers" else m_max))
+        at = data.draw(st.integers(1, n_max if power_fault == "_powers" else m_max))
         P = _off_at(P, power_fault, at)
     av = dataclasses.replace(av, P=P)
     # the basis in some order, so that a coordinate fault breaks the probes at different cells
