@@ -351,10 +351,13 @@ class _NonSimilar(Construction):
             pair.verdict != NOT_SIMILAR or pair.trace_a1 != pair.trace_a2,
             witness=traces,
         )
+        # the witness names the first dilation whose inverse fails, with its matrix
+        pairs = (("A1", pair.A1, pair.A1_inv), ("A2", pair.A2, pair.A2_inv))
+        bad = next((name for name, A, A_inv in pairs if not inverse_holds(A, A_inv)), None)
         rep.add(
             "both dilations invertible with certified inverses",
-            inverse_holds(pair.A1, pair.A1_inv) and inverse_holds(pair.A2, pair.A2_inv),
-            witness=lambda: {"A1": rep.data["A1"]()},
+            bad is None,
+            witness=lambda: {bad: rep.data[bad]()},
         )
         return [rep]
 

@@ -24,8 +24,24 @@ Both integer products, ``Mat.__mul__`` and ``Mat._apply_ints``, run one dot
 kernel per inner dimension n: a list comprehension with the n products
 written out, ``a0*b0 + a1*b1 + ...``, generated from n alone. Its entries
 cost no ``sum``, ``map`` or ``operator.mul`` call each, which on the small
-integers of most checks cost as much as the multiplications. A kernel is
-compiled on first use of its n and kept in ``_DOT_KERNELS``.
+integers of most checks cost as much as the multiplications.
+
+Elimination runs the same way: every Bareiss row update of ``rref``,
+``inverse`` and the forward pass behind ``pivot_columns`` and ``rank`` goes
+through one row kernel per row width n. It updates all the other rows of a
+pivot step in one call, each entry written out as
+``(b0*a_k - a0*b_k) // prev`` with the pivot column first, and drops that
+column, so the rows hold only the columns still to be updated; the
+inverse's variant of the kernel also appends the right half's column of
+the pivot. Each row of the numerators is first divided by its content
+(gcd): the RREF and the pivots do not change when a row is scaled, the
+inverse takes the scaling back in its right half, and the Bareiss numbers,
+minors of the reduced rows, stay smaller.
+
+A kernel of each kind is compiled on the first use of its n, never at
+import, and kept in ``_DOT_KERNELS`` or ``_ROW_KERNELS`` under the filename
+``<dilatekit.matrix KIND kernel n=N>`` that profiles show
+(``_INVERSE_KERNELS`` holds the inverse's row kernels).
 """
 
 from __future__ import annotations
@@ -125,51 +141,88 @@ def fractions_of(den: int, nums: Iterable[int]) -> Vec:
     return tuple(Fraction(n, den) for n in nums)
 
 
-def _rows_of(flat: tuple[int, ...], cols: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(flat[i : i + cols] for i in range(0, len(flat), cols))
+def _rows_of(flat: Iterable[int], cols: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*[iter(flat)] * cols))
 
 
-def _bareiss_rref(m: list[list[int]], forward: bool = False) -> tuple[int, tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix, in
-    place. Returns d and the pivot columns; the RREF is then m / d.
+def _content_reduced(nums: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
+    """The rows divided by their contents (gcds), and the contents. A zero
+    row has content 0 and stays zero; a row of content 1 is kept as it is."""
+    contents = [gcd(*row) for row in nums]
+    if contents.count(1) == len(contents):
+        return list(nums), contents
+    return [row if g < 2 else [a // g for a in row] for row, g in zip(nums, contents)], contents
+
+
+def _rref_ints(m: list[Sequence[int]], cols: int) -> tuple[int, tuple[int, ...], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows m, of
+    width cols. Returns the last pivot d, the pivot columns and the RREF's
+    numerators over d, row-major.
 
     Pivot choice: leftmost nonzero column, first nonzero row from the top.
-    Every row other than the pivot row is updated as (p*a - f*b) // prev,
-    where p is the pivot and prev the previous pivot; the division is exact
-    by Sylvester's identity. An earlier pivot entry prev so becomes p, as
-    the pivot row is zero in its column: at the end every pivot entry is the
-    last pivot d, and the rows below the rank are zero.
-
-    With forward, only the rows below each pivot are updated, from the
-    pivot column on: the same pivots, but m is then not the RREF.
+    The row kernel updates every row other than the pivot row as
+    (p*a - f*b) // prev, where p is the pivot, prev the previous pivot and
+    f the row's entry in the pivot column; the division is exact by
+    Sylvester's identity. The rows hold only the columns still to be
+    updated, the current one first: the kernel drops the pivot column, and
+    a column without a pivot, zero below the rows with pivots, moves to the
+    end of every row. The pivot entries are all d at the end, as each step
+    turns an earlier one, prev, into p.
     """
-    rows, cols = len(m), len(m[0])
+    rows = len(m)
+    pivots: list[int] = []
+    free: list[int] = []  # the columns without a pivot, in the order they were moved
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        pivot_row = r if m[r][0] else next((i for i in range(r + 1, rows) if m[i][0]), None)
+        if pivot_row is None:
+            m = [[*row[1:], row[0]] for row in m]
+            free.append(c)
+            continue
+        top = m.pop(pivot_row)
+        if m:
+            m = _ROW_KERNELS[len(top)](top, m, prev)
+        m.insert(r, top[1:])
+        prev = top[0]
+        pivots.append(c)
+        if r + 1 == rows:
+            break
+    held = [*range(c + 1, cols), *free]  # the column of each entry the rows still hold
+    flat: list[int] = []
+    for p, row in zip(pivots, m):
+        full = [0] * cols
+        full[p] = prev
+        for j, a in zip(held, row):
+            full[j] = a
+        flat += full
+    flat += [0] * (cols * (rows - len(pivots)))
+    return prev, tuple(pivots), flat
+
+
+def _forward_pivots(m: list[Sequence[int]]) -> tuple[int, ...]:
+    """The pivot columns of ``_rref_ints(m)``, by forward elimination alone.
+
+    Each pivot row is taken out, and the row kernel updates the rows left,
+    dropping the pivot column; a column without a pivot, zero in every row
+    left, is dropped too. So m shrinks to the rows without a pivot, from
+    the current column on; the pivots do not depend on the order of the
+    rows.
+    """
     pivots: list[int] = []
     prev = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+    for c in range(len(m[0])):
+        pivot_row = 0 if m[0][0] else next((i for i in range(1, len(m)) if m[i][0]), None)
         if pivot_row is None:
+            m = [row[1:] for row in m]
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        p = top[c]
-        if forward:
-            tail = top[c:]
-            for row in m[r + 1 :]:
-                f = row[c]
-                row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], tail)]
-        else:
-            for i in range(rows):
-                if i != r:
-                    f = m[i][c]
-                    m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
-        prev = p
+        top = m.pop(pivot_row)
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if not m:
             break
-    return prev, tuple(pivots)
+        m = _ROW_KERNELS[len(top)](top, m, prev)
+        prev = top[0]
+    return tuple(pivots)
 
 
 def _dot_source(n: int) -> str:
@@ -190,16 +243,42 @@ def _dot_source(n: int) -> str:
     return f"lambda rows, vectors: [{terms[0]} for {b}in vectors for {a}in rows]"
 
 
-class _DotKernels(dict):
-    """The dot kernel of each inner dimension, compiled on first use."""
+def _row_source(n: int, inverse: bool = False) -> str:
+    """The source of the Bareiss row kernel for row width n >= 1: a lambda
+    that takes the pivot row b, the other rows and the previous pivot prev,
+    with the pivot column first in every row, and lists each row a updated
+    entry by entry as (b0*a_k - a0*b_k) // prev for k = 1, ..., n - 1. The
+    pivot column, which the update makes zero, is dropped.
+
+    The inverse's kernel takes one more number s, and appends -a0*s to each
+    row: its entry in the right half's column of the pivot (see
+    ``Mat.inverse``).
+    """
+    a = "".join(f"a{k}, " for k in range(n))
+    b = "".join(f"b{k}, " for k in range(n))
+    row = "".join(f"(b0*a{k} - a0*b{k}) // prev, " for k in range(1, n))
+    if inverse:
+        return f"lambda top, rows, prev, s: [[{row}-a0*s] for {b}in (top,) for {a}in rows]"
+    return f"lambda top, rows, prev: [[{row}] for {b}in (top,) for {a}in rows]"
+
+
+class _Kernels(dict):
+    """The kernels of one kind, by width n, each compiled on first use from
+    the source that ``source(n)`` generates."""
+
+    def __init__(self, kind: str, source):
+        super().__init__()
+        self.kind, self.source = kind, source
 
     def __missing__(self, n: int):
-        code = compile(_dot_source(n), f"<dilatekit.matrix dot kernel n={n}>", "eval")
+        code = compile(self.source(n), f"<dilatekit.matrix {self.kind} kernel n={n}>", "eval")
         kernel = self[n] = eval(code, {})
         return kernel
 
 
-_DOT_KERNELS = _DotKernels()
+_DOT_KERNELS = _Kernels("dot", _dot_source)
+_ROW_KERNELS = _Kernels("row", _row_source)
+_INVERSE_KERNELS = _Kernels("inverse row", lambda n: _row_source(n, inverse=True))
 
 
 _EMPTY = "matrix must have at least one row and one column"
@@ -246,8 +325,12 @@ class Mat:
     @classmethod
     def _reduced(cls, den: int, flat: Sequence[int], cols: int) -> Mat:
         # internal: the matrix with row-major numerators flat over den >= 1,
-        # brought to canonical form by one gcd
-        den, flat = reduce_column(den, flat) or (1, tuple(flat))
+        # brought to canonical form by one gcd (a zero matrix to den 1): the
+        # rule of reduce_column, without its zero test and tuple copy, as
+        # _rows_of builds the rows
+        g = gcd(den, *flat)
+        if g > 1:
+            den, flat = den // g, [n // g for n in flat]
         return cls._raw(den, _rows_of(flat, cols))
 
     @classmethod
@@ -418,17 +501,23 @@ class Mat:
         """Reduced row echelon form and pivot columns.
 
         Pivot choice: leftmost nonzero column, first nonzero row from the
-        top, pivot normalized to 1. Fully deterministic. Computed on the
-        integer numerators, which have the same RREF.
+        top, pivot normalized to 1. Fully deterministic. Computed by
+        ``_rref_ints`` through the row kernel, on the integer numerators
+        with each row divided by its content (gcd): scaling a row changes
+        neither the RREF nor the pivots, and smaller rows keep the
+        eliminated numbers smaller.
         """
-        m = [list(row) for row in self.nums]
-        d, pivots = _bareiss_rref(m)
-        s = 1 if d > 0 else -1
-        return Mat._reduced(s * d, [s * a for row in m for a in row], self.cols), pivots
+        m, _ = _content_reduced(self.nums)
+        d, pivots, flat = _rref_ints(m, self.cols)
+        if d < 0:
+            d, flat = -d, [-a for a in flat]
+        return Mat._reduced(d, flat, self.cols), pivots
 
     def pivot_columns(self) -> tuple[int, ...]:
-        """The pivot columns of ``rref()``, by forward elimination alone."""
-        return _bareiss_rref([list(row) for row in self.nums], forward=True)[1]
+        """The pivot columns of ``rref()``, by forward elimination alone
+        (``_forward_pivots``, through the row kernel) on the numerators
+        with each row divided by its content."""
+        return _forward_pivots(_content_reduced(self.nums)[0])
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -436,42 +525,48 @@ class Mat:
     def inverse(self) -> Mat:
         """Exact inverse by fraction-free Gauss-Jordan elimination in place.
 
-        ``_bareiss_rref`` on [N | I], N the numerators, kept in n columns:
-        the left half's columns before c and the right half's from c on are
-        prev times unit vectors until column c is eliminated, which makes
-        the right half's column c prev in the pivot row and -f in each other
-        row (f its entry in column c), written over column c. A row swap is
-        matched by a swap of right-half columns, undone at the end. That
-        leaves d N^-1 for the last pivot d; the inverse is den N^-1.
+        The numerators are N = diag(g) N', g the row contents, so with L the
+        lcm of g and s = L / g entrywise, U^-1 = den N^-1 = (den / L)
+        N'^-1 diag(s): the scaling is folded into the right half of
+        [N' | diag(s)], which is eliminated in n columns per row. Before
+        step c a row holds the left half's columns from c on, then the right
+        half's columns before c; each right-half column j from c on is
+        prev s_j e_j. The inverse's row kernel updates the rows other than
+        the pivot row, drops column c and appends the right half's column c,
+        -f s_c (f the row's entry in column c); the pivot row gets prev s_c
+        in its place. A row swap also swaps the entries of s, and is matched
+        by a swap of right-half columns, undone at the end. That leaves
+        d N'^-1 diag(s) for the last pivot d, and one multiply by den and
+        one ``_reduced`` give U^-1.
         """
         if not self.is_square():
             raise NonSquareMatrix("inverse requires a square matrix")
         n = self.rows
-        m = [list(row) for row in self.nums]
+        m, contents = _content_reduced(self.nums)
+        common = lcm(*contents)  # 0 if a row is zero: then a column has no pivot
+        scale = contents if common < 2 else [common // g for g in contents]
+        kernel = _INVERSE_KERNELS[n]
         swaps: list[tuple[int, int]] = []
         prev = 1
         for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+            pivot_row = c if m[c][0] else next((i for i in range(c + 1, n) if m[i][0]), None)
             if pivot_row is None:
                 raise SingularMatrix(f"matrix has rank {self.rank()} < {n}")
             if pivot_row != c:
                 m[c], m[pivot_row] = m[pivot_row], m[c]
+                scale[c], scale[pivot_row] = scale[pivot_row], scale[c]
                 swaps.append((c, pivot_row))
-            top = m[c]
-            p = top[c]
-            for i in range(n):
-                if i != c:
-                    row = m[i]
-                    f = row[c]
-                    row = m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-                    row[c] = -f
-            top[c] = prev
-            prev = p
+            top = m.pop(c)
+            s = scale[c]
+            if m:  # the other rows: none when n = 1
+                m = kernel(top, m, prev, s)
+            m.insert(c, [*top[1:], prev * s])
+            prev = top[0]
         for c, j in reversed(swaps):
             for row in m:
                 row[c], row[j] = row[j], row[c]
         f = self.den if prev > 0 else -self.den
-        return Mat._reduced(abs(prev), [f * a for row in m for a in row], n)
+        return Mat._reduced(abs(prev) * common, [f * a for row in m for a in row], n)
 
     def column_space_basis(self) -> list[Vec]:
         """Canonical basis of the column space.

@@ -251,8 +251,9 @@ class ProjStd(SeqOp):
     def dim(self) -> int:
         return self.T.rows
 
-    def _term(self, n: int, column: Column) -> tuple[int, list[int]]:
-        return self._powers.get(n)._apply_ints(*column)
+    def _term(self, n: int, column: Column) -> tuple[int, Sequence[int]]:
+        # T^0 is the identity: the column itself, with no matvec
+        return self._powers.get(n)._apply_ints(*column) if n else column
 
     def apply(self, x: FsVec) -> FsVec:
         domain, term = self.domain, self._term
@@ -266,10 +267,11 @@ class ProjAndo(ProjStd):
     """Grid projection x -> e_(0,0) (x) sum_{n,m} T^n S^m x_{n,m}: `ProjStd`
     with a second map S that commutes with T.
 
-    Per exponent m it keeps the last column S^m was applied to and the
-    image, reused while a cell at m holds that same column object: the
+    Per exponent m >= 1 it keeps the last column S^m was applied to and
+    the image, reused while a cell at m holds that same column object: the
     grid shifts move columns unchanged, so on the cells U^n V^m I x the
-    product S^m x is formed once per m, not once per cell. Each entry is
+    product S^m x is formed once per m, not once per cell (at m = 0 the
+    term takes the column itself, as `ProjStd` does at n = 0). Each entry is
     one tuple, replaced whole, so concurrent apply calls stay safe as with
     `_PowerCache`: a racing thread at worst recomputes an image.
     """
@@ -287,12 +289,14 @@ class ProjAndo(ProjStd):
         object.__setattr__(self, "_s_powers", _PowerCache(self.S))
         object.__setattr__(self, "_s_images", {})  # m -> (column, S^m column)
 
-    def _term(self, cell: tuple[int, int], column: Column) -> tuple[int, list[int]]:
+    def _term(self, cell: tuple[int, int], column: Column) -> tuple[int, Sequence[int]]:
         n, m = cell
-        last = self._s_images.get(m)
-        if last is None or last[0] is not column:
-            last = self._s_images[m] = (column, self._s_powers.get(m)._apply_ints(*column))
-        return super()._term(n, last[1])
+        if m:
+            last = self._s_images.get(m)
+            if last is None or last[0] is not column:
+                last = self._s_images[m] = (column, self._s_powers.get(m)._apply_ints(*column))
+            column = last[1]
+        return super()._term(n, column)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dilatekit.harness import (
     resample,
     run_suites,
 )
-from dilatekit.finite import halmos_build, ndilation_build, ndilation_verify
+from dilatekit.finite import SCHUR_CLASSES, halmos_build, ndilation_build, ndilation_verify
 from dilatekit.finsupp import Domain
 from dilatekit.intertwine import certification_report, lift_intertwiner, make_pair, verify_lift
 from dilatekit.report import Check, Report, reports_to_json
@@ -495,3 +495,51 @@ def test_passing_suites_build_no_provenance_and_serialise_no_matrix(monkeypatch)
     text = CONSTRUCTIONS["halmos"].check({"T": Mat([[2]])}, None)[0].to_json()
     assert json.loads(text)["data"] == {"U": [[2, 1], [1, 0]], "U_inv": [[0, 1], [1, -2]]}
     assert calls["mat_to_json"] == 2
+
+
+# ----------------------------------------------------------------------
+# checks shown to fail, with the witness they give
+
+
+@pytest.mark.parametrize("wrong", ["A1", "A2"])
+def test_nonsimilar_inverse_witness_names_the_dilation_whose_inverse_fails(wrong, monkeypatch):
+    def one_inverse_doubled(T):
+        pair = finite.nonsimilar_pair(T)
+        return replace(pair, **{f"{wrong}_inv": getattr(pair, f"{wrong}_inv").scale(2)})
+
+    monkeypatch.setattr(harness, "nonsimilar_pair", one_inverse_doubled)
+    rep = CONSTRUCTIONS["nonsimilar"].check({"T": Mat([[2]])}, None)[0]
+    pair = finite.nonsimilar_pair(Mat([[2]]))
+    assert {c.name: c.witness for c in rep.failed_checks()} == {
+        "both dilations invertible with certified inverses": {
+            wrong: mat_to_json(getattr(pair, wrong)),
+        }
+    }
+
+
+def _inverse_wrong_at_one_entry(inverse):
+    def wrong(self):
+        bump = Mat([[int(i == j == 0) for j in range(self.cols)] for i in range(self.rows)])
+        return inverse(self) + bump
+
+    return wrong
+
+
+@pytest.mark.parametrize("kind, counter", [("halmos", 0), ("schur", 0), ("schur", 1),
+                                           ("schur", 2), ("schur", 3)])
+def test_the_dense_inverse_oracle_checks_fail_on_a_wrong_inverse(kind, counter, monkeypatch):
+    # the instance and its closed form are built with the true inverse; then
+    # only the oracle is wrong, and U * U_inv = U_inv * U = I still passes
+    inst = generate_instance(SuiteConfig(seed=4, dim_max=3), kind, counter)
+    built = halmos_build(inst["T"]) if kind == "halmos" else inst["family"]
+    monkeypatch.setattr(Mat, "inverse", _inverse_wrong_at_one_entry(Mat.inverse))
+    rep = CONSTRUCTIONS[kind].check(inst, None)[0]
+    oracle = (
+        "closed form equals the dense-inverse oracle entrywise"
+        if kind == "halmos"
+        else f"class ({SCHUR_CLASSES[counter]}): closed form equals the dense-inverse oracle"
+    )
+    assert [c.name for c in rep.checks][1] == oracle
+    assert {c.name: c.witness for c in rep.failed_checks()} == {
+        oracle: {"U": mat_to_json(built.U), "closed_form": mat_to_json(built.U_inv)}
+    }

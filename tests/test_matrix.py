@@ -2,6 +2,7 @@ import copy
 import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -360,7 +361,7 @@ def test_dot_kernel_at_large_inner_dimensions(n):
 
 
 def test_dot_kernels_are_built_once_per_inner_dimension(monkeypatch):
-    monkeypatch.setattr(matrix, "_DOT_KERNELS", matrix._DotKernels())
+    monkeypatch.setattr(matrix, "_DOT_KERNELS", matrix._Kernels("dot", matrix._dot_source))
     a, b = Mat([[1, 2, 3], [4, 5, 6]]), Mat([[1], [0], [-1]])
     assert a * b == Mat([[-2], [-2]])
     kernel = matrix._DOT_KERNELS[3]
@@ -374,10 +375,13 @@ def test_dot_kernels_are_built_once_per_inner_dimension(monkeypatch):
 
 
 def test_no_dot_kernel_is_built_at_import():
-    code = "import dilatekit.cli, dilatekit.matrix as m; print(len(m._DOT_KERNELS))"
+    code = (
+        "import dilatekit.cli, dilatekit.matrix as m; "
+        "print(len(m._DOT_KERNELS), len(m._ROW_KERNELS), len(m._INVERSE_KERNELS))"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(matrix.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.stdout == "0\n", out.stderr
+    assert out.stdout == "0 0 0\n", out.stderr
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,6 +462,113 @@ def test_inverse_with_swaps_denominators_and_signs(a):
 def test_singular_inverse_names_the_rank(a, r):
     with pytest.raises(SingularMatrix, match=rf"^matrix has rank {r} < {len(a)}$"):
         Mat(a).inverse()
+
+
+# ----------------------------------------------------------------------
+# the elimination kernels, on rows with large contents
+
+
+@st.composite
+def content_grids(draw):
+    """A grid whose rows are small integer rows times factors of either
+    sign up to 2^200, over one denominator: large contents, negative
+    pivots, some zero rows, and leading zeros in the top rows, so that
+    pivots are found below and rows swap. Square about half the time."""
+    rows = draw(st.integers(1, 7))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 9))
+    den = draw(st.sampled_from([1, 6, 2**61 - 1]))
+    factors = st.one_of(st.sampled_from([1, -1, 2, -6]), st.integers(-2**200, 2**200).filter(bool))
+    grid = []
+    for _ in range(rows):
+        base = draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+        factor = draw(factors)
+        grid.append([Fraction(b * factor, den) for b in base])
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        grid[i] = [Fraction(0)] * cols
+    for i in range(draw(st.integers(0, rows - 1))):
+        grid[i][0] = Fraction(0)
+    return tuple(tuple(row) for row in grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(content_grids())
+def test_elimination_kernels_against_fractions(a):
+    m = Mat(a)
+    reduced, pivots = m.rref()
+    ref_reduced, ref_pivots = ref_rref(a)
+    assert_exact(reduced.entries, ref_reduced)
+    assert pivots == m.pivot_columns() == ref_pivots
+    assert m.rank() == len(ref_pivots)
+    if m.is_square():
+        inv = ref_inverse(a)
+        if inv is None:
+            with pytest.raises(SingularMatrix, match=rf"^matrix has rank {len(ref_pivots)} < "):
+                m.inverse()
+        else:
+            assert_canonical(m.inverse())
+            assert_exact(m.inverse().entries, inv)
+
+
+def test_elimination_at_the_halmos_cap():
+    # U = [[T, I], [I, 0]] for a 16 x 16 T is 32 x 32, with rows of content den
+    rng = random.Random(32)
+    T = Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(16)]
+             for _ in range(16)])
+    U = Mat.block([[T, Mat.identity(16)], [Mat.identity(16), Mat.zeros(16, 16)]])
+    assert U.inverse() == Mat.block([[Mat.zeros(16, 16), Mat.identity(16)],
+                                     [Mat.identity(16), -T]])
+    assert U.rref() == (Mat.identity(32), tuple(range(32)))
+    assert U.rank() == 32
+    # a rank-deficient one: the last row repeats a scaled sum of two others
+    rows = [list(row) for row in U.entries]
+    rows[-1] = [3 * x - y / 7 for x, y in zip(rows[0], rows[5])]
+    reduced, pivots = Mat(rows).rref()
+    ref_reduced, ref_pivots = ref_rref(tuple(tuple(row) for row in rows))
+    assert_exact(reduced.entries, ref_reduced)
+    assert pivots == Mat(rows).pivot_columns() == ref_pivots and len(pivots) == 31
+    with pytest.raises(SingularMatrix, match=r"^matrix has rank 31 < 32$"):
+        Mat(rows).inverse()
+
+
+def test_elimination_at_a_large_width():
+    # 528 is ndilation's U at N = 32, d = 16; three rows keep the reference cheap
+    n = 528
+    a = (
+        tuple(Fraction((-1) ** k * (k % 11), 3) for k in range(n)),
+        tuple(Fraction(0) for _ in range(n - 1)) + (Fraction(2**256),),
+        tuple(Fraction(2**128 * (k % 5 - 2)) for k in range(n)),
+    )
+    m = Mat(a)
+    reduced, pivots = m.rref()
+    ref_reduced, ref_pivots = ref_rref(a)
+    assert_exact(reduced.entries, ref_reduced)
+    assert pivots == m.pivot_columns() == ref_pivots == (0, 1, 527)
+    top = [k % 7 - 3 for k in range(n)]
+    rows = [[2**256 - k for k in range(n)], [(-1) ** k * k for k in range(n)]]
+    got = matrix._ROW_KERNELS[n](top, rows, 2)
+    assert got == [[(-3 * a - row[0] * b) // 2 for a, b in zip(row[1:], top[1:])] for row in rows]
+    got = matrix._INVERSE_KERNELS[n](top, rows, 2, 5)
+    assert got == [[*new, -5 * row[0]] for new, row in zip(matrix._ROW_KERNELS[n](top, rows, 2), rows)]
+
+
+def test_elimination_kernels_are_built_once_per_width(monkeypatch):
+    monkeypatch.setattr(matrix, "_ROW_KERNELS", matrix._Kernels("row", matrix._row_source))
+    inverse_kernels = matrix._Kernels("inverse row", lambda n: matrix._row_source(n, inverse=True))
+    monkeypatch.setattr(matrix, "_INVERSE_KERNELS", inverse_kernels)
+    a = Mat([[0, 2, 1], [1, 0, 3], [4, 1, 0]])
+    assert a * a.inverse() == Mat.identity(3)
+    kernel = matrix._INVERSE_KERNELS[3]
+    assert kernel.__code__.co_filename == "<dilatekit.matrix inverse row kernel n=3>"
+    assert list(matrix._INVERSE_KERNELS) == [3] and not matrix._ROW_KERNELS
+    assert a.inverse() * a == Mat.identity(3)
+    assert list(matrix._INVERSE_KERNELS) == [3] and matrix._INVERSE_KERNELS[3] is kernel
+    assert a.rref()[1] == (0, 1, 2)
+    row_kernel = matrix._ROW_KERNELS[3]
+    assert row_kernel.__code__.co_filename == "<dilatekit.matrix row kernel n=3>"
+    assert list(matrix._ROW_KERNELS) == [3, 2, 1]
+    assert Mat([[1, 2, 3], [2, 4, 7]]).rank() == 2  # the second pivot is past column 1
+    assert Mat([[1, 2], [3, 4], [5, 6]]).rref()[1] == (0, 1)
+    assert list(matrix._ROW_KERNELS) == [3, 2, 1] and matrix._ROW_KERNELS[3] is row_kernel
 
 
 # ----------------------------------------------------------------------

@@ -351,7 +351,8 @@ class _CountingPowers(_PowerCache):
 
 def test_ando_verify_forms_each_power_of_s_once_per_exponent():
     # the grid shifts move the probe block's column unchanged, so ProjAndo
-    # reuses S^m x on every row n: m_max + 1 reads, not (n_max + 1)(m_max + 1)
+    # reuses S^m x on every row n, and at m = 0 takes the column itself:
+    # m_max reads, not (n_max + 1)(m_max + 1)
     T = Mat([[1, 2], [0, 3]])
     av = ando_build(T, T * T - T)
     P = ProjAndo(av.T, av.S)
@@ -359,7 +360,7 @@ def test_ando_verify_forms_each_power_of_s_once_per_exponent():
     object.__setattr__(P, "_s_powers", counting)
     rep = ando_verify(dataclasses.replace(av, P=P), [(1, 0), (2, -1), (0, 5)], n_max=6, m_max=4)
     assert rep.passed
-    assert counting.reads == 4 + 1
+    assert counting.reads == 4
 
 
 def _grid_single(value):
