@@ -72,6 +72,20 @@ def check_index(domain: Domain, index: Index) -> Index:
     return index
 
 
+def space_name(domain: Domain, dim: int, width: int = 1) -> str:
+    """How messages name a space: ``(domain, dim d)``, with the width of a
+    block of more than one probe."""
+    width_part = "" if width == 1 else f", width {width}"
+    return f"({domain.value}, dim {dim}{width_part})"
+
+
+def require_same_space(a: tuple[Domain, int, int], b: tuple[Domain, int, int]) -> None:
+    """Raise DomainMismatch unless the spaces a and b, each (domain, dim,
+    width), are one space, as comparing two families of them requires."""
+    if a != b:
+        raise DomainMismatch(f"incompatible spaces: {space_name(*a)} vs {space_name(*b)}")
+
+
 def accumulate(acc: dict[Index, Column], index: Index, column: Optional[Column]) -> None:
     """Add a canonical column (None for zero) into acc[index], dropping the
     index if the sum cancels."""
@@ -131,16 +145,22 @@ class FsVec:
 
     @classmethod
     def _raw(
-        cls, domain: Domain, dim: int, columns: Iterable[tuple[Index, Column]], width: int
+        cls,
+        domain: Domain,
+        dim: int,
+        columns: Union[dict[Index, Column], Iterable[tuple[Index, Column]]],
+        width: int,
     ) -> FsVec:
         # internal: trusts the indices to be valid for the domain, distinct and
         # in sorted order, and every column to be a nonzero canonical
-        # (den, nums) of length dim * width
+        # (den, nums) of length dim * width. A dict is taken as it is, not
+        # copied: it must be one that no one changes later, such as an
+        # operator's fresh image.
         out = cls.__new__(cls)
         _set_domain(out, domain)
         _set_dim(out, dim)
         _set_width(out, width)
-        _set_columns(out, dict(columns))
+        _set_columns(out, columns if type(columns) is dict else dict(columns))
         return out
 
     @classmethod
@@ -181,13 +201,10 @@ class FsVec:
 
     # ------------------------------------------------------------------
 
-    def _space(self) -> str:
-        width = "" if self.width == 1 else f", width {self.width}"
-        return f"({self.domain.value}, dim {self.dim}{width})"
-
     def _require_compatible(self, other: FsVec) -> None:
-        if (self.domain, self.dim, self.width) != (other.domain, other.dim, other.width):
-            raise DomainMismatch(f"incompatible spaces: {self._space()} vs {other._space()}")
+        require_same_space(
+            (self.domain, self.dim, self.width), (other.domain, other.dim, other.width)
+        )
 
     def indices(self) -> tuple[Index, ...]:
         return tuple(self.columns)

@@ -38,7 +38,7 @@ from .finite import (
     nonsimilar_pair,
     schur_build,
 )
-from .finsupp import Domain, FsVec
+from .finsupp import Domain, FsVec, accumulate
 from .intertwine import (
     certification_report,
     lift_intertwiner,
@@ -49,7 +49,7 @@ from .intertwine import (
     standard_dilations,
     verify_lift,
 )
-from .matrix import Mat, Vec, unit_vec, vec_add
+from .matrix import Mat, Vec, reduce_column, unit_vec
 from .report import FAIL, INCONCLUSIVE, Report
 from .seqops import Componentwise, Compose, ShiftRight
 from .sequence import (
@@ -104,11 +104,26 @@ def _draw_entries(rng: random.Random, count: int, bound: int) -> list[tuple[int,
     return draws
 
 
-def random_matrix(rng: random.Random, dim: int, bound: int) -> Mat:
-    # the draws of random_vector, row by row, brought over their lcm
-    draws = _draw_entries(rng, dim * dim, bound)
+def _draw_ints(rng: random.Random, count: int, bound: int) -> tuple[int, list[int]]:
+    """The draws of random_vector(rng, count, bound) brought over their lcm,
+    as (den, nums)."""
+    draws = _draw_entries(rng, count, bound)
     den = lcm(*(d for _, d in draws))
-    return Mat._reduced(den, [n * (den // d) for n, d in draws], dim)
+    return den, [n * (den // d) for n, d in draws]
+
+
+def _draw_below(getrandbits: Callable[[int], int], n: int) -> int:
+    """rng.randint(0, n - 1), read off rng.getrandbits as randint reads it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def random_matrix(rng: random.Random, dim: int, bound: int) -> Mat:
+    # the draws of random_vector, row by row
+    return Mat._reduced(*_draw_ints(rng, dim * dim, bound), dim)
 
 
 def random_vector(rng: random.Random, dim: int, bound: int) -> Vec:
@@ -116,18 +131,22 @@ def random_vector(rng: random.Random, dim: int, bound: int) -> Vec:
 
 
 def random_fsvec(rng: random.Random, domain: Domain, dim: int, bound: int) -> FsVec:
-    """Random finitely supported element: support size <= 6, small entries."""
-    acc: dict = {}
-    for _ in range(rng.randint(0, 6)):
+    """Random finitely supported element: support size <= 6, small entries.
+
+    The draws are those of randint: a support size in 0..6, then per term
+    an index (0..12 one-sided, -6..6 two-sided, a cell in 0..6 x 0..6 on the
+    grid) and the entries of random_vector. They are read off
+    rng.getrandbits, and the terms are summed as canonical columns."""
+    getrandbits, acc = rng.getrandbits, {}
+    for _ in range(_draw_below(getrandbits, 7)):
         if domain is Domain.UNINAT:
-            index = rng.randint(0, 12)
+            index = _draw_below(getrandbits, 13)
         elif domain is Domain.BIINT:
-            index = rng.randint(-6, 6)
+            index = _draw_below(getrandbits, 13) - 6
         else:
-            index = (rng.randint(0, 6), rng.randint(0, 6))
-        value = random_vector(rng, dim, bound)
-        acc[index] = vec_add(acc[index], value) if index in acc else value
-    return FsVec(domain, dim, acc)
+            index = (_draw_below(getrandbits, 7), _draw_below(getrandbits, 7))
+        accumulate(acc, index, reduce_column(*_draw_ints(rng, dim, bound)))
+    return FsVec._raw(domain, dim, dict(sorted(acc.items())), 1)
 
 
 def resample(make: Callable, accept: Callable, what: str, limit: int = RETRY_LIMIT):

@@ -20,8 +20,15 @@ from typing import Optional, Sequence
 from .finsupp import FsVec
 from .matrix import DimensionMismatch, Mat, require_square
 from .report import Report
-from .seqops import Componentwise, SeqOp
-from .sequence import Dilation, basis_block, differing_probes, standard_build
+from .seqops import Componentwise, Compose, SeqOp
+from .sequence import (
+    Dilation,
+    basis_block,
+    differing_probes,
+    image_differences,
+    space_of,
+    standard_build,
+)
 from .serialize import compact_json, fsvec_to_json, mat_to_json, vec_to_json
 from .sizes import require_within
 
@@ -80,28 +87,22 @@ def lift_intertwiner(pair: IntertwinePair) -> SeqOp:
 
 def lift_relations(R: SeqOp, dil1: Dilation, dil2: Dilation):
     """The relations U1 R = R U2 and R P2 = P1 R, each as (label, relation,
-    lhs, rhs) with lhs and rhs maps on the second dilation space."""
+    lhs, rhs) with lhs and rhs operator chains (`Compose`) on the second
+    dilation space."""
     return (
-        (
-            "forward shifts intertwine",
-            "U1 R = R U2",
-            lambda x: dil1.U.apply(R.apply(x)),
-            lambda x: R.apply(dil2.U.apply(x)),
-        ),
-        (
-            "projections intertwine",
-            "R P2 = P1 R",
-            lambda x: R.apply(dil2.P.apply(x)),
-            lambda x: dil1.P.apply(R.apply(x)),
-        ),
+        ("forward shifts intertwine", "U1 R = R U2", Compose((dil1.U, R)), Compose((R, dil2.U))),
+        ("projections intertwine", "R P2 = P1 R", Compose((R, dil2.P)), Compose((dil1.P, R))),
     )
 
 
-def relation_witness(lhs, rhs, probes: Sequence[FsVec]) -> Optional[dict]:
-    """The first probe on which lhs and rhs differ, as a JSON witness; a
-    block of probes runs in the order of its probes."""
+def relation_witness(lhs: SeqOp, rhs: SeqOp, probes: Sequence[FsVec]) -> Optional[dict]:
+    """The first probe on which the chains lhs and rhs differ, as a JSON
+    witness; a block of probes runs in the order of its probes. Each chain
+    is checked once per probe and acts on its columns (`image_differences`);
+    ``FsVec``s are built only for a witness."""
     for x in probes:
-        for j, left, right in differing_probes(lhs(x), rhs(x)):
+        images = image_differences(lhs, rhs, x)
+        for j, left, right in differing_probes(*images) if images else ():
             return {
                 "probe": fsvec_to_json(x.probe(j)),
                 "lhs": fsvec_to_json(left),
@@ -168,13 +169,16 @@ def read_off_intertwiner(R: SeqOp, dil1: Dilation, dil2: Dilation) -> Mat:
     RangeViolation.
     """
     d1, d2 = dil1.dim, dil2.dim
-    projected = dil1.P.apply(R.apply(dil2.I.apply_block(Mat.identity(d2).entries)))
-    if any(k != 0 for k in projected.indices()):
-        raise RangeViolation(f"P1 R I2 e_i is supported outside the origin: {projected!r}")
-    if projected.dim != d1:
-        raise RangeViolation(f"extracted columns have length {projected.dim}, expected {d1}")
+    basis = dil2.I.apply_block(Mat.identity(d2).entries)
+    chain, space = Compose((dil1.P, R)), space_of(basis)
+    (domain, dim), projected = chain.codomain(space), chain.act(basis.columns, space, d2)
+    if any(k != 0 for k in projected):
+        image = FsVec._raw(domain, dim, projected, d2)
+        raise RangeViolation(f"P1 R I2 e_i is supported outside the origin: {image!r}")
+    if dim != d1:
+        raise RangeViolation(f"extracted columns have length {dim}, expected {d1}")
     # the block's probes are the columns, so its numerators are the rows of S^T
-    den, nums = projected.columns.get(0, (1, (0,) * (d1 * d2)))
+    den, nums = projected.get(0, (1, (0,) * (d1 * d2)))
     return Mat._reduced(den, nums, d1).transpose()
 
 

@@ -337,7 +337,9 @@ class Mat:
     def identity(cls, n: int) -> Mat:
         if n < 1:
             raise MatrixError(_EMPTY)
-        return cls._raw(1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        # row i is a slice of one row with its 1 in the middle
+        unit = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+        return cls._raw(1, tuple(unit[n - 1 - i : 2 * n - 1 - i] for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Mat:

@@ -18,10 +18,22 @@ Naming convention for the standard quadruple pieces:
 maps between one-sided spaces with finitely many nonzero blocks;
 ``Componentwise`` also acts on the other two domains.
 
-Every ``apply`` reads and writes the canonical integer columns of
-``FsVec`` directly: shifts move columns without touching a number, and a
-matrix action is an integer matrix-vector product followed by one gcd per
-output column.
+Every operator has two methods that the verifiers use, and ``apply`` is
+written once, in ``SeqOp``, from them:
+
+* ``codomain(space)`` checks an input space ``(domain, dim)`` and returns
+  the space of the images, or raises ``DomainMismatch``;
+* ``act(columns, space, width)`` maps the canonical integer columns of
+  ``FsVec``, ``{index: (den, nums)}``, to those of the image, with no
+  check: shifts move columns without touching a number, and a matrix
+  action is an integer matrix-vector product followed by one gcd per
+  output column.
+
+A verifier checks each operator chain once per start and then carries
+plain column dicts, building an ``FsVec`` only for a witness. A class
+that defines ``apply`` itself (a test double, say) is always run through
+it: its ``act`` wraps the columns in an ``FsVec``, calls that ``apply``
+and checks that the image lies in the space ``codomain`` names.
 
 Every operator also acts on a block of probes (``FsVec.width`` > 1), with
 one application for all: the matrix-vector product runs over the block's
@@ -36,8 +48,19 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .finsupp import Domain, DomainMismatch, FsVec, Index, accumulate
+from .finsupp import (
+    Domain,
+    DomainMismatch,
+    FsVec,
+    Index,
+    accumulate,
+    require_same_space,
+    space_name,
+)
 from .matrix import Column, Mat, Scalar, column_of, reduce_column
+
+Space = tuple[Domain, int]  # (domain, dim)
+Columns = dict[Index, Column]  # canonical columns in sorted index order
 
 
 class OperandError(ValueError):
@@ -49,12 +72,50 @@ class OperandError(ValueError):
 
 
 class SeqOp:
-    """Base class: a structured operator between finitely supported spaces."""
+    """Base class: a structured operator between finitely supported spaces.
+
+    A subclass defines its column action as ``_act`` and, unless it maps
+    every space to itself, ``codomain``. ``act``, the column action that
+    callers use, is that ``_act``; for a class that defines ``apply``
+    itself, it is ``_act_through_apply`` instead.
+    """
 
     domain: Domain
 
-    def apply(self, x: FsVec) -> FsVec:
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "apply" in vars(cls):
+            cls.act = _act_through_apply
+        elif "_act" in vars(cls):
+            cls.act = cls._act
+
+    def codomain(self, space: Space) -> Space:
+        """The space of the images of families in `space`; DomainMismatch if
+        the operator does not act on it. An operator that declares no spaces
+        is taken to map each space to itself."""
+        return space
+
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
+        """The columns of the image of the family with these columns, in a
+        space that `codomain` accepted."""
         raise NotImplementedError
+
+    act = _act
+
+    def apply(self, x: FsVec) -> FsVec:
+        if not isinstance(x, FsVec):
+            return self._apply_ambient(x)
+        space = (x.domain, x.dim)
+        domain, dim = self.codomain(space)
+        return FsVec._raw(domain, dim, self._act(x.columns, space, x.width), x.width)
+
+    def __call__(self, x: FsVec) -> FsVec:
+        return self.apply(x)
+
+    def _apply_ambient(self, x) -> FsVec:
+        # the image of something other than a family: only an EmbedI, or a
+        # chain that starts with one, takes an ambient vector
+        raise DomainMismatch(f"{type(self).__name__} expects a family, got {type(x).__name__}")
 
     def power_apply(self, n: int, x: FsVec) -> FsVec:
         """n-fold application; n = 0 is the identity."""
@@ -64,17 +125,42 @@ class SeqOp:
             x = self.apply(x)
         return x
 
-    def _check_input(self, x: FsVec, dim: int, domain: Domain) -> None:
-        if not isinstance(x, FsVec) or x.domain is not domain or x.dim != dim:
-            got = f"({x.domain.value}, dim {x.dim})" if isinstance(x, FsVec) else type(x).__name__
-            raise DomainMismatch(
-                f"{type(self).__name__} expects ({domain.value}, dim {dim}), got {got}"
-            )
+
+def _act_through_apply(self: SeqOp, columns: Columns, space: Space, width: int) -> Columns:
+    """`act` of a class that defines `apply` itself: the columns of that
+    apply's image, which must lie in the space `codomain` names."""
+    image = self.apply(FsVec._raw(*space, columns, width))
+    require_same_space((image.domain, image.dim, image.width), (*self.codomain(space), width))
+    return image.columns
 
 
-def _at(index: Index, column: Optional[Column]) -> list[tuple[Index, Column]]:
+class _OnOneSpace(SeqOp):
+    """An operator that acts on one space, `space_in`, and maps it into
+    `space_out`: by default both are (domain, dim)."""
+
+    @property
+    def space_in(self) -> Space:
+        return self.domain, self.dim
+
+    @property
+    def space_out(self) -> Space:
+        return self.space_in
+
+    def codomain(self, space: Space) -> Space:
+        if space != self.space_in:
+            raise self._mismatch(space_name(*space))
+        return self.space_out
+
+    def _apply_ambient(self, x) -> FsVec:
+        raise self._mismatch(type(x).__name__)
+
+    def _mismatch(self, got: str) -> DomainMismatch:
+        return DomainMismatch(f"{type(self).__name__} expects {space_name(*self.space_in)}, got {got}")
+
+
+def _at(index: Index, column: Optional[Column]) -> Columns:
     """The support of a family with one (possibly zero) column."""
-    return [] if column is None else [(index, column)]
+    return {} if column is None else {index: column}
 
 
 def _sum_ints(terms: Sequence[tuple[int, Sequence[int]]]) -> Optional[Column]:
@@ -90,10 +176,16 @@ def _sum_ints(terms: Sequence[tuple[int, Sequence[int]]]) -> Optional[Column]:
 
 @dataclass(frozen=True)
 class EmbedI(SeqOp):
-    """Injective embedding of the ambient space at the origin index."""
+    """Injective embedding of the ambient space at the origin index.
+
+    Its input is ambient vectors, not families, so it keeps its own
+    ``apply`` and acts in no chain of families."""
 
     dim: int
     domain: Domain = Domain.UNINAT
+
+    def codomain(self, space: Space) -> Space:
+        raise DomainMismatch(f"EmbedI: ambient vectors have length {self.dim}, got FsVec")
 
     def apply(self, x: Sequence[Scalar]) -> FsVec:
         return self.apply_block([x])
@@ -109,30 +201,29 @@ class EmbedI(SeqOp):
 
 
 @dataclass(frozen=True)
-class CoordProj0(SeqOp):
+class CoordProj0(_OnOneSpace):
     """Idempotent projection onto the origin coordinate."""
 
     dim: int
     domain: Domain = Domain.BIINT
 
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, self.domain)
-        origin = self.domain.origin
-        return FsVec._raw(self.domain, self.dim, _at(origin, x.columns.get(origin)), x.width)
+    def __post_init__(self):
+        object.__setattr__(self, "_origin", self.domain.origin)
+
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
+        return _at(self._origin, columns.get(self._origin))
 
 
 @dataclass(frozen=True)
-class _Shift(SeqOp):
+class _Shift(_OnOneSpace):
     """Moves every coordinate of a family one index along, by `_step`."""
 
     dim: int
 
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, self.domain)
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
         # every step is increasing in the index order, so the order is kept
         step = self._step
-        columns = [(step(k), c) for k, c in x.columns.items()]
-        return FsVec._raw(self.domain, self.dim, columns, x.width)
+        return {step(k): c for k, c in columns.items()}
 
 
 class ShiftRight(_Shift):
@@ -170,7 +261,7 @@ def _square(T: Mat, name: str) -> Mat:
 
 
 @dataclass(frozen=True)
-class SchafferU(SeqOp):
+class SchafferU(_OnOneSpace):
     """Two-sided operator with rows (Ux)_n = x_{n+1} + [n=0] T x_0: every
     coordinate moves `_step` along, and `_sign` T x_source enters at `_target`."""
 
@@ -186,14 +277,13 @@ class SchafferU(SeqOp):
     def dim(self) -> int:
         return self.T.rows
 
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.BIINT)
-        step, columns = self._step, x.columns
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
+        step = self._step
         acc = {k + step: c for k, c in columns.items()}
         source = columns.get(self._source)
         if source is not None:
             accumulate(acc, self._target, reduce_column(*self._coupling._apply_ints(*source)))
-        return FsVec._raw(Domain.BIINT, self.dim, sorted(acc.items()), x.width)
+        return dict(sorted(acc.items()))
 
 
 class SchafferVInv(SchafferU):
@@ -232,16 +322,17 @@ class _PowerCache:
 
 
 @dataclass(frozen=True)
-class ProjStd(SeqOp):
+class ProjStd(_OnOneSpace):
     """One-sided projection x -> e_0 (x) sum_n T^n x_n.
 
     Idempotent with range equal to the origin embedding of the ambient
-    space. A subclass changes only the domain and `_term`, the term that
-    one coordinate adds to the sum.
+    space. A subclass changes only the domain, its `_origin` and `_term`,
+    the term that one coordinate adds to the sum.
     """
 
     T: Mat
     domain = Domain.UNINAT
+    _origin = 0
 
     def __post_init__(self):
         _square(self.T, "T")
@@ -255,11 +346,9 @@ class ProjStd(SeqOp):
         # T^0 is the identity: the column itself, with no matvec
         return self._powers.get(n)._apply_ints(*column) if n else column
 
-    def apply(self, x: FsVec) -> FsVec:
-        domain, term = self.domain, self._term
-        self._check_input(x, self.dim, domain)
-        terms = [term(k, c) for k, c in x.columns.items()]
-        return FsVec._raw(domain, self.dim, _at(domain.origin, _sum_ints(terms)), x.width)
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
+        term = self._term
+        return _at(self._origin, _sum_ints([term(k, c) for k, c in columns.items()]))
 
 
 @dataclass(frozen=True)
@@ -278,6 +367,7 @@ class ProjAndo(ProjStd):
 
     S: Mat
     domain = Domain.GRID
+    _origin = (0, 0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -296,11 +386,11 @@ class ProjAndo(ProjStd):
             if last is None or last[0] is not column:
                 last = self._s_images[m] = (column, self._s_powers.get(m)._apply_ints(*column))
             column = last[1]
-        return super()._term(n, column)
+        return self._powers.get(n)._apply_ints(*column) if n else column
 
 
 @dataclass(frozen=True)
-class BlockDense(SeqOp):
+class BlockDense(_OnOneSpace):
     """A dense matrix acting blockwise on the first K one-sided coordinates.
 
     The matrix is (K*dim) x (K*dim); inputs supported outside {0..K-1} are
@@ -334,18 +424,17 @@ class BlockDense(SeqOp):
     def blocks_count(self) -> int:
         return self.matrix.rows // self.dim
 
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim, Domain.UNINAT)
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
         k = self.blocks_count
-        if any(index >= k for index in x.indices()):
+        if any(index >= k for index in columns):
             raise DomainMismatch(
                 f"input supported outside the {k} coordinates this operator acts on"
             )
-        return self._blocks.apply(x)
+        return self._blocks.act(columns, space, width)
 
 
 @dataclass(frozen=True)
-class Componentwise(SeqOp):
+class Componentwise(_OnOneSpace):
     """Coordinatewise matrix action (x_k) -> (S x_k) on families over
     `domain`, one-sided unless given."""
 
@@ -360,13 +449,24 @@ class Componentwise(SeqOp):
     def dim_out(self) -> int:
         return self.S.rows
 
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim_in, self.domain)
-        columns = [(k, reduce_column(*self.S._apply_ints(*c))) for k, c in x.columns.items()]
-        return FsVec._raw(self.domain, self.dim_out, [(k, c) for k, c in columns if c], x.width)
+    @property
+    def space_in(self) -> Space:
+        return self.domain, self.S.cols
+
+    @property
+    def space_out(self) -> Space:
+        return self.domain, self.S.rows
+
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
+        apply_ints, out = self.S._apply_ints, {}
+        for k, c in columns.items():
+            c = reduce_column(*apply_ints(*c))
+            if c is not None:
+                out[k] = c
+        return out
 
 
-class ColumnBlocks(SeqOp):
+class ColumnBlocks(_OnOneSpace):
     """General one-sided operator given by finitely many nonzero blocks.
 
     ``blocks[(r, c)]`` is the (dim_out x dim_in) block sending input
@@ -395,26 +495,47 @@ class ColumnBlocks(SeqOp):
     def __repr__(self) -> str:
         return f"ColumnBlocks({sorted(self.blocks)}, dim_in={self.dim_in}, dim_out={self.dim_out})"
 
-    def apply(self, x: FsVec) -> FsVec:
-        self._check_input(x, self.dim_in, Domain.UNINAT)
-        acc: dict[Index, Column] = {}
+    @property
+    def space_in(self) -> Space:
+        return Domain.UNINAT, self.dim_in
+
+    @property
+    def space_out(self) -> Space:
+        return Domain.UNINAT, self.dim_out
+
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
+        acc: Columns = {}
         for (r, c), b in self.blocks.items():
-            column = x.columns.get(c)
+            column = columns.get(c)
             if column is not None:
                 accumulate(acc, r, reduce_column(*b._apply_ints(*column)))
-        return FsVec._raw(Domain.UNINAT, self.dim_out, sorted(acc.items()), x.width)
+        return dict(sorted(acc.items()))
 
 
 @dataclass(frozen=True)
 class Compose(SeqOp):
-    """Composition of factors, applied right to left."""
+    """Composition of factors, applied right to left: their space checks
+    chain, and so do their column actions."""
 
     factors: tuple[SeqOp, ...]
 
-    def apply(self, x):
+    def codomain(self, space: Space) -> Space:
         for f in reversed(self.factors):
-            x = f.apply(x)
-        return x
+            space = f.codomain(space)
+        return space
+
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
+        for f in reversed(self.factors):
+            columns = f.act(columns, space, width)
+            space = f.codomain(space)
+        return columns
+
+    def _apply_ambient(self, x) -> FsVec:
+        # an ambient vector enters through the first factor applied
+        if not self.factors:
+            return x
+        *rest, first = self.factors
+        return Compose(tuple(rest)).apply(first.apply(x))
 
 
 @dataclass(frozen=True)
@@ -428,6 +549,21 @@ class PowerOp(SeqOp):
         if self.n < 0:
             raise OperandError("n", f"power must be nonnegative, got {self.n}")
 
-    def apply(self, x):
-        return self.base.power_apply(self.n, x)
+    def codomain(self, space: Space) -> Space:
+        # once the base maps a space into itself, further powers stay there
+        for _ in range(self.n):
+            image = self.base.codomain(space)
+            if image == space:
+                break
+            space = image
+        return space
 
+    def _act(self, columns: Columns, space: Space, width: int) -> Columns:
+        base = self.base
+        for _ in range(self.n):
+            columns = base.act(columns, space, width)
+            space = base.codomain(space)
+        return columns
+
+    def _apply_ambient(self, x) -> FsVec:
+        return self.base.power_apply(self.n, x)

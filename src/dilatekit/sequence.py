@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .finsupp import Domain, FsVec
-from .matrix import DimensionMismatch, Mat, Vec, reduce_column, require_square, vec
+from .finsupp import Domain, DomainMismatch, FsVec, require_same_space, space_name
+from .matrix import DimensionMismatch, Mat, Vec, require_square, vec
 from .report import Report, first_witness
 from .seqops import (
     Componentwise,
+    Compose,
     CoordProj0,
     EmbedI,
     GridDown,
@@ -32,6 +33,7 @@ from .seqops import (
     SchafferVInv,
     SeqOp,
     ShiftRight,
+    Space,
 )
 from .serialize import compact_json, fsvec_to_json, mat_to_json, vec_to_json
 from .sizes import require_within
@@ -103,6 +105,34 @@ def basis_block(dim: int, n: int) -> FsVec:
     return FsVec._raw(Domain.UNINAT, dim, [(n, (1, identity))], dim)
 
 
+def space_of(x: FsVec) -> Space:
+    """The space (domain, dim) of a family that an operator is to act on."""
+    if not isinstance(x, FsVec):
+        raise DomainMismatch(f"operators act on families, got {type(x).__name__}")
+    return x.domain, x.dim
+
+
+def _require_into_itself(U: SeqOp, space: Space) -> None:
+    """U is to be applied to its own images: it must map `space` into itself."""
+    if U.codomain(space) != space:
+        raise DomainMismatch(f"{type(U).__name__} does not map {space_name(*space)} into itself")
+
+
+def image_differences(lhs: SeqOp, rhs: SeqOp, x: FsVec) -> Optional[tuple[FsVec, FsVec]]:
+    """(lhs x, rhs x) if they differ, else None. Each side's spaces are
+    checked once and it acts on the columns of x; the images are built as
+    ``FsVec`` only when they differ."""
+    space, width = space_of(x), x.width
+    left_space = lhs.codomain(space)
+    left = lhs.act(x.columns, space, width)
+    right_space = rhs.codomain(space)
+    right = rhs.act(x.columns, space, width)
+    require_same_space((*left_space, width), (*right_space, width))
+    if left == right:
+        return None
+    return FsVec._raw(*left_space, left, width), FsVec._raw(*right_space, right, width)
+
+
 def compression_mismatches(
     T: Mat, U: SeqOp, P: SeqOp, starts: Sequence[tuple[FsVec, FsVec]], n_max: int
 ) -> Iterator[tuple[int, int, int, FsVec, FsVec]]:
@@ -113,27 +143,36 @@ def compression_mismatches(
     This is the compression identity of every dilation here: with
     y = z = I x it reads P U^n I x = I T^n x. Both sides are carried forward
     one step per n: y by U, and z by T acting componentwise on P's domain,
-    independently of U and P. Each step applies each operator once to a
-    whole block of probes. z is carried as its canonical integer columns,
-    compared with those of P U^n y by one dict ``==`` and with its shape;
-    an ``FsVec`` is built for z only where they differ."""
+    independently of U and P. The spaces are checked once per start: z is
+    in P's domain with T's dimension, P maps the space of y there, and U
+    maps it into itself. Then both sides are plain canonical column dicts,
+    each step applies each operator's column action once to a whole block
+    of probes, and the sides are compared by one dict ``==``; ``FsVec``s
+    are built only where they differ."""
     domain, d = P.domain, T.rows
-    for _, z in starts:  # T acts on z as Componentwise(T, domain) would
-        Componentwise(T, domain)._check_input(z, T.cols, domain)
-    ys = [y for y, _ in starts]
+    t_step = Componentwise(T, domain)
+    for _, z in starts:
+        t_step.codomain(space_of(z))
+    spaces = []
+    for y, z in starts:
+        space = space_of(y)
+        require_same_space((*P.codomain(space), y.width), (domain, d, z.width))
+        if n_max:
+            _require_into_itself(U, space)
+        spaces.append((space, y.width))
+    ys = [y.columns for y, _ in starts]
     zs = [z.columns for _, z in starts]
-    shapes = [(domain, d, z.width) for _, z in starts]
+    z_space = t_step.space_in
     for n in range(n_max + 1):
-        for i, (y, z, shape) in enumerate(zip(ys, zs, shapes)):
+        for i, (y, z, (space, width)) in enumerate(zip(ys, zs, spaces)):
             if n > 0:
-                ys[i] = y = U.apply(y)
-                stepped = ((k, reduce_column(*T._apply_ints(*c))) for k, c in z.items())
-                zs[i] = z = {k: c for k, c in stepped if c is not None}
-            projected = P.apply(y)
-            if projected.columns != z or (projected.domain, projected.dim, projected.width) != shape:
-                expected = FsVec._raw(domain, d, z.items(), shape[2])
-                for j, got, want in differing_probes(projected, expected):
-                    yield n, i, j, got, want
+                ys[i] = y = U.act(y, space, width)
+                zs[i] = z = t_step.act(z, z_space, width)
+            projected = P.act(y, space, width)
+            if projected != z:
+                got, want = FsVec._raw(domain, d, projected, width), FsVec._raw(domain, d, z, width)
+                for j, got_j, want_j in differing_probes(got, want):
+                    yield n, i, j, got_j, want_j
 
 
 def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Optional[dict]:
@@ -154,6 +193,8 @@ def _compression_witness(dil, vecs: list[Vec], first_n: int, n_max: int) -> Opti
 # ----------------------------------------------------------------------
 # two-sided construction
 
+_IDENTITY = Compose(())
+
 
 def schaffer_build(T: Mat) -> Dilation:
     """Invertible two-sided operator compressing to powers of T at index 0."""
@@ -171,13 +212,14 @@ def schaffer_build(T: Mat) -> Dilation:
 def check_inverse_pair(a: SeqOp, b: SeqOp, probes: Sequence[FsVec]) -> Report:
     """Verify a(b(x)) = x and b(a(x)) = x exactly on every probe."""
 
-    def mismatch(first: SeqOp, second: SeqOp, x: FsVec) -> Optional[dict]:
-        y = second.apply(first.apply(x))
-        return None if y == x else {"probe": fsvec_to_json(x), "result": fsvec_to_json(y)}
+    def mismatch(round_trip: SeqOp, x: FsVec) -> Optional[dict]:
+        images = image_differences(round_trip, _IDENTITY, x)
+        if images is not None:
+            return {"probe": fsvec_to_json(x), "result": fsvec_to_json(images[0])}
 
     report = Report(suite="inverse_pair")
-    for name, first, second in (("a(b(x)) = x", b, a), ("b(a(x)) = x", a, b)):
-        witness = first_witness(probes, lambda x: mismatch(first, second, x))
+    for name, round_trip in (("a(b(x)) = x", Compose((a, b))), ("b(a(x)) = x", Compose((b, a)))):
+        witness = first_witness(probes, lambda x: mismatch(round_trip, x))
         report.add(name, witness is None, bound=len(probes), witness=witness)
     return report
 
@@ -262,13 +304,21 @@ def standard_verify(
         witness=witness,
     )
 
-    # each probe is projected once, for both the idempotence and the range check
-    projected = [(x, sd.P.apply(x)) for x in seq_probes]
+    # each probe is projected once, for both the idempotence and the range
+    # check, as columns; FsVecs are built only for a witness
+    P, projected = sd.P, []
+    for x in seq_probes:
+        space = space_of(x)
+        projected.append((x, P.codomain(space), P.act(x.columns, space, x.width)))
 
-    def not_fixed(pair: tuple[FsVec, FsVec]) -> Optional[dict]:
-        x, once = pair
-        if sd.P.apply(once) != once:
-            return {"probe": fsvec_to_json(x), "projected": fsvec_to_json(once)}
+    def as_fsvec(x: FsVec, space: Space, columns) -> dict:
+        return fsvec_to_json(FsVec._raw(*space, columns, x.width))
+
+    def not_fixed(item) -> Optional[dict]:
+        x, space, once = item
+        require_same_space((*P.codomain(space), x.width), (*space, x.width))
+        if P.act(once, space, x.width) != once:
+            return {"probe": fsvec_to_json(x), "projected": as_fsvec(x, space, once)}
 
     witness = first_witness(projected, not_fixed)
     report.add("projection idempotent on probes", witness is None, bound=len(seq_probes), witness=witness)
@@ -277,10 +327,10 @@ def standard_verify(
     # if at n = 0, is the first embedded vector that P does not fix
     dilation = _compression_witness(sd, vecs, 0, n_max)
 
-    def off_origin(pair: tuple[FsVec, FsVec]) -> Optional[dict]:
-        x, image = pair
-        if any(k != 0 for k in image.indices()):
-            return {"probe": fsvec_to_json(x), "projected": fsvec_to_json(image)}
+    def off_origin(item) -> Optional[dict]:
+        x, space, image = item
+        if any(k != 0 for k in image):
+            return {"probe": fsvec_to_json(x), "projected": as_fsvec(x, space, image)}
 
     witness = first_witness(projected, off_origin)
     if witness is None and dilation is not None and dilation["n"] == 0:
@@ -311,12 +361,18 @@ def standard_minimality_check(sd: Dilation, n_max: int) -> Report:
     """
     require_within("n_max", "n_max", n_max)
     report = Report(suite="standard_minimality", config={"n_max": n_max, "dim": sd.dim})
-    image = sd.I.apply_block(Mat.identity(sd.dim).entries)
+    start = sd.I.apply_block(Mat.identity(sd.dim).entries)
+    space, width, image = space_of(start), start.width, start.columns
+    if n_max:
+        _require_into_itself(sd.U, space)
     mismatches = []
     for n in range(n_max + 1):
         expected = basis_block(sd.dim, n)
-        mismatches += [(i, n, got, want) for i, got, want in differing_probes(image, expected)]
-        image = sd.U.apply(image)
+        if image != expected.columns or space != space_of(expected):
+            got = FsVec._raw(*space, image, width)
+            mismatches += [(i, n, g, w) for i, g, w in differing_probes(got, expected)]
+        if n < n_max:
+            image = sd.U.act(image, space, width)
     # the witness runs basis index first, then n
     first = min(mismatches, key=lambda m: m[:2], default=None)
     report.add(
@@ -422,14 +478,15 @@ def ando_verify(
     )
 
     prepend_zero_row, prepend_zero_column = GridDown(av.dim), GridRight(av.dim)
+    identities = (
+        ("prepend", Compose((prepend_zero_column, av.U)), Compose((prepend_zero_row, av.V))),
+        ("exchange", Compose((av.V, av.U)), Compose((av.U, av.V))),
+    )
 
     def exchange_fails(x: FsVec) -> Optional[dict]:
-        down = av.U.apply(x)
-        right = av.V.apply(x)
-        if prepend_zero_column.apply(down) != prepend_zero_row.apply(right):
-            return {"probe": fsvec_to_json(x), "identity": "prepend"}
-        if av.V.apply(down) != av.U.apply(right):
-            return {"probe": fsvec_to_json(x), "identity": "exchange"}
+        for identity, lhs, rhs in identities:
+            if image_differences(lhs, rhs, x) is not None:
+                return {"probe": fsvec_to_json(x), "identity": identity}
 
     witness = first_witness(seq_probes, exchange_fails)
     report.add(

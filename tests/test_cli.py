@@ -520,23 +520,54 @@ MINIMAL_DESCRIPTORS = {
 }
 
 
+# (exit code, stderr) of `intertwine extract` with each minimal descriptor
+# as R and T1 = T2 = [[2]]; a compose whose factors do not chain is last
+_EMBED_ERROR = "error: EmbedI: ambient vectors have length 1, got FsVec\n"
+EXTRACT_OUTCOMES = {
+    "embed": (EXIT_INPUT, _EMBED_ERROR),
+    "coord_proj0": (EXIT_FAIL, ""),
+    "shift_right": (EXIT_FAIL, ""),
+    "shift_bilat": (EXIT_INPUT, "error: ShiftBilat expects (biint, dim 1), got (uninat, dim 1)\n"),
+    "grid_down": (EXIT_INPUT, "error: GridDown expects (grid, dim 1), got (uninat, dim 1)\n"),
+    "grid_right": (EXIT_INPUT, "error: GridRight expects (grid, dim 1), got (uninat, dim 1)\n"),
+    "schaffer_u": (EXIT_INPUT, "error: SchafferU expects (biint, dim 1), got (uninat, dim 1)\n"),
+    "schaffer_v_inv": (
+        EXIT_INPUT, "error: SchafferVInv expects (biint, dim 1), got (uninat, dim 1)\n"
+    ),
+    "proj_std": (EXIT_FAIL, ""),
+    "proj_ando": (EXIT_INPUT, "error: ProjAndo expects (grid, dim 1), got (uninat, dim 1)\n"),
+    "block_dense": (
+        EXIT_INPUT, "error: input supported outside the 1 coordinates this operator acts on\n"
+    ),
+    "componentwise": (EXIT_PASS, ""),
+    "column_blocks": (EXIT_FAIL, ""),
+    "compose": (EXIT_INPUT, _EMBED_ERROR),
+    "power": (EXIT_INPUT, _EMBED_ERROR),
+    "compose of dims 2 <- 1": (
+        EXIT_INPUT, "error: ShiftRight expects (uninat, dim 2), got (uninat, dim 1)\n"
+    ),
+}
+
+
 def test_every_operator_kind_extracts_to_an_exit_code(capsys, tmp_path):
     assert set(MINIMAL_DESCRIPTORS) == set(_KINDS)
     t_file = write(tmp_path, "t.json", [[2]])
-    codes = {}
-    for kind, fields in MINIMAL_DESCRIPTORS.items():
-        r_file = write(tmp_path, f"{kind}.json", {"kind": kind, **fields})
+    unchained = {"factors": [{"kind": "shift_right", "dim": 2}, {"kind": "shift_right", "dim": 1}]}
+    outcomes = {}
+    for name, (kind, fields) in [
+        *((kind, (kind, fields)) for kind, fields in MINIMAL_DESCRIPTORS.items()),
+        ("compose of dims 2 <- 1", ("compose", unchained)),
+    ]:
+        r_file = write(tmp_path, "r.json", {"kind": kind, **fields})
         argv = ["intertwine", "extract", "--R", r_file, "--T1", t_file, "--T2", t_file]
         code, out, err = run_cli(capsys, argv)
-        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INPUT), kind
         assert "Traceback" not in out + err
         if code == EXIT_INPUT:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (kind, err)
         else:
             assert json.loads(out)[0]["suite"] == "intertwine_extract"
-        codes[kind] = code
-    assert codes["componentwise"] == EXIT_PASS
-    assert codes["embed"] == codes["power"] == EXIT_INPUT
+        outcomes[name] = (code, err)
+    assert outcomes == EXTRACT_OUTCOMES
 
 
 # Every file subcommand on fixed small files, with DILATEKIT_SEED unset:

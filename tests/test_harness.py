@@ -27,8 +27,9 @@ from dilatekit.harness import (
     run_suites,
 )
 from dilatekit.finite import SCHUR_CLASSES, halmos_build, ndilation_build, ndilation_verify
-from dilatekit.finsupp import Domain
+from dilatekit.finsupp import Domain, FsVec
 from dilatekit.intertwine import certification_report, lift_intertwiner, make_pair, verify_lift
+from dilatekit.matrix import vec_add
 from dilatekit.report import Check, Report, reports_to_json
 from dilatekit.seqops import Componentwise, Compose, CoordProj0
 from dilatekit.sequence import (
@@ -243,6 +244,32 @@ def test_random_fsvec_respects_domain():
     for domain in Domain:
         x = random_fsvec(rng, domain, 2, 9)
         assert x.domain is domain
+
+
+def test_random_fsvec_keeps_the_randint_stream_and_the_fraction_sums():
+    def reference(rng, domain, dim, bound):
+        # randint draws, summed as Fraction vectors and brought into FsVec
+        support = {}
+        for _ in range(rng.randint(0, 6)):
+            if domain is Domain.UNINAT:
+                index = rng.randint(0, 12)
+            elif domain is Domain.BIINT:
+                index = rng.randint(-6, 6)
+            else:
+                index = (rng.randint(0, 6), rng.randint(0, 6))
+            value = tuple(Fraction(n, d) for n, d in randint_entries(rng, dim, bound))
+            support[index] = vec_add(support[index], value) if index in support else value
+        return FsVec(domain, dim, support)
+
+    for seed in range(300):
+        bound = 1 + seed % 9  # bound 1 gives entries in {-1, 0, 1}: many cancellations
+        for domain in Domain:
+            for dim in range(1, 5):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got, want = random_fsvec(rng, domain, dim, bound), reference(ref, domain, dim, bound)
+                assert got == want and got.columns == want.columns
+                assert list(got.columns) == sorted(got.columns)
+                assert rng.random() == ref.random()
 
 
 def test_run_suites_all_pass_small():

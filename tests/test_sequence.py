@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatekit import Mat
-from dilatekit import sequence
+from dilatekit import seqops, sequence
 from dilatekit.finite import schur_build
 from dilatekit.finsupp import Domain, DomainMismatch, FsVec
-from dilatekit.intertwine import make_pair
+from dilatekit.intertwine import make_pair, read_off_intertwiner
 from dilatekit.matrix import DimensionMismatch, reduce_column
 from dilatekit.sequence import (
     Dilation,
     NonCommuting,
     ando_build,
     ando_verify,
+    check_inverse_pair,
     schaffer_build,
     schaffer_verify,
     standard_build,
@@ -24,18 +25,22 @@ from dilatekit.sequence import (
     standard_verify,
 )
 from dilatekit.seqops import (
+    BlockDense,
     ColumnBlocks,
     Componentwise,
     Compose,
     CoordProj0,
+    EmbedI,
     GridDown,
     GridRight,
+    PowerOp,
     ProjAndo,
     ProjStd,
     SchafferU,
     SchafferVInv,
     SeqOp,
     ShiftBilat,
+    ShiftRight,
     _PowerCache,
     _sum_ints,
 )
@@ -927,7 +932,7 @@ def test_compression_mismatches_match_the_fsvec_stepping_reference(data):
 
 @pytest.mark.parametrize("domain", list(Domain))
 def test_compression_mismatches_build_no_fsvec_where_the_sides_agree(domain, monkeypatch):
-    calls = []
+    calls, built, applied = [], [], []
     monkeypatch.setattr(sequence, "differing_probes", lambda a, b: calls.append(1) or iter(()))
     # a denominator, a gcd to take out at each step, and a nilpotent part
     for T in (Mat([["1/2", 1], [0, "2/3"]]), Mat([[2, 4], [0, 0]]), Mat([[0, 1], [0, 0]])):
@@ -937,8 +942,13 @@ def test_compression_mismatches_build_no_fsvec_where_the_sides_agree(domain, mon
         else:
             dil = standard_build(T) if domain is Domain.UNINAT else schaffer_build(T)
         starts = [(dil.I.apply_block(vecs),) * 2]
-        assert list(sequence.compression_mismatches(T, dil.U, dil.P, starts, 6)) == []
-    assert calls == []
+        with monkeypatch.context() as patched:
+            # the loop carries columns: no FsVec is built and no apply runs
+            raw = FsVec._raw
+            patched.setattr(FsVec, "_raw", lambda *args: built.append(1) or raw(*args))
+            patched.setattr(SeqOp, "apply", lambda op, x: applied.append(op))
+            assert list(sequence.compression_mismatches(T, dil.U, dil.P, starts, 6)) == []
+    assert calls == built == applied == []
 
 
 def test_compression_mismatches_reject_a_start_of_the_wrong_space():
@@ -962,3 +972,65 @@ def test_sum_of_one_term_equals_the_lcm_path(den, nums):
     zero = (1, [0] * len(nums))
     assert _sum_ints([(den, nums)]) == _sum_ints([(den, nums), zero])
     assert _sum_ints([(den, nums)]) == reduce_column(den, nums)
+
+
+def _doubling(cls):
+    """A subclass of the operator class cls that overrides only apply, to
+    double the image."""
+    return type(f"Doubling{cls.__name__}", (cls,), {"apply": lambda op, x: cls.apply(op, x).scale(2)})
+
+
+def test_an_overridden_apply_of_every_operator_class_reaches_its_verifier():
+    # The verifiers run operators on columns; a class that overrides apply
+    # must still be run through it. Each case replaces one operator of a
+    # dilation, or the lift, by its doubling subclass and names a check that
+    # the doubled image fails.
+    T, S = Mat([[2, 1], [0, 3]]), Mat([[3, 1], [0, 4]])
+    d, vecs = T.rows, [(1, 0), (1, -2)]
+    sd, schaffer, ando = standard_build(T), schaffer_build(T), ando_build(T, S)
+    pair = make_pair(T, T, S)
+
+    def standard_fails(**ops):
+        return _failed(standard_verify(dataclasses.replace(sd, **ops), vecs, 4))
+
+    def schaffer_fails(**ops):
+        return _failed(schaffer_verify(dataclasses.replace(schaffer, **ops), vecs, 4))
+
+    def ando_fails(**ops):
+        return _failed(ando_verify(dataclasses.replace(ando, **ops), vecs, 3, 3))
+
+    def read_off(R):
+        return read_off_intertwiner(R, pair.dil1, pair.dil2)
+
+    inverse = "inverse pair: a(b(x)) = x"
+    left_shift = SchafferU(Mat.zeros(d, d))  # (Ux)_n = x_{n+1}: ShiftBilat's inverse
+    blocks = {(0, 0): S}
+    cases = {
+        ShiftRight: lambda D: DILATION_EQUATION in standard_fails(U=D(d)),
+        ProjStd: lambda D: IDEMPOTENT in standard_fails(P=D(T)),
+        CoordProj0: lambda D: SCHAFFER_COMPRESSION in schaffer_fails(P=D(d, Domain.BIINT)),
+        SchafferU: lambda D: inverse in schaffer_fails(U=D(T)),
+        SchafferVInv: lambda D: inverse in schaffer_fails(U_inv=D(T)),
+        ShiftBilat: lambda D: not check_inverse_pair(D(d), left_shift, [schaffer.I.apply((1, 2))]).passed,
+        GridDown: lambda D: TWO_PARAMETER in ando_fails(U=D(d)),
+        GridRight: lambda D: TWO_PARAMETER in ando_fails(V=D(d)),
+        ProjAndo: lambda D: TWO_PARAMETER in ando_fails(P=D(T, S)),
+        # a lift that doubles its image still intertwines; the map read off
+        # it, which the intertwine suite compares with S, is doubled
+        Componentwise: lambda D: read_off(D(S)) == S.scale(2),
+        ColumnBlocks: lambda D: read_off(D(blocks, dim_in=d, dim_out=d)) == S.scale(2),
+        BlockDense: lambda D: read_off(D(S, d)) == S.scale(2),
+        Compose: lambda D: read_off(D((Componentwise(S),))) == S.scale(2),
+        PowerOp: lambda D: read_off(D(Componentwise(S), 1)) == S.scale(2),
+    }
+    # EmbedI takes ambient vectors and keeps its own apply: it is on no
+    # column path
+    public = {
+        cls
+        for name, cls in vars(seqops).items()
+        if isinstance(cls, type) and issubclass(cls, SeqOp) and not name.startswith("_")
+    }
+    assert public == {*cases, EmbedI, SeqOp}
+    for cls, caught in cases.items():
+        assert not caught(cls), cls  # the operator itself passes
+        assert caught(_doubling(cls)), cls
