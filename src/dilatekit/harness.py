@@ -523,12 +523,7 @@ class _Intertwine(Construction):
         B1 = random_matrix(rng, rng.randint(1, 2), bound)
         B2 = random_matrix(rng, rng.randint(1, 2), bound)
         core = polynomial_in(rng, A)
-        S = Mat.block(
-            [
-                [core, Mat.zeros(a, B2.rows)],
-                [Mat.zeros(B1.rows, a), Mat.zeros(B1.rows, B2.rows)],
-            ]
-        )
+        S = block_diag(core, Mat.zeros(B1.rows, B2.rows))
         return {"T1": block_diag(A, B1), "T2": block_diag(A, B2), "S": S}
 
     def probes(self, rng, inst):

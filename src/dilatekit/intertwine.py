@@ -97,9 +97,8 @@ def lift_relations(R: SeqOp, dil1: Dilation, dil2: Dilation):
 
 def relation_witness(lhs: SeqOp, rhs: SeqOp, probes: Sequence[FsVec]) -> Optional[dict]:
     """The first probe on which the chains lhs and rhs differ, as a JSON
-    witness; a block of probes runs in the order of its probes. Each chain
-    is checked once per probe and acts on its columns (`image_differences`);
-    ``FsVec``s are built only for a witness."""
+    witness; a block of probes runs in the order of its probes. The chains
+    act on columns (`image_differences`), building ``FsVec``s for a witness."""
     for x in probes:
         images = image_differences(lhs, rhs, x)
         for j, left, right in differing_probes(*images) if images else ():

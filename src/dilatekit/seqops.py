@@ -26,24 +26,17 @@ written once, in ``SeqOp``, from them:
 * ``act(columns, space, width)`` maps the canonical integer columns of
   ``FsVec``, ``{index: (den, nums)}``, to those of the image, with no
   check: shifts move columns without touching a number, and a matrix
-  action is an integer matrix-vector product followed by one gcd per
-  output column.
+  action is an integer matrix-vector product and one gcd per column.
 
-A verifier checks each operator chain once per start and then carries
-plain column dicts, building an ``FsVec`` only for a witness. A class
-that defines ``apply`` itself (a test double, say) is always run through
-it: its ``act`` wraps the columns in an ``FsVec``, calls that ``apply``
-and checks that the image lies in the space ``codomain`` names.
-
-Every operator also acts on a block of probes (``FsVec.width`` > 1), with
-one application for all: the matrix-vector product runs over the block's
-column-major columns, and one gcd reduces each output block. The image of
-a block is the block of its probes' images; ``EmbedI.apply_block`` builds
-a block from ambient vectors.
+A class that defines ``apply`` itself (a test double, say) is always run
+through it: its ``act`` wraps the columns in an ``FsVec``, calls that
+``apply`` and checks the image's space. A column may be a block of probes
+(``FsVec.width`` > 1), acted on by one application for all.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Optional, Sequence
@@ -165,10 +158,7 @@ def _at(index: Index, column: Optional[Column]) -> Columns:
 
 def _sum_ints(terms: Sequence[tuple[int, Sequence[int]]]) -> Optional[Column]:
     """The sum of columns or blocks given as (den, nums) in any scale, added
-    over the lcm of the denominators: canonical, or None if it is zero.
-    A single term is only reduced."""
-    if len(terms) == 1:
-        return reduce_column(*terms[0])
+    over the lcm of the denominators: canonical, or None if zero or empty."""
     den = lcm(*(d for d, _ in terms))
     scaled = ([den // d * n for n in nums] for d, nums in terms)
     return reduce_column(den, [sum(entries) for entries in zip(*scaled)])
@@ -298,14 +288,13 @@ class SchafferVInv(SchafferU):
 
 
 class _PowerCache:
-    """Memoized powers of a fixed square matrix.
-
-    A miss for T^n starts from the largest cached T^k with k < n and stores
-    only T^n = T^k T^(n-k), the second factor by repeated squaring: a run of
-    consecutive exponents costs one product each, and a single large
-    exponent about 2 log2(n). Writes are idempotent dict inserts, so
-    concurrent apply calls on the same operator stay safe: racing threads
-    at worst recompute the same immutable value.
+    """Memoized powers of a fixed square matrix, for the projections' terms
+    where they cannot step. A miss for T^n starts from the largest cached
+    T^k with k < n and stores only T^n = T^k T^(n-k), the second factor by
+    repeated squaring: a run of consecutive exponents costs one product
+    each, and a single large exponent about 2 log2(n). Writes are
+    idempotent dict inserts, so concurrent apply calls on the same operator
+    stay safe: racing threads at worst recompute the same immutable value.
     """
 
     def __init__(self, base: Mat):
@@ -321,53 +310,66 @@ class _PowerCache:
         return cached
 
 
+def _times(M: Mat, image: Optional[Column]) -> Optional[Column]:
+    """The canonical column M image, or None if it is zero."""
+    return None if image is None else reduce_column(*M._apply_ints(*image))
+
+
 @dataclass(frozen=True)
 class ProjStd(_OnOneSpace):
-    """One-sided projection x -> e_0 (x) sum_n T^n x_n.
+    """One-sided projection x -> e_0 (x) sum_n T^n x_n, idempotent with range
+    the origin embedding of the ambient space.
 
-    Idempotent with range equal to the origin embedding of the ambient
-    space. A subclass changes only the domain, its `_origin` and `_term`,
-    the term that one coordinate adds to the sum.
-    """
+    It steps from its last image: per slot (`_slot`; one here) it keeps the
+    last column seen, its exponent n and its image T^n column, and that
+    column met again at n + 1 costs one matvec by T. The shifts move
+    columns unchanged, so on the cells U^n I x no power of T is formed; any
+    other column takes `_first`, the cached power. Entries are replaced
+    whole, so concurrent apply calls stay safe."""
 
     T: Mat
     domain = Domain.UNINAT
     _origin = 0
+    _slot = staticmethod(lambda n: (0, n))  # a coordinate's slot and exponent of T
 
     def __post_init__(self):
         _square(self.T, "T")
         object.__setattr__(self, "_powers", _PowerCache(self.T))
+        object.__setattr__(self, "_steps", {})  # slot -> (column, n, image)
 
     @property
     def dim(self) -> int:
         return self.T.rows
 
-    def _term(self, n: int, column: Column) -> tuple[int, Sequence[int]]:
+    def _first(self, n: int, column: Column) -> Optional[Column]:
         # T^0 is the identity: the column itself, with no matvec
-        return self._powers.get(n)._apply_ints(*column) if n else column
+        return _times(self._powers.get(n), column) if n else column
+
+    def _term(self, index: Index, column: Column) -> Optional[Column]:
+        slot, n = self._slot(index)
+        last, n_last, image = self._steps.get(slot, (None, None, None))
+        stepped = last is column and n_last == n - 1
+        image = _times(self.T, image) if stepped else self._first(index, column)
+        self._steps[slot] = (column, n, image)
+        return image
 
     def _act(self, columns: Columns, space: Space, width: int) -> Columns:
-        term = self._term
-        return _at(self._origin, _sum_ints([term(k, c) for k, c in columns.items()]))
+        terms = [t for t in map(self._term, columns, columns.values()) if t is not None]
+        # a single term is canonical already
+        return _at(self._origin, terms[0] if len(terms) == 1 else _sum_ints(terms))
 
 
 @dataclass(frozen=True)
 class ProjAndo(ProjStd):
     """Grid projection x -> e_(0,0) (x) sum_{n,m} T^n S^m x_{n,m}: `ProjStd`
-    with a second map S that commutes with T.
-
-    Per exponent m >= 1 it keeps the last column S^m was applied to and
-    the image, reused while a cell at m holds that same column object: the
-    grid shifts move columns unchanged, so on the cells U^n V^m I x the
-    product S^m x is formed once per m, not once per cell (at m = 0 the
-    term takes the column itself, as `ProjStd` does at n = 0). Each entry is
-    one tuple, replaced whole, so concurrent apply calls stay safe as with
-    `_PowerCache`: a racing thread at worst recomputes an image.
-    """
+    with a second map S that commutes with T, and a slot per grid column m.
+    On row 0 a column also steps along the row, by S from its image at
+    (0, m - 1), so on the cells U^n V^m I x no power is formed either."""
 
     S: Mat
     domain = Domain.GRID
     _origin = (0, 0)
+    _slot = staticmethod(lambda cell: (cell[1], cell[0]))
 
     def __post_init__(self):
         super().__post_init__()
@@ -377,16 +379,13 @@ class ProjAndo(ProjStd):
                 "S", f"operators act on different spaces: {self.T.rows} vs {self.S.rows}"
             )
         object.__setattr__(self, "_s_powers", _PowerCache(self.S))
-        object.__setattr__(self, "_s_images", {})  # m -> (column, S^m column)
 
-    def _term(self, cell: tuple[int, int], column: Column) -> tuple[int, Sequence[int]]:
+    def _first(self, cell: tuple[int, int], column: Column) -> Optional[Column]:
         n, m = cell
-        if m:
-            last = self._s_images.get(m)
-            if last is None or last[0] is not column:
-                last = self._s_images[m] = (column, self._s_powers.get(m)._apply_ints(*column))
-            column = last[1]
-        return self._powers.get(n)._apply_ints(*column) if n else column
+        left, n_left, image = self._steps.get(m - 1, (None, None, None))
+        if left is column and n_left == n == 0:
+            return _times(self.S, image)
+        return super()._first(n, _times(self._s_powers.get(m), column) if m else column)
 
 
 @dataclass(frozen=True)
@@ -514,20 +513,28 @@ class ColumnBlocks(_OnOneSpace):
 
 @dataclass(frozen=True)
 class Compose(SeqOp):
-    """Composition of factors, applied right to left: their space checks
-    chain, and so do their column actions."""
+    """Composition of factors, applied right to left: their column actions
+    chain, and so do their space checks, run once per input space and kept."""
 
     factors: tuple[SeqOp, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_chains", {})  # input space -> the spaces of the steps
+
+    def _spaces(self, space: Space) -> tuple[Space, ...]:
+        spaces = self._chains.get(space)
+        if spaces is None:
+            factors = reversed(self.factors)
+            spaces = tuple(itertools.accumulate(factors, lambda s, f: f.codomain(s), initial=space))
+            self._chains[space] = spaces
+        return spaces
+
     def codomain(self, space: Space) -> Space:
-        for f in reversed(self.factors):
-            space = f.codomain(space)
-        return space
+        return self._spaces(space)[-1]
 
     def _act(self, columns: Columns, space: Space, width: int) -> Columns:
-        for f in reversed(self.factors):
-            columns = f.act(columns, space, width)
-            space = f.codomain(space)
+        for f, f_space in zip(reversed(self.factors), self._spaces(space)):
+            columns = f.act(columns, f_space, width)
         return columns
 
     def _apply_ambient(self, x) -> FsVec:

@@ -120,7 +120,7 @@ def _require_into_itself(U: SeqOp, space: Space) -> None:
 
 def image_differences(lhs: SeqOp, rhs: SeqOp, x: FsVec) -> Optional[tuple[FsVec, FsVec]]:
     """(lhs x, rhs x) if they differ, else None. Each side's spaces are
-    checked once and it acts on the columns of x; the images are built as
+    checked and it acts on the columns of x; the images are built as
     ``FsVec`` only when they differ."""
     space, width = space_of(x), x.width
     left_space = lhs.codomain(space)
@@ -477,15 +477,14 @@ def ando_verify(
         witness=v_witness,
     )
 
-    prepend_zero_row, prepend_zero_column = GridDown(av.dim), GridRight(av.dim)
-    identities = (
-        ("prepend", Compose((prepend_zero_column, av.U)), Compose((prepend_zero_row, av.V))),
-        ("exchange", Compose((av.V, av.U)), Compose((av.U, av.V))),
-    )
+    # U x and V x are formed once per probe; the identities prepend a zero
+    # column to U x and a zero row to V x, then apply V to U x and U to V x
+    identities = (("prepend", GridRight(av.dim), GridDown(av.dim)), ("exchange", av.V, av.U))
 
     def exchange_fails(x: FsVec) -> Optional[dict]:
-        for identity, lhs, rhs in identities:
-            if image_differences(lhs, rhs, x) is not None:
+        down, right = av.U.apply(x), av.V.apply(x)
+        for identity, after_down, after_right in identities:
+            if after_down.apply(down) != after_right.apply(right):
                 return {"probe": fsvec_to_json(x), "identity": identity}
 
     witness = first_witness(seq_probes, exchange_fails)

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatekit import Mat
 from dilatekit.finsupp import Domain, FsVec
@@ -16,11 +18,12 @@ from dilatekit.intertwine import (
     make_pair,
     verify_lift,
 )
-from dilatekit.seqops import ColumnBlocks, Componentwise, Compose, ShiftRight
+from dilatekit.matrix import column_of
+from dilatekit.seqops import ColumnBlocks, Componentwise, Compose, ProjStd, ShiftRight
 from dilatekit.report import Report
 from dilatekit.serialize import fsvec_to_json, mat_from_json, mat_to_json, vec_to_json
 
-from strategies import ShiftedProjStd, SumOp, coordinate
+from strategies import ShiftedProjStd, SumOp, coordinate, matrices, vectors
 
 
 def extracted_map(R, pair, cert_bound):
@@ -285,3 +288,30 @@ def test_certification_report_matches_the_per_probe_loop():
     witness = got.checks[0].witness
     assert witness["relation"] == "U1 R = R U2"
     assert witness["probe"] == fsvec_to_json(FsVec.single(Domain.UNINAT, 2, 0, (0, 1)))
+
+
+class _FreshProjStd(ProjStd):
+    """ProjStd through a new projection per application: one that keeps no
+    image from one application to the next."""
+
+    def apply(self, x):
+        return ProjStd(self.T).apply(x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices(max_dim=2, bound=3), st.data())
+def test_lift_relations_agree_when_both_chains_share_one_projection(T, data):
+    # T1 == T2, so both dilations are one and R P2 = P1 R runs one
+    # projection in both chains; one column object at successive indices
+    # lets it step between probes and between the chains
+    pair = make_pair(T, T, T * T)
+    assert pair.dil1.P is pair.dil2.P
+    d = T.rows
+    column = column_of(data.draw(vectors(d, 3).filter(any), label="column"))
+    probes = [FsVec._raw(Domain.UNINAT, d, [(k, column)], 1) for k in range(4)]
+    defect = ColumnBlocks({(0, 2): coordinate(d, 0)}, dim_in=d, dim_out=d)
+    R = data.draw(st.sampled_from([lift_intertwiner(pair), SumOp(lift_intertwiner(pair), defect)]))
+    fresh = dataclasses.replace(pair.dil1, P=_FreshProjStd(T))
+    apart = dataclasses.replace(pair, dil1=fresh, dil2=fresh)
+    got = verify_lift(R, pair, probes, 3)
+    assert got.to_json() == verify_lift(R, apart, probes, 3).to_json()

@@ -28,7 +28,7 @@ from dilatekit.seqops import (
 from dilatekit.sequence import check_inverse_pair
 from dilatekit.serialize import fsvec_to_json
 
-from strategies import fsvecs, rationals, stack
+from strategies import fsvecs, matrices, rationals, stack
 
 
 def proj_std_oracle(T, x):
@@ -71,6 +71,91 @@ def test_proj_std_at_a_huge_index_squares_instead_of_stepping():
     nilpotent = ProjStd(Mat([[0, 1], [0, 0]]))
     assert nilpotent.apply(FsVec.single(Domain.UNINAT, 2, n + 1, (1, 1))).is_zero()
     assert sorted(p._powers.powers) == [0, 1, n]
+
+
+def _fraction_apply(M, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in M.entries)
+
+
+def proj_ando_oracle(T, S, x):
+    """sum T^n S^m x_(n,m) over the support, by plain-Fraction matvecs."""
+    total = zero_vec(T.rows)
+    for (n, m), v in x.items():
+        for M, k in ((S, m), (T, n)):
+            for _ in range(k):
+                v = _fraction_apply(M, v)
+        total = vec_add(total, v)
+    return FsVec.single(Domain.GRID, T.rows, (0, 0), total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_projections_step_correctly_in_any_order(data):
+    # one projection applied to families built from a few shared column
+    # objects, in an arbitrary order: walks of one column down n (and along
+    # m on row 0), which it steps along, mixed with revisited and
+    # non-adjacent cells, families of several columns, blocks split per
+    # probe, and two chains that share it (R P and P R with R commuting
+    # with T, as in the lift relations when T1 == T2); every image must
+    # equal the oracle's
+    grid = data.draw(st.booleans(), label="grid")
+    T = data.draw(matrices(max_dim=2, bound=3), label="T")
+    d, identity = T.rows, Mat.identity(T.rows)
+    S = T * T - T.scale(data.draw(rationals(2), label="a"))
+    R = T + identity
+    domain = Domain.GRID if grid else Domain.UNINAT
+    P = ProjAndo(T, S) if grid else ProjStd(T)
+    R_op = Componentwise(R, domain)
+    chains = (Compose((R_op, P)), Compose((P, R_op)))
+    width = data.draw(st.integers(1, 2), label="width")
+    pool = data.draw(
+        st.lists(
+            st.lists(rationals(3), min_size=d * width, max_size=d * width)
+            .map(column_of)
+            .filter(lambda c: c is not None),
+            min_size=1,
+            max_size=3,
+        ),
+        label="columns",
+    )
+    column = st.integers(0, len(pool) - 1)
+    cell = st.tuples(st.integers(0, 4), st.integers(0, 4)) if grid else st.integers(0, 5)
+
+    def walk(start, i, length, along_m):
+        n, m = start if grid else (start, 0)
+        cells = [(n + t, m) if not along_m else (0, m + t) for t in range(length)]
+        return [[(c if grid else c[0], i)] for c in cells]
+
+    walks = st.builds(walk, cell, column, st.integers(1, 4), st.booleans() if grid else st.just(False))
+    families = st.lists(st.tuples(cell, column), min_size=1, max_size=3, unique_by=lambda p: p[0])
+    how = st.sampled_from(["block", "split", "chains"])
+    script = data.draw(
+        st.lists(st.tuples(how, walks | families.map(lambda f: [f])), min_size=1, max_size=8),
+        label="script",
+    )
+
+    def oracle(x):
+        return proj_ando_oracle(T, S, x) if grid else proj_std_oracle(T, x)
+
+    slots = set()
+    for how, placements in script:
+        for placed in placements:
+            slots.update(k[1] if grid else 0 for k, _ in placed)
+            x = FsVec._raw(domain, d, sorted((k, pool[i]) for k, i in placed), width)
+            probes = [x.probe(j) for j in range(width)]
+            want = [oracle(p) for p in probes]
+            if how == "chains":
+                want = [Componentwise(R, domain).apply(w) for w in want]
+                for chain in chains:
+                    image = chain.apply(x)
+                    assert [image.probe(j) for j in range(width)] == want
+            elif how == "split":
+                assert [P.apply(p) for p in probes] == want
+            else:
+                image = P.apply(x)
+                assert [image.probe(j) for j in range(width)] == want
+    # one memo entry per slot: one on the one-sided space, one per m on the grid
+    assert set(P._steps) <= slots
 
 
 def test_schaffer_u_rows():

@@ -342,30 +342,87 @@ def _off_at(op, attr, at):
     return op
 
 
-class _CountingPowers(_PowerCache):
-    """Power cache that counts its reads."""
+class _OffAt(ProjStd):
+    """A projection wrong at one index, row or column, through its public
+    apply: each coordinate whose index `hit` picks is moved by `extra` (T or
+    S) before it is projected, so there it projects T^(n+1) x_n, or
+    T^n S^(m+1) x_(n,m), where T^n x_n, or T^n S^m x_(n,m), belongs. The
+    fault does not depend on how the projection forms its terms."""
 
-    def __init__(self, base):
-        super().__init__(base)
-        self.reads = 0
+    def __init__(self, *maps, extra, hit):
+        super().__init__(*maps)
+        object.__setattr__(self, "extra", extra)
+        object.__setattr__(self, "hit", hit)
 
-    def get(self, n):
-        self.reads += 1
-        return super().get(n)
+    def apply(self, x):
+        hit = [(k, c) for k, c in x.columns.items() if self.hit(k)]
+        rest = [(k, c) for k, c in x.columns.items() if not self.hit(k)]
+        moved = Componentwise(self.extra, x.domain).apply(FsVec._raw(x.domain, x.dim, hit, x.width))
+        return super().apply(FsVec._raw(x.domain, x.dim, rest, x.width)) + super().apply(moved)
 
 
-def test_ando_verify_forms_each_power_of_s_once_per_exponent():
+class _ProjAndoOffAt(_OffAt, ProjAndo):
+    pass
+
+
+class _StepsWrongAt(dict):
+    """A projection memo that keeps a doubled image at one cell (n, m): the
+    image there is right, the cells that step from it are not."""
+
+    def __init__(self, cell):
+        super().__init__()
+        self.cell = cell
+
+    def __setitem__(self, slot, entry):
+        column, n, image = entry
+        if (n, slot) == self.cell and image is not None:
+            image = (image[0], tuple(2 * v for v in image[1]))
+        super().__setitem__(slot, (column, n, image))
+
+
+def _wrong_steps_at(P, cell):
+    object.__setattr__(P, "_steps", _StepsWrongAt(cell))
+    return P
+
+
+def test_ando_verify_steps_the_projection_one_matvec_per_cell(monkeypatch):
     # the grid shifts move the probe block's column unchanged, so ProjAndo
-    # reuses S^m x on every row n, and at m = 0 takes the column itself:
-    # m_max reads, not (n_max + 1)(m_max + 1)
+    # steps from its image at the cell before: one matvec by S along row 0,
+    # one by T down each column, the column itself at (0, 0), and no power
+    # of T or S formed at all
     T = Mat([[1, 2], [0, 3]])
     av = ando_build(T, T * T - T)
-    P = ProjAndo(av.T, av.S)
-    counting = _CountingPowers(av.S)
-    object.__setattr__(P, "_s_powers", counting)
-    rep = ando_verify(dataclasses.replace(av, P=P), [(1, 0), (2, -1), (0, 5)], n_max=6, m_max=4)
+    # P's own copies of T and S tell its matvecs from the expected side's
+    P = ProjAndo(Mat(T.entries), Mat(av.S.entries))
+    products, matvecs = [], []
+    mul, apply_ints = Mat.__mul__, Mat._apply_ints
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    def counting_apply_ints(M, den, nums):
+        if M is P.T or M is P.S:
+            matvecs.append(M)
+        return apply_ints(M, den, nums)
+
+    monkeypatch.setattr(Mat, "__mul__", counting_mul)
+    monkeypatch.setattr(Mat, "_apply_ints", counting_apply_ints)
+    n_max, m_max = 6, 4
+    rep = ando_verify(dataclasses.replace(av, P=P), [(1, 0), (2, -1), (0, 5)], n_max, m_max)
     assert rep.passed
-    assert counting.reads == 4
+    assert products == []
+    assert len(matvecs) == (n_max + 1) * (m_max + 1) - 1
+    assert sum(M is P.S for M in matvecs) == m_max
+
+
+def test_ando_verify_leaves_one_memo_entry_per_column_of_the_grid():
+    T = Mat([[1, 2], [0, 3]])
+    av = ando_build(T, T * T - T)
+    n_max, m_max = 5, 7
+    seq_probes = [FsVec(Domain.GRID, 2, {(0, 0): (1, 2), (3, 9): (0, 1)})]
+    assert ando_verify(av, [(1, 0), (2, -1)], n_max, m_max, seq_probes=seq_probes).passed
+    assert len(av.P._steps) <= m_max + 1
 
 
 def _grid_single(value):
@@ -383,7 +440,9 @@ SINGLE_V = "single-parameter compression P V^m I x = I S^m x"
 
 def test_ando_verify_catches_a_projection_wrong_at_one_row():
     av = ando_build(Mat([[2]]), Mat([[3]]))
-    wrong = dataclasses.replace(av, P=_off_at(ProjAndo(av.T, av.S), "_powers", 3))
+    wrong = dataclasses.replace(
+        av, P=_ProjAndoOffAt(av.T, av.S, extra=av.T, hit=lambda cell: cell[0] == 3)
+    )
     failed = _failed(ando_verify(wrong, [(1,)], n_max=5, m_max=4))
     assert set(failed) == {TWO_PARAMETER, SINGLE_U}
     # the first wrong cell is (3, 0): P reads T^4 x = 16 where T^3 x = 8
@@ -399,7 +458,9 @@ def test_ando_verify_catches_a_projection_wrong_at_one_row():
 
 def test_ando_verify_catches_a_projection_wrong_at_one_column():
     av = ando_build(Mat([[2]]), Mat([[3]]))
-    wrong = dataclasses.replace(av, P=_off_at(ProjAndo(av.T, av.S), "_s_powers", 2))
+    wrong = dataclasses.replace(
+        av, P=_ProjAndoOffAt(av.T, av.S, extra=av.S, hit=lambda cell: cell[1] == 2)
+    )
     failed = _failed(ando_verify(wrong, [(1,)], n_max=4, m_max=5))
     assert set(failed) == {TWO_PARAMETER, SINGLE_V}
     assert failed[TWO_PARAMETER] == {
@@ -412,9 +473,37 @@ def test_ando_verify_catches_a_projection_wrong_at_one_column():
     assert failed[SINGLE_V] == {"m": 2, "probe": [1]}
 
 
+def test_ando_verify_catches_a_projection_that_steps_from_a_wrong_image():
+    av = ando_build(Mat([[2]]), Mat([[3]]))
+    # the image at (1, 2) is right; (2, 2) steps from its doubled copy
+    wrong = dataclasses.replace(av, P=_wrong_steps_at(ProjAndo(av.T, av.S), (1, 2)))
+    failed = _failed(ando_verify(wrong, [(1,)], n_max=4, m_max=4))
+    assert failed == {
+        TWO_PARAMETER: {
+            "n": 2,
+            "m": 2,
+            "probe": [1],
+            "projected": _grid_single(72),
+            "expected": _grid_single(36),
+        }
+    }
+    # on row 0 the cells along the row step from it too: (0, 2) first
+    wrong = dataclasses.replace(av, P=_wrong_steps_at(ProjAndo(av.T, av.S), (0, 1)))
+    failed = _failed(ando_verify(wrong, [(1,)], n_max=4, m_max=4))
+    assert set(failed) == {TWO_PARAMETER, SINGLE_V}
+    assert failed[TWO_PARAMETER] == {
+        "n": 0,
+        "m": 2,
+        "probe": [1],
+        "projected": _grid_single(18),
+        "expected": _grid_single(9),
+    }
+    assert failed[SINGLE_V] == {"m": 2, "probe": [1]}
+
+
 def test_standard_verify_catches_a_projection_wrong_at_one_index():
     sd = standard_build(Mat([[2]]))
-    wrong = dataclasses.replace(sd, P=_off_at(ProjStd(sd.T), "_powers", 4))
+    wrong = dataclasses.replace(sd, P=_OffAt(sd.T, extra=sd.T, hit=lambda n: n == 4))
     failed = _failed(standard_verify(wrong, [(1,)], n_max=6))
     assert list(failed) == ["dilation equation I T^n x = P U^n I x (0 <= n <= bound)"]
     assert failed["dilation equation I T^n x = P U^n I x (0 <= n <= bound)"] == {
@@ -630,12 +719,21 @@ def test_ando_verify_matches_the_fraction_loop(data):
     av = ando_build(T, S)
     n_max, m_max = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)), label="bounds")
     cells = st.tuples(st.integers(0, n_max), st.integers(0, m_max))
-    faults = data.draw(st.lists(st.tuples(cells, st.integers(0, T.rows - 1)), max_size=3))
-    P = _ProjAndoWrongAtCells(T, S, faults)
-    power_fault = data.draw(st.sampled_from([None, "_powers", "_s_powers"]), label="power")
-    if power_fault is not None:
-        at = data.draw(st.integers(1, n_max if power_fault == "_powers" else m_max))
-        P = _off_at(P, power_fault, at)
+    if data.draw(st.booleans(), label="stepped"):
+        # a plain projection, which steps from cell to cell, with perhaps a
+        # wrong image kept at one cell for the next to step from
+        P = ProjAndo(T, S)
+        step_fault = data.draw(st.none() | cells, label="step fault")
+        if step_fault is not None:
+            P = _wrong_steps_at(P, step_fault)
+    else:
+        # wrong at some cells, per probe: its terms come from the powers
+        faults = data.draw(st.lists(st.tuples(cells, st.integers(0, T.rows - 1)), max_size=3))
+        P = _ProjAndoWrongAtCells(T, S, faults)
+        power_fault = data.draw(st.sampled_from([None, "_powers", "_s_powers"]), label="power")
+        if power_fault is not None:
+            at = data.draw(st.integers(1, n_max if power_fault == "_powers" else m_max))
+            P = _off_at(P, power_fault, at)
     av = dataclasses.replace(av, P=P)
     # the basis in some order, so that a coordinate fault breaks the probes at different cells
     basis = [tuple(int(i == j) for i in range(T.rows)) for j in range(T.rows)]
